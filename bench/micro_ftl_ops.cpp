@@ -204,9 +204,9 @@ BENCHMARK(BM_MaintReleaseIdleBlocks)
 
 // GC allocation churn (FullPagePool::collect_block): steady-state greedy GC
 // driven by random full-page overwrites over a small logical space. Before
-// the BlockMeta arena (retire_meta_arrays/init_meta_arrays) and the pooled
-// GC-token scratch, every collected block freed and re-grew its per-page
-// vectors, so this benchmark's ns/op tracked the allocator; now the arrays
+// the recycled per-slot arrays (BlockPoolCore's spare arrays) and the
+// pooled GC-token scratch, every collected block freed and re-grew its
+// per-page vectors, so this benchmark's ns/op tracked the allocator; now the arrays
 // recycle and the timed loop is allocation-free after warm-up.
 void BM_FullPoolGcChurn(benchmark::State& state) {
   nand::Geometry geo;

@@ -319,7 +319,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
           std::min(params.footprint_sectors, slices[i].sectors);
       tenant_streams.emplace_back(params);
       sim::TenantMux::Lane lane;
-      lane.config.name = t.name.empty() ? "t" + std::to_string(i) : t.name;
+      lane.config.name =
+          t.name.empty() ? std::string("t").append(std::to_string(i)) : t.name;
       lane.config.weight = t.weight;
       lane.config.queue_depth = t.queue_depth;
       lane.ns = slices[i];

@@ -15,10 +15,10 @@ CgmFtl::CgmFtl(nand::NandDevice& dev, const Config& config)
       codec_(geo_),
       allocator_(geo_),
       pool_(dev, allocator_,
-            FullPagePool::Config{/*quota_blocks=*/~0ull,
-                                 config.gc_reserve_blocks,
-                                 config.use_copyback,
-                                 config.reference_scan_maintenance},
+            FullPagePool::Config{{/*quota_blocks=*/~0ull,
+                                  config.gc_reserve_blocks,
+                                  config.reference_scan_maintenance},
+                                 config.use_copyback},
             stats_,
             [this](std::uint64_t lpn, std::uint64_t new_lin) {
               l2p_[lpn] = new_lin;
@@ -57,16 +57,7 @@ SimTime CgmFtl::write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
     rmw_cause.emplace(sink_, telemetry::Cause::kRmw, lpn, now);
   if (is_rmw) {
     // Read-modify-write: fetch the old page to preserve untouched sectors.
-    const auto read = dev_.read_page(codec_.decode_page(old_lin), t);
-    ++stats_.flash_reads;
-    ++stats_.rmw_ops;
-    for (std::uint32_t s = 0; s < subs; ++s) {
-      tokens[s] = read.token[s];
-      if (read.status[s] == nand::ReadStatus::kCorrupted ||
-          read.status[s] == nand::ReadStatus::kUncorrectable)
-        ++stats_.read_failures;
-    }
-    t = read.done;
+    t = pool_.read_for_rmw(old_lin, tokens, t);
   }
 
   for (std::uint32_t i = 0; i < slot_count; ++i) {

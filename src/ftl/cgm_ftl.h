@@ -57,7 +57,7 @@ class CgmFtl : public Ftl {
   std::string name() const override { return "cgmFTL"; }
   void set_telemetry(telemetry::Sink* sink) override;
   void collect_health(std::span<telemetry::BlockHealth> out) const override {
-    pool_.fill_health(out);
+    pool_.core().fill_health(out);
   }
   std::uint64_t free_blocks() const override {
     return allocator_.total_free();

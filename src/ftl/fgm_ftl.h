@@ -55,7 +55,7 @@ class FgmFtl : public Ftl {
   std::string name() const override { return "fgmFTL"; }
   void set_telemetry(telemetry::Sink* sink) override;
   void collect_health(std::span<telemetry::BlockHealth> out) const override {
-    pool_.fill_health(out);
+    pool_.core().fill_health(out);
   }
   std::uint64_t free_blocks() const override {
     return allocator_.total_free();

@@ -4,7 +4,9 @@
 // pool) and subFTL (as its full-page region): out-of-place full-page
 // writes striped round-robin across chips, per-page validity tracking,
 // greedy garbage collection (victim = fewest valid pages), and dynamic
-// wear leveling via the shared low-P/E-first BlockAllocator.
+// wear leveling via the shared low-P/E-first BlockAllocator. Block
+// ownership, victim choice and wear leveling live in BlockPoolCore; this
+// class keeps the page-append placement and the GC page copy.
 //
 // Mapping tables stay in the owning FTL; the pool reports relocations
 // through a callback so the FTL can patch its L2P entries.
@@ -12,14 +14,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <queue>
 #include <span>
 #include <vector>
 
 #include "ftl/block_allocator.h"
+#include "ftl/block_pool_core.h"
 #include "ftl/types.h"
-#include "ftl/wear_index.h"
 #include "nand/address.h"
 #include "nand/device.h"
 #include "telemetry/sink.h"
@@ -28,20 +28,10 @@ namespace esp::ftl {
 
 class FullPagePool {
  public:
-  struct Config {
-    /// Max blocks this pool may hold simultaneously (region quota).
-    std::uint64_t quota_blocks = ~0ull;
-    /// GC starts when the shared allocator drops to this many free blocks.
-    std::size_t reserve_free_blocks = 8;
+  struct Config : PoolConfig {
     /// Use the NAND copy-back command for GC page moves whose destination
     /// can stay on the source chip: saves both channel transfers per copy.
     bool use_copyback = false;
-    /// Debug/differential mode: find wear-leveling targets with the
-    /// original O(device) linear scan instead of the incremental wear
-    /// index. Decisions are bit-identical either way (see
-    /// docs/PERFORMANCE.md); the scan mode exists so tests and CI can keep
-    /// proving that on every change.
-    bool reference_scan_maintenance = false;
   };
 
   /// Invoked when GC moves a logical page: (lpn, new linear page address).
@@ -59,104 +49,60 @@ class FullPagePool {
   /// Marks a previously written page stale.
   void invalidate(std::uint64_t page_lin);
 
-  /// Runs one GC pass if the pool is over quota or the allocator is below
+  /// Read half of a read-modify-write: reads the page at `page_lin` into
+  /// `tokens` (one per sector), counting the flash read, the RMW and every
+  /// corrupted or uncorrectable sector. Returns the read's completion time.
+  SimTime read_for_rmw(std::uint64_t page_lin,
+                       std::span<std::uint64_t> tokens, SimTime now);
+
+  /// Read-modify-write merge of sectors leaving another region (the caller
+  /// has already dropped their entries there): one page program per
+  /// logical page, however many of its sectors `batch` carries, merged
+  /// over the old page when `l2p` (the owner's lpn -> page map) has one.
+  /// Returns the latest completion time.
+  SimTime merge_sectors(std::span<const SectorWrite> batch,
+                        std::vector<std::uint64_t>& l2p, SimTime now);
+
+  /// Runs GC while the pool is over quota or the allocator is below
   /// reserve; returns the (possibly advanced) time.
   SimTime maybe_gc(SimTime now);
 
-  /// Static wear leveling (paper Sec. 4.2): when this pool's least-worn
-  /// sealed block lags the device's most-worn block by more than
-  /// `pe_threshold` cycles, relocate its (typically cold) contents and
-  /// erase it so it rejoins the low-P/E-first hot rotation. Returns the
-  /// possibly advanced time; cheap no-op when wear is balanced.
+  /// Static wear leveling over this pool's sealed blocks (see
+  /// BlockPoolCore::static_wear_level).
   SimTime static_wear_level(SimTime now, std::uint32_t pe_threshold);
 
-  std::uint64_t blocks_in_use() const { return blocks_in_use_; }
-  std::uint64_t valid_pages() const { return valid_pages_; }
-  const Config& config() const { return config_; }
-
-  /// For wear metrics: P/E counts of blocks currently owned by this pool.
-  std::vector<std::uint32_t> owned_pe_cycles() const;
-
-  /// Health snapshot: marks owned blocks as pool "full" with their valid
-  /// page count (capacity = pages per block).
-  void fill_health(std::span<telemetry::BlockHealth> out) const;
+  std::uint64_t blocks_in_use() const { return core_.blocks_in_use(); }
+  std::uint64_t valid_pages() const { return core_.valid_slots(); }
+  /// Block ownership: health rows, owned P/E cycles.
+  const BlockPoolCore& core() const { return core_; }
 
   /// Attaches a telemetry sink (nullptr detaches); GC / wear-leveling
   /// block collections are recorded as mechanism-lane op events.
-  void set_telemetry(telemetry::Sink* sink) { sink_ = sink; }
+  void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
 
-  /// Snapshot support: per-block metadata, owned-block index, active
-  /// blocks, and the exact victim/wear heap layouts. Recycled spare arrays
-  /// are NOT archived (pure allocation reuse, no behavior).
+  /// Snapshot support (see BlockPoolCore::save_state).
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
-  struct BlockMeta {
-    bool owned = false;
-    bool active = false;              ///< currently receiving writes
-    std::uint32_t next_page = 0;      ///< program cursor
-    std::uint32_t valid_count = 0;
-    std::vector<std::uint64_t> lpn_of_page;  ///< reverse map
-    std::vector<bool> valid;
-  };
-
-  std::size_t block_index(std::uint32_t chip, std::uint32_t block) const {
-    return static_cast<std::size_t>(chip) * geo_.blocks_per_chip + block;
-  }
-  /// Owned-block index (ascending block id per chip): lets owned_pe_cycles
-  /// walk only this pool's blocks instead of the whole device.
-  void index_add(std::uint32_t chip, std::uint32_t block);
-  void index_remove(std::uint32_t chip, std::uint32_t block);
-  /// BlockMeta per-page array recycling (see SubpagePool::retire_meta_arrays).
-  void retire_meta_arrays(BlockMeta& m);
-  void init_meta_arrays(BlockMeta& m);
-  bool space_pressure() const;
-  SimTime collect(SimTime now);  ///< one greedy GC pass
+  /// Reads page `addr` into `tokens`, counting the flash read and every
+  /// corrupted or uncorrectable sector. Returns the read's completion.
+  SimTime read_tokens(const nand::PageAddr& addr,
+                      std::span<std::uint64_t> tokens, SimTime now);
   /// Relocates every valid page of the given sealed block, erases it, and
   /// returns it to the allocator (shared by GC and static wear leveling).
   SimTime collect_block(std::size_t idx, SimTime now, bool for_wear_leveling);
-  void push_victim_candidate(std::size_t idx);
-  /// Pops the current min-valid collectable block; nullopt when none.
-  std::optional<std::size_t> pop_victim();
-  /// Picks/opens the active block on the next chip; returns false when no
-  /// block is available anywhere. `now` stamps block-allocation telemetry.
-  bool ensure_active(std::uint32_t* chip_out, SimTime now);
-  /// Same, pinned to one chip (used by the copyback GC path).
-  bool ensure_active_on(std::uint32_t chip, SimTime now);
 
   nand::NandDevice& dev_;
-  BlockAllocator& allocator_;
-  Config config_;
   FtlStats& stats_;
   RelocateFn relocate_;
   nand::Geometry geo_;
   nand::AddressCodec codec_;
-
-  std::vector<BlockMeta> meta_;  ///< indexed by chip*blocks_per_chip+block
-  std::vector<std::vector<std::uint32_t>> owned_by_chip_;
-  std::vector<std::optional<std::uint32_t>> active_block_;  ///< per chip
-  /// Lazy min-heap of GC candidates: (valid_count at push, block index).
-  /// Stale entries (count changed, block re-erased, ...) are skipped at pop.
-  std::priority_queue<std::pair<std::uint32_t, std::size_t>,
-                      std::vector<std::pair<std::uint32_t, std::size_t>>,
-                      std::greater<>>
-      victim_heap_;
-  /// Wear-leveling candidates, pushed at seal time (see wear_index.h).
-  WearIndex wear_index_;
-  /// Recycled per-page arrays of released blocks.
-  struct SpareArrays {
-    std::vector<std::uint64_t> lpn_of_page;
-    std::vector<bool> valid;
-  };
-  std::vector<SpareArrays> spare_meta_;
+  BlockPoolCore core_;
+  bool use_copyback_;
   /// Pooled GC read buffer (collect_block never nests within itself).
   std::vector<std::uint64_t> gc_tokens_;
-  std::uint32_t rr_chip_ = 0;
-  std::uint64_t blocks_in_use_ = 0;
-  std::uint64_t valid_pages_ = 0;
   bool in_gc_ = false;
-  telemetry::Sink* sink_ = nullptr;
 };
 
 }  // namespace esp::ftl

@@ -24,10 +24,10 @@ SectorLogFtl::SectorLogFtl(nand::NandDevice& dev, const Config& config)
       codec_(geo_),
       allocator_(geo_),
       pool_data_(dev, allocator_,
-                 FullPagePool::Config{/*quota_blocks=*/~0ull,
-                                      config.gc_reserve_blocks,
-                                      config.use_copyback,
-                                      config.reference_scan_maintenance},
+                 FullPagePool::Config{{/*quota_blocks=*/~0ull,
+                                       config.gc_reserve_blocks,
+                                       config.reference_scan_maintenance},
+                                      config.use_copyback},
                  stats_,
                  [this](std::uint64_t lpn, std::uint64_t new_lin) {
                    l2p_[lpn] = new_lin;
@@ -118,50 +118,8 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
                                   SimTime now) {
   // Log cleaning (the sector-log "merge"): fold live log sectors into
   // their logical pages in the data region, one RMW per page.
-  std::vector<SectorWrite> sorted(batch.begin(), batch.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const SectorWrite& a, const SectorWrite& b) {
-              return a.sector < b.sector;
-            });
-  const std::uint32_t subs = geo_.subpages_per_page;
-  SimTime done = now;
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    const std::uint64_t lpn = sorted[i].sector / subs;
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
-
-    std::vector<std::uint64_t> tokens(subs, 0);
-    SimTime t = now;
-    const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
-    if (merges_old_page) {
-      const auto read = dev_.read_page(codec_.decode_page(l2p_[lpn]), t);
-      ++stats_.flash_reads;
-      ++stats_.rmw_ops;
-      for (std::uint32_t s = 0; s < subs; ++s) {
-        tokens[s] = read.token[s];
-        if (read.status[s] == nand::ReadStatus::kCorrupted ||
-            read.status[s] == nand::ReadStatus::kUncorrectable)
-          ++stats_.read_failures;
-      }
-      t = read.done;
-      pool_data_.invalidate(l2p_[lpn]);
-      l2p_[lpn] = nand::kUnmapped;
-    }
-    for (std::size_t k = i; k < j; ++k) {
-      log_map_.erase(sorted[k].sector);
-      tokens[sorted[k].sector % subs] = sorted[k].token;
-    }
-    const auto [new_lin, page_done] = pool_data_.write_page(lpn, tokens, t);
-    l2p_[lpn] = new_lin;
-    stats_.small_extra_flash_bytes += geo_.page_bytes;
-    if (sink_ && merges_old_page && sink_->wants_op(telemetry::OpKind::kRmw))
-      sink_->record_op({telemetry::OpKind::kRmw, now, page_done,
-                        static_cast<std::uint64_t>(j - i)});
-    done = std::max(done, page_done);
-    i = j;
-  }
-  return done;
+  for (const SectorWrite& sw : batch) log_map_.erase(sw.sector);
+  return pool_data_.merge_sectors(batch, l2p_, now);
 }
 
 SimTime SectorLogFtl::flush_run(const std::vector<BufferedSector>& run,

@@ -65,8 +65,8 @@ class SectorLogFtl : public Ftl {
   std::string name() const override { return "sectorLogFTL"; }
   void set_telemetry(telemetry::Sink* sink) override;
   void collect_health(std::span<telemetry::BlockHealth> out) const override {
-    pool_data_.fill_health(out);
-    pool_log_.fill_health(out);
+    pool_data_.core().fill_health(out);
+    pool_log_.core().fill_health(out);
   }
   std::uint64_t free_blocks() const override {
     return allocator_.total_free();

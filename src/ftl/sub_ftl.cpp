@@ -16,6 +16,18 @@ std::uint64_t subpage_quota(const nand::Geometry& geo, double fraction) {
   return std::max<std::uint64_t>(quota, geo.total_chips());
 }
 
+SubpagePool::Config subpage_config(const nand::Geometry& geo,
+                                   const SubFtl::Config& config) {
+  SubpagePool::Config c;
+  c.quota_blocks = subpage_quota(geo, config.subpage_region_fraction);
+  c.reserve_free_blocks = config.gc_reserve_blocks;
+  c.reference_scan_maintenance = config.reference_scan_maintenance;
+  c.retention_evict_age = config.retention_evict_age;
+  c.gc_free_target = config.gc_free_target;
+  c.advance_max_valid_fraction = config.advance_max_valid_fraction;
+  return c;
+}
+
 }  // namespace
 
 SubFtl::SubFtl(nand::NandDevice& dev, const Config& config)
@@ -29,30 +41,15 @@ SubFtl::SubFtl(nand::NandDevice& dev, const Config& config)
       // not actually using remain available here. Space pressure is
       // governed by the shared allocator's reserve floor.
       pool_full_(dev, allocator_,
-                 FullPagePool::Config{/*quota_blocks=*/~0ull,
-                                      config.gc_reserve_blocks,
-                                      config.use_copyback,
-                                      config.reference_scan_maintenance},
+                 FullPagePool::Config{{/*quota_blocks=*/~0ull,
+                                       config.gc_reserve_blocks,
+                                       config.reference_scan_maintenance},
+                                      config.use_copyback},
                  stats_,
                  [this](std::uint64_t lpn, std::uint64_t new_lin) {
                    l2p_[lpn] = new_lin;
                  }),
-      pool_sub_(dev, allocator_,
-                SubpagePool::Config{
-                    .quota_blocks =
-                        subpage_quota(geo_, config.subpage_region_fraction),
-                    .reserve_free_blocks = config.gc_reserve_blocks,
-                    .expand_reserve_blocks =
-                        config.gc_reserve_blocks +
-                        std::max<std::size_t>(geo_.total_blocks() / 32,
-                                              geo_.total_chips()),
-                    .retention_evict_age = config.retention_evict_age,
-                    .gc_free_target = config.gc_free_target,
-                    .advance_max_valid_fraction =
-                        config.advance_max_valid_fraction,
-                    .reference_scan_maintenance =
-                        config.reference_scan_maintenance},
-                stats_,
+      pool_sub_(dev, allocator_, subpage_config(geo_, config), stats_,
                 [this](std::uint64_t sector, std::uint64_t new_lin) {
                   if (sub_lin_[sector] == nand::kUnmapped) ++sub_entries_;
                   sub_lin_[sector] = new_lin;
@@ -184,16 +181,7 @@ SimTime SubFtl::rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
   SimTime t = now;
   const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
   if (merges_old_page) {
-    const auto read = dev_.read_page(codec_.decode_page(l2p_[lpn]), t);
-    ++stats_.flash_reads;
-    ++stats_.rmw_ops;
-    for (std::uint32_t s = 0; s < subs; ++s) {
-      tokens[s] = read.token[s];
-      if (read.status[s] == nand::ReadStatus::kCorrupted ||
-          read.status[s] == nand::ReadStatus::kUncorrectable)
-        ++stats_.read_failures;
-    }
-    t = read.done;
+    t = pool_full_.read_for_rmw(l2p_[lpn], tokens, t);
     pool_full_.invalidate(l2p_[lpn]);
     l2p_[lpn] = nand::kUnmapped;
   }
@@ -212,54 +200,12 @@ SimTime SubFtl::evict_batch(std::span<const SectorWrite> batch, SimTime now,
   // pages in the full-page region -- ONE read-modify-write per logical
   // page, however many of its sectors the batch carries (sequential small
   // writes evict together, so this merge matters).
-  std::vector<SectorWrite> sorted(batch.begin(), batch.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const SectorWrite& a, const SectorWrite& b) {
-              return a.sector < b.sector;
-            });
-  const std::uint32_t subs = geo_.subpages_per_page;
-  SimTime done = now;
-  std::size_t i = 0;
-  std::vector<std::uint64_t> tokens(subs, 0);
-  while (i < sorted.size()) {
-    const std::uint64_t lpn = sorted[i].sector / subs;
-    std::size_t j = i;
-    while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
-
-    tokens.assign(subs, 0);
-    SimTime t = now;
-    const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
-    if (merges_old_page) {
-      const auto read = dev_.read_page(codec_.decode_page(l2p_[lpn]), t);
-      ++stats_.flash_reads;
-      ++stats_.rmw_ops;
-      for (std::uint32_t s = 0; s < subs; ++s) {
-        tokens[s] = read.token[s];
-        if (read.status[s] == nand::ReadStatus::kCorrupted ||
-            read.status[s] == nand::ReadStatus::kUncorrectable)
-          ++stats_.read_failures;
-      }
-      t = read.done;
-      pool_full_.invalidate(l2p_[lpn]);
-      l2p_[lpn] = nand::kUnmapped;
-    }
-    for (std::size_t k = i; k < j; ++k) {
-      const std::uint64_t es = sorted[k].sector;
-      if (sub_lin_[es] != nand::kUnmapped) --sub_entries_;
-      sub_lin_[es] = nand::kUnmapped;
-      sub_hot_[es] = false;
-      tokens[es % subs] = sorted[k].token;
-    }
-    const auto [new_lin, page_done] = pool_full_.write_page(lpn, tokens, t);
-    l2p_[lpn] = new_lin;
-    stats_.small_extra_flash_bytes += geo_.page_bytes;
-    if (sink_ && merges_old_page && sink_->wants_op(telemetry::OpKind::kRmw))
-      sink_->record_op({telemetry::OpKind::kRmw, now, page_done,
-                        static_cast<std::uint64_t>(j - i)});
-    done = std::max(done, page_done);
-    i = j;
+  for (const SectorWrite& sw : batch) {
+    if (sub_lin_[sw.sector] != nand::kUnmapped) --sub_entries_;
+    sub_lin_[sw.sector] = nand::kUnmapped;
+    sub_hot_[sw.sector] = false;
   }
-  return done;
+  return pool_full_.merge_sectors(batch, l2p_, now);
 }
 
 IoResult SubFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,

@@ -78,8 +78,8 @@ class SubFtl : public Ftl {
   std::string name() const override { return "subFTL"; }
   void set_telemetry(telemetry::Sink* sink) override;
   void collect_health(std::span<telemetry::BlockHealth> out) const override {
-    pool_full_.fill_health(out);
-    pool_sub_.fill_health(out);
+    pool_full_.core().fill_health(out);
+    pool_sub_.core().fill_health(out);
   }
   std::uint64_t free_blocks() const override {
     return allocator_.total_free();
@@ -102,8 +102,8 @@ class SubFtl : public Ftl {
   /// full-page region with one read-modify-write per logical page.
   SimTime evict_batch(std::span<const SectorWrite> batch, SimTime now,
                       bool retention);
-  /// Read-modify-write of one sector into the full-page region (shared by
-  /// eviction and the small-write overflow fallback).
+  /// Read-modify-write of one sector into the full-page region (the
+  /// small-write overflow fallback).
   SimTime rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
                             SimTime now);
   void drop_subpage_copy(std::uint64_t sector);

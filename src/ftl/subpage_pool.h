@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "ftl/block_allocator.h"
+#include "ftl/block_pool_core.h"
 #include "ftl/retention_queue.h"
 #include "ftl/types.h"
-#include "ftl/wear_index.h"
 #include "nand/address.h"
 #include "nand/device.h"
 #include "telemetry/sink.h"
@@ -41,14 +41,7 @@ namespace esp::ftl {
 
 class SubpagePool {
  public:
-  struct Config {
-    std::uint64_t quota_blocks = 0;     ///< region size (paper: 20 % of flash)
-    std::size_t reserve_free_blocks = 8;
-    /// Floor of free blocks below which the region stops EXPANDING (taking
-    /// fresh blocks) and recycles its own instead. Higher than the plain
-    /// reserve so an eagerly-growing region does not consume the
-    /// over-provisioning the full-page region's GC efficiency depends on.
-    std::size_t expand_reserve_blocks = 16;
+  struct Config : PoolConfig {
     SimTime retention_evict_age = 15 * sim_time::kDay;  ///< paper Sec. 4.3
     /// Blocks reclaimed per GC episode. Reclaiming several at once keeps a
     /// pool of erased blocks so the live hot set spreads across fresh
@@ -61,12 +54,6 @@ class SubpagePool {
     /// Denser blocks go to GC instead, whose hot/cold filter can actually
     /// shed load to the full-page region. Swept by bench/ablation_policy.
     double advance_max_valid_fraction = 0.25;
-    /// Debug/differential mode: run the maintenance paths (retention scan,
-    /// static wear leveling, idle release) with the original O(device)
-    /// linear scans instead of the incremental indices. Decisions are
-    /// bit-identical either way -- the scan mode exists so tests and CI can
-    /// keep proving that (journal byte-compare) on every change.
-    bool reference_scan_maintenance = false;
   };
 
   /// Mapping update: (sector, new linear subpage address).
@@ -114,55 +101,29 @@ class SubpagePool {
   /// region's over-provisioning.
   SimTime release_idle_blocks(SimTime now);
 
-  /// Static wear leveling over the region's blocks (see
-  /// FullPagePool::static_wear_level).
+  /// Static wear leveling over the region's sealed blocks (see
+  /// BlockPoolCore::static_wear_level).
   SimTime static_wear_level(SimTime now, std::uint32_t pe_threshold);
 
-  std::uint64_t blocks_in_use() const { return blocks_in_use_; }
-  std::uint64_t valid_sectors() const { return valid_sectors_; }
+  std::uint64_t blocks_in_use() const { return core_.blocks_in_use(); }
+  std::uint64_t valid_sectors() const { return core_.valid_slots(); }
   const Config& config() const { return config_; }
-
-  /// For wear metrics: P/E counts of blocks currently owned by this pool.
-  std::vector<std::uint32_t> owned_pe_cycles() const;
-
-  /// Health snapshot: marks owned blocks as pool "sub" with their ESP
-  /// level and valid subpage count (capacity = pages per block -- a page
-  /// holds at most one valid subpage).
-  void fill_health(std::span<telemetry::BlockHealth> out) const;
+  /// Block ownership: health rows (ESP level and valid subpages; capacity
+  /// = pages per block, a page holds at most one valid subpage), owned P/E
+  /// cycles.
+  const BlockPoolCore& core() const { return core_; }
 
   /// Attaches a telemetry sink (nullptr detaches); forward migrations,
   /// GC collections and retention evictions become mechanism-lane events.
-  void set_telemetry(telemetry::Sink* sink) { sink_ = sink; }
+  void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
 
-  /// Snapshot support: per-block metadata (level, cursor, live subpages
-  /// and their program times), owned-block index, retention queue, wear
-  /// index and idle candidates. Spare arrays and pooled scratch are NOT
-  /// archived (pure allocation reuse, no behavior).
+  /// Snapshot support: the core's block state (live-subpage program times
+  /// included) plus retention queue and idle candidates. Pooled scratch is
+  /// NOT archived (pure allocation reuse, no behavior).
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
-  struct BlockMeta {
-    bool owned = false;
-    bool active = false;
-    std::uint8_t level = 0;        ///< slot index currently being filled
-    std::uint32_t cursor = 0;      ///< next page to consider at this level
-    std::uint32_t valid_count = 0;
-    std::vector<std::uint64_t> sector_of_page;  ///< live sector per page
-    std::vector<bool> valid;
-    std::vector<SimTime> written_at;  ///< program time of the live subpage
-  };
-
-  std::size_t block_index(std::uint32_t chip, std::uint32_t block) const {
-    return static_cast<std::size_t>(chip) * geo_.blocks_per_chip + block;
-  }
-  /// Owned-block index maintenance: `owned_by_chip_[chip]` lists this
-  /// pool's blocks in ascending block id, so GC victim search, retention
-  /// scans, idle release and wear leveling touch only owned blocks instead
-  /// of sweeping geo_.total_blocks() (ascending order preserves the
-  /// original full-scan tie-breaking).
-  void index_add(std::uint32_t chip, std::uint32_t block);
-  void index_remove(std::uint32_t chip, std::uint32_t block);
   /// Finds (possibly creating/advancing) a free slot on `chip` and returns
   /// it; forwards valid data encountered on the way. Returns false when the
   /// chip has no capacity left at any level.
@@ -181,33 +142,18 @@ class SubpagePool {
   /// returns it to the allocator (shared by GC and static wear leveling).
   SimTime collect_block(std::size_t idx, SimTime now, bool for_wear_leveling);
   bool can_alloc_fresh() const;
-  /// Records the block as a wear-leveling candidate and, when it holds no
-  /// valid data, an idle-release candidate. Called at every active ->
-  /// sealed transition and whenever a non-active block's valid_count
-  /// reaches zero (invalidate / retention eviction).
-  void note_sealed(std::size_t idx);
-  void note_idle_candidate(std::size_t idx);
-  /// BlockMeta per-page array recycling: on release the arrays move into
-  /// spare_meta_ (capacity preserved); on (re)allocation they move back and
-  /// are assign()ed to geometry size. Bounds allocation churn to the peak
-  /// number of simultaneously owned blocks instead of one heap cycle per
-  /// GC pass.
-  void retire_meta_arrays(BlockMeta& m);
-  void init_meta_arrays(BlockMeta& m);
   /// Erases + releases one garbage-only block (shared body of the scan and
   /// indexed release_idle_blocks variants).
-  SimTime release_idle_block(std::uint32_t chip, std::uint32_t blk,
-                             SimTime now);
+  SimTime release_idle_block(std::size_t idx, SimTime now);
   SimTime retention_scan_reference(SimTime now);
   SimTime retention_scan_indexed(SimTime now);
   /// Evicts the expired pages of one block (identical op sequence for both
   /// retention variants). `t` is the running completion time.
-  SimTime retention_evict_pages(std::uint32_t chip, std::uint32_t blk,
+  SimTime retention_evict_pages(std::size_t idx,
                                 std::span<const std::uint32_t> pages,
                                 SimTime t);
 
   nand::NandDevice& dev_;
-  BlockAllocator& allocator_;
   Config config_;
   FtlStats& stats_;
   PlaceFn place_;
@@ -216,27 +162,16 @@ class SubpagePool {
   KeptFn kept_;
   nand::Geometry geo_;
   nand::AddressCodec codec_;
-
-  std::vector<BlockMeta> meta_;
-  /// Blocks owned by this pool, per chip, ascending block id.
-  std::vector<std::vector<std::uint32_t>> owned_by_chip_;
-  std::vector<std::optional<std::uint32_t>> active_block_;  ///< per chip
+  BlockPoolCore core_;
   /// Incremental maintenance indices (see docs/PERFORMANCE.md). The
-  /// retention queue records every subpage program; the wear index records
-  /// every seal; idle_candidates_ records every transition of a non-active
-  /// block to zero valid data. All three tolerate stale entries -- the
-  /// consumers re-validate against meta_ -- so no eager removal is needed
-  /// on invalidate/GC.
+  /// retention queue records every subpage program; idle_candidates_
+  /// records every seal of an empty block and every transition of a
+  /// non-active block to zero valid data (the core's wear index records
+  /// every seal). All tolerate stale entries -- the consumers re-validate
+  /// against the block metadata -- so no eager removal is needed on
+  /// invalidate/GC.
   RetentionQueue retention_queue_;
-  WearIndex wear_index_;
   std::vector<std::size_t> idle_candidates_;
-  /// Recycled per-page arrays of released blocks (see retire_meta_arrays).
-  struct SpareArrays {
-    std::vector<std::uint64_t> sector_of_page;
-    std::vector<bool> valid;
-    std::vector<SimTime> written_at;
-  };
-  std::vector<SpareArrays> spare_meta_;
   /// Pooled scratch (capacity persists across passes; no per-pass heap
   /// churn). GC and retention never nest within this pool, so each path
   /// owns its vector outright.
@@ -244,12 +179,14 @@ class SubpagePool {
   std::vector<SectorWrite> retention_evictions_;
   std::vector<RetentionQueue::Entry> retention_expired_;
   std::vector<std::uint32_t> retention_pages_;
-  std::uint32_t rr_chip_ = 0;
-  std::uint64_t blocks_in_use_ = 0;
-  std::uint64_t valid_sectors_ = 0;
+  /// Floor of free blocks below which the region stops EXPANDING (taking
+  /// fresh blocks) and recycles its own instead: the reserve plus 1/32 of
+  /// the device (at least one block per chip), so an eagerly-growing region
+  /// does not consume the over-provisioning the full-page region's GC
+  /// efficiency depends on.
+  std::size_t expand_reserve_blocks_;
   bool in_gc_ = false;
   std::uint32_t gc_dest_allocs_ = 0;  ///< fresh blocks opened by this GC pass
-  telemetry::Sink* sink_ = nullptr;
 };
 
 }  // namespace esp::ftl

@@ -478,7 +478,10 @@ void ForensicsCollector::finish() {
       fmt_phases(totals, sizeof totals, t.phase_us);
       fmt_phases(tail, sizeof tail, t.tail_phase_us);
       fmt_time(worst_s, sizeof worst_s, t.worst_response_us);
-      char buf[kLineCap];
+      // Room for the worst case of every part (two phase bodies of up to
+      // kLineCap / 2 bytes each), so no line can be cut; real lines stay
+      // under ~720 bytes.
+      char buf[2 * kLineCap];
       std::snprintf(buf, sizeof buf,
                     "{\"t\":\"tnt\",\"tenant\":%u,\"requests\":%llu,"
                     "\"phases\":{%s},\"tail_requests\":%llu,\"tail\":{%s},"

@@ -16,13 +16,16 @@
 // restored bytes.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/parallel_runner.h"
 #include "core/snapshot.h"
+#include "core/ssd.h"
 #include "test_common.h"
 
 namespace esp {
@@ -197,6 +200,35 @@ TEST(SnapshotRoundtrip, FreshSeedLegStartsFromAgedStateDeterministically) {
       core::read_snapshot_meta(is, anchor.spec.ssd);
   EXPECT_GE(r[0].result.raw.start_us, meta.saved_at_us);
   EXPECT_GT(meta.saved_at_us, 0u);
+}
+
+TEST(SnapshotRoundtrip, RejectsOtherFormatVersion) {
+  // A snapshot stamped with format version 1 (the per-pool layouts that
+  // predate the shared block-pool core) must be refused by the version
+  // check, not misread by this build's loaders.
+  const core::SsdConfig config = test::tiny_config(FtlKind::kSub);
+  const core::Ssd ssd(config);
+  std::stringstream current;
+  core::write_snapshot(current, core::SnapshotMeta{}, ssd,
+                       core::SnapshotSinks{});
+  std::string bytes = current.str();
+  std::istringstream accepted(bytes);
+  EXPECT_NO_THROW(core::read_snapshot_meta(accepted, config));
+
+  // The u32 format version follows the 8-byte magic.
+  const std::uint32_t old_version = 1;
+  ASSERT_NE(old_version, core::kSnapshotFormatVersion);
+  std::memcpy(&bytes[sizeof core::kSnapshotMagic], &old_version,
+              sizeof old_version);
+  std::istringstream stale(bytes);
+  try {
+    core::read_snapshot_meta(stale, config);
+    FAIL() << "a version-1 snapshot was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("snapshot format version 1,"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

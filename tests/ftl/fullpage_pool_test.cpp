@@ -25,7 +25,7 @@ nand::Geometry tiny_geo() {
 }
 
 struct PoolFixture {
-  explicit PoolFixture(FullPagePool::Config config = {~0ull, 2})
+  explicit PoolFixture(FullPagePool::Config config = {{~0ull, 2}})
       : dev(tiny_geo()), allocator(tiny_geo()) {
     pool = std::make_unique<FullPagePool>(
         dev, allocator, config, stats,
@@ -114,8 +114,8 @@ TEST(FullPagePool, GcPrefersEmptiestVictim) {
 }
 
 TEST(FullPagePool, QuotaBoundsBlockUsage) {
-  PoolFixture fx(FullPagePool::Config{/*quota_blocks=*/4,
-                                      /*reserve_free_blocks=*/2});
+  PoolFixture fx(FullPagePool::Config{{/*quota_blocks=*/4,
+                                       /*reserve_free_blocks=*/2}});
   SimTime now = 0.0;
   // Writing more than quota * pages_per_block live pages is impossible;
   // with churn (overwrites) the pool must stay within quota.
@@ -160,7 +160,7 @@ TEST(FullPagePool, TimeAdvancesThroughWrites) {
 }
 
 TEST(FullPagePool, CopybackGcPreservesDataWithoutTransfers) {
-  PoolFixture fx(FullPagePool::Config{~0ull, 2, /*use_copyback=*/true});
+  PoolFixture fx(FullPagePool::Config{{~0ull, 2}, /*use_copyback=*/true});
   SimTime now = 0.0;
   // Immortal lpns (multiples of 5) stay put while the rest churn in a
   // scattered order, so GC victims on every chip carry valid pages that

@@ -26,12 +26,15 @@ nand::Geometry tiny_geo() {
   return geo;
 }
 
+SubpagePool::Config pool_config(std::uint64_t quota_blocks) {
+  SubpagePool::Config config;
+  config.quota_blocks = quota_blocks;
+  config.reserve_free_blocks = 2;
+  return config;
+}
+
 struct PoolFixture {
-  explicit PoolFixture(SubpagePool::Config config =
-                           {.quota_blocks = 6,
-                            .reserve_free_blocks = 2,
-                            .expand_reserve_blocks = 2,
-                            .retention_evict_age = 15 * sim_time::kDay})
+  explicit PoolFixture(SubpagePool::Config config = pool_config(6))
       : dev(tiny_geo()), allocator(tiny_geo()) {
     pool = std::make_unique<SubpagePool>(
         dev, allocator, config, stats,
@@ -148,10 +151,7 @@ TEST(SubpagePool, EvictionBatchesArriveSorted) {
   FtlStats stats;
   std::map<std::uint64_t, std::uint64_t> mapping;
   SubpagePool pool(
-      dev, allocator,
-      {.quota_blocks = 4, .reserve_free_blocks = 2,
-       .expand_reserve_blocks = 2},
-      stats,
+      dev, allocator, pool_config(4), stats,
       [&](std::uint64_t sector, std::uint64_t lin) { mapping[sector] = lin; },
       [&](std::span<const SectorWrite> batch, SimTime now, bool) {
         ++calls;
@@ -227,8 +227,8 @@ TEST(SubpagePool, RequiresAllCallbacks) {
   nand::NandDevice dev(tiny_geo());
   BlockAllocator allocator(tiny_geo());
   FtlStats stats;
-  EXPECT_THROW(SubpagePool(dev, allocator, {.quota_blocks = 2}, stats,
-                           nullptr, nullptr, nullptr, nullptr),
+  EXPECT_THROW(SubpagePool(dev, allocator, pool_config(2), stats, nullptr,
+                           nullptr, nullptr, nullptr),
                std::invalid_argument);
 }
 
@@ -238,7 +238,7 @@ TEST(SubpagePool, ZeroQuotaRejected) {
   FtlStats stats;
   EXPECT_THROW(
       SubpagePool(
-          dev, allocator, {.quota_blocks = 0}, stats,
+          dev, allocator, pool_config(0), stats,
           [](std::uint64_t, std::uint64_t) {},
           [](std::span<const SectorWrite>, SimTime now, bool) { return now; },
           [](std::uint64_t) { return false; }, [](std::uint64_t) {}),

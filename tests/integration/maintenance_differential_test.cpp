@@ -7,10 +7,13 @@
 //      SsdConfig::reference_scan_maintenance set, once clear -- must write
 //      byte-identical causal-attribution journals (every GC victim,
 //      retention eviction and wear-leveling move, in order);
-//   2. pool-level: one SubpagePool per mode driven with an identical
+//   2. pool-level: one pool per mode driven with an identical
 //      write/invalidate/maintenance sequence must agree on every returned
-//      completion time, every mapping update, every eviction batch and
-//      every deterministic counter.
+//      completion time, every mapping update, every eviction batch or GC
+//      relocation and every deterministic counter -- for the SubpagePool
+//      (retention, wear leveling, idle release) and for the append-only
+//      FullPagePool (with and without copy-back) and FinePool (greedy GC
+//      plus wear leveling through the shared block-pool core).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +27,8 @@
 
 #include "core/parallel_runner.h"
 #include "ftl/block_allocator.h"
+#include "ftl/fine_pool.h"
+#include "ftl/fullpage_pool.h"
 #include "ftl/subpage_pool.h"
 #include "nand/device.h"
 #include "test_common.h"
@@ -147,7 +152,6 @@ struct PoolHarness {
     ftl::SubpagePool::Config cfg;
     cfg.quota_blocks = geo.total_blocks() / 2;
     cfg.reserve_free_blocks = 4;
-    cfg.expand_reserve_blocks = 8;
     cfg.retention_evict_age = 4000.0;  // us; writes advance now by ~2-8
     cfg.reference_scan_maintenance = reference_scan;
     pool = std::make_unique<ftl::SubpagePool>(
@@ -238,7 +242,8 @@ TEST(MaintenanceDifferential, SubpagePoolStepwiseAgreement) {
   EXPECT_EQ(scan.stats.retention_evictions, index.stats.retention_evictions);
   EXPECT_EQ(scan.stats.wear_level_relocations,
             index.stats.wear_level_relocations);
-  EXPECT_EQ(scan.pool->owned_pe_cycles(), index.pool->owned_pe_cycles());
+  EXPECT_EQ(scan.pool->core().owned_pe_cycles(),
+            index.pool->core().owned_pe_cycles());
 
   // Sanity: the sequence must have driven real maintenance work.
   EXPECT_GT(retention_calls, 0u);
@@ -247,6 +252,167 @@ TEST(MaintenanceDifferential, SubpagePoolStepwiseAgreement) {
   EXPECT_GT(scan.stats.retention_evictions, 0u)
       << "no retention eviction fired -- sequence too tame";
   EXPECT_GT(scan.stats.gc_invocations, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Append-only pools: the same stepwise duel for FullPagePool (page append,
+// optionally copy-back GC) and FinePool (sector-group append, repacking
+// GC). Their GC victims come from the core's victim heap in both modes;
+// wear-leveling targets come from the wear index or the reference scan.
+
+enum class AppendPool { kFull, kFullCopyback, kFine };
+
+const char* append_pool_name(AppendPool kind) {
+  switch (kind) {
+    case AppendPool::kFull: return "FullPagePool";
+    case AppendPool::kFullCopyback: return "FullPagePool+copyback";
+    case AppendPool::kFine: return "FinePool";
+  }
+  return "?";
+}
+
+struct AppendPoolHarness {
+  nand::Geometry geo = test::tiny_geometry();
+  std::unique_ptr<nand::NandDevice> dev;
+  std::unique_ptr<ftl::BlockAllocator> allocator;
+  ftl::FtlStats stats;
+  std::unique_ptr<ftl::FullPagePool> full;
+  std::unique_ptr<ftl::FinePool> fine;
+  /// Mapping unit (lpn for FullPagePool, sector for FinePool) -> live
+  /// linear address, as the owner FTL would keep it.
+  std::unordered_map<std::uint64_t, std::uint64_t> map;
+  /// Every placement callback, in order: (unit, new linear address). GC
+  /// relocations for FullPagePool; every landing sector for FinePool.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> moves;
+
+  AppendPoolHarness(AppendPool kind, bool reference_scan) {
+    dev = std::make_unique<nand::NandDevice>(geo);
+    allocator = std::make_unique<ftl::BlockAllocator>(geo);
+    auto record = [this](std::uint64_t unit, std::uint64_t lin) {
+      map[unit] = lin;
+      moves.emplace_back(unit, lin);
+    };
+    if (kind == AppendPool::kFine) {
+      ftl::FinePool::Config cfg;
+      cfg.reserve_free_blocks = 4;
+      cfg.reference_scan_maintenance = reference_scan;
+      fine = std::make_unique<ftl::FinePool>(*dev, *allocator, cfg, stats,
+                                             record);
+    } else {
+      ftl::FullPagePool::Config cfg;
+      cfg.reserve_free_blocks = 4;
+      cfg.use_copyback = kind == AppendPool::kFullCopyback;
+      cfg.reference_scan_maintenance = reference_scan;
+      full = std::make_unique<ftl::FullPagePool>(*dev, *allocator, cfg,
+                                                 stats, record);
+    }
+  }
+
+  const ftl::BlockPoolCore& core() const {
+    return full ? full->core() : fine->core();
+  }
+
+  /// Overwrites `unit`; returns the program's completion time.
+  SimTime write(std::uint64_t unit, std::uint64_t token, SimTime now) {
+    if (map.contains(unit)) invalidate(unit);
+    if (fine) {
+      const ftl::SectorWrite group[] = {{unit, token}};
+      return fine->write_group(group, now);
+    }
+    const std::vector<std::uint64_t> tokens(geo.subpages_per_page, token);
+    const auto [lin, done] = full->write_page(unit, tokens, now);
+    map[unit] = lin;
+    return done;
+  }
+
+  void invalidate(std::uint64_t unit) {
+    const auto it = map.find(unit);
+    if (full)
+      full->invalidate(it->second);
+    else
+      fine->invalidate(it->second);
+    map.erase(it);
+  }
+
+  SimTime static_wear_level(SimTime now, std::uint32_t threshold) {
+    return full ? full->static_wear_level(now, threshold)
+                : fine->static_wear_level(now, threshold);
+  }
+};
+
+TEST(MaintenanceDifferential, AppendOnlyPoolsStepwiseAgreement) {
+  for (const AppendPool kind :
+       {AppendPool::kFull, AppendPool::kFullCopyback, AppendPool::kFine}) {
+    SCOPED_TRACE(append_pool_name(kind));
+    AppendPoolHarness scan(kind, true);
+    AppendPoolHarness index(kind, false);
+    util::Xoshiro256 rng(2017);
+    // ~60% of the device's pages (FinePool: one sector per program), a
+    // fifth of them hot: cold blocks stay sealed at low P/E, so the low
+    // threshold below keeps wear leveling busy.
+    constexpr std::uint64_t kUnits = 1200;
+    constexpr std::uint64_t kHotUnits = kUnits / 5;
+    constexpr std::uint32_t kWlThreshold = 2;
+    std::vector<std::uint64_t> version(kUnits, 0);
+    SimTime now = 0.0;
+    std::uint64_t wl_calls = 0, trims = 0;
+
+    for (int step = 0; step < 12000; ++step) {
+      const std::uint64_t roll = rng.below(100);
+      if (roll < 90) {
+        const std::uint64_t unit =
+            rng.below(10) < 8 ? rng.below(kHotUnits) : rng.below(kUnits);
+        const std::uint64_t token = ftl::make_token(unit, ++version[unit]);
+        const SimTime a = scan.write(unit, token, now);
+        const SimTime b = index.write(unit, token, now);
+        ASSERT_EQ(a, b) << "completion diverged at step " << step;
+        ASSERT_EQ(scan.map.at(unit), index.map.at(unit))
+            << "placement diverged at step " << step;
+        now = a + 1.0;
+      } else if (roll < 94) {
+        const std::uint64_t unit = rng.below(kUnits);
+        if (scan.map.contains(unit)) {
+          ++trims;
+          scan.invalidate(unit);
+          index.invalidate(unit);
+        }
+      } else {
+        ++wl_calls;
+        const SimTime a = scan.static_wear_level(now, kWlThreshold);
+        const SimTime b = index.static_wear_level(now, kWlThreshold);
+        ASSERT_EQ(a, b) << "wear-level completion diverged at step " << step;
+        now = a + 1.0;
+      }
+      ASSERT_EQ(scan.moves.size(), index.moves.size()) << "step " << step;
+      if (!scan.moves.empty()) {
+        ASSERT_EQ(scan.moves.back(), index.moves.back()) << "step " << step;
+      }
+      ASSERT_EQ(scan.core().blocks_in_use(), index.core().blocks_in_use())
+          << "step " << step;
+      ASSERT_EQ(scan.core().valid_slots(), index.core().valid_slots())
+          << "step " << step;
+    }
+
+    EXPECT_EQ(scan.moves, index.moves);
+    EXPECT_EQ(scan.map, index.map);
+    EXPECT_EQ(scan.stats.flash_prog_full, index.stats.flash_prog_full);
+    EXPECT_EQ(scan.stats.flash_reads, index.stats.flash_reads);
+    EXPECT_EQ(scan.stats.flash_erases, index.stats.flash_erases);
+    EXPECT_EQ(scan.stats.gc_invocations, index.stats.gc_invocations);
+    EXPECT_EQ(scan.stats.gc_copy_sectors, index.stats.gc_copy_sectors);
+    EXPECT_EQ(scan.stats.wear_level_relocations,
+              index.stats.wear_level_relocations);
+    EXPECT_EQ(scan.stats.maint_wear_level_calls,
+              index.stats.maint_wear_level_calls);
+    EXPECT_EQ(scan.core().owned_pe_cycles(), index.core().owned_pe_cycles());
+
+    // Sanity: the sequence must have driven GC and real wear leveling.
+    EXPECT_GT(trims, 0u);
+    EXPECT_EQ(scan.stats.maint_wear_level_calls, wl_calls);
+    EXPECT_GT(scan.stats.gc_invocations, 0u);
+    EXPECT_GT(scan.stats.wear_level_relocations, 0u)
+        << "no wear-leveling relocation fired -- sequence too tame";
+  }
 }
 
 }  // namespace

@@ -28,7 +28,8 @@ TEST(RetentionGcInterplay, ForwardedDataAgesFromItsNewProgramTime) {
   drv.submit({Request::Type::kWrite, 500, 1, true, 0.0});
   drv.advance_to(10 * sim_time::kDay);
   for (int i = 0; i < 400; ++i)
-    drv.submit({Request::Type::kWrite, (i * 4) % 400, 1, true, 0.0});
+    drv.submit({Request::Type::kWrite,
+                static_cast<std::uint64_t>((i * 4) % 400), 1, true, 0.0});
 
   // 10 more days: if forwarding reset the clock, sector 500 is ~10 days
   // old (young); if the FTL kept the ORIGINAL age it would be 20 days and

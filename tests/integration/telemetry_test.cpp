@@ -101,7 +101,9 @@ TEST_P(TelemetryEndToEnd, TraceCapturesGcAndSamplesAreMonotonic) {
   const auto& samples = tel.sampler().samples();
   ASSERT_GE(samples.size(), 2u);
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (i) EXPECT_GT(samples[i].sim_time_s, samples[i - 1].sim_time_s);
+    if (i) {
+      EXPECT_GT(samples[i].sim_time_s, samples[i - 1].sim_time_s);
+    }
     EXPECT_GT(samples[i].requests, 0u);
     EXPECT_GE(samples[i].iops, 0.0);
   }

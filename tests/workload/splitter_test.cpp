@@ -42,7 +42,9 @@ TEST(ShardSplitter, SequentialFillArrivesSequentiallyPerShard) {
   for (std::uint64_t g = 0; g < 64; ++g) {
     const std::uint32_t shard = s.shard_of(g);
     const std::uint64_t local = s.to_local(g);
-    if (seen[shard]) EXPECT_EQ(local, last[shard] + 1);
+    if (seen[shard]) {
+      EXPECT_EQ(local, last[shard] + 1);
+    }
     last[shard] = local;
     seen[shard] = true;
   }
