@@ -45,13 +45,16 @@ void BM_WorkloadNext(benchmark::State& state) {
 BENCHMARK(BM_WorkloadNext);
 
 void BM_WriteBufferInsertExtract(benchmark::State& state) {
-  ftl::WriteBuffer buffer(4096);
+  ftl::WriteBuffer buffer(4096, 4);
+  std::vector<ftl::BufferedSector> run;  // reused, as the FTLs do
   util::Xoshiro256 rng(3);
   for (auto _ : state) {
     const std::uint64_t sector = rng.below(1 << 16);
     buffer.insert(sector, sector + 1, true);
-    if (buffer.size() > 2048)
-      benchmark::DoNotOptimize(buffer.extract_oldest_page_group(4));
+    if (buffer.size() > 2048) {
+      buffer.extract_oldest_page_group(run);
+      benchmark::DoNotOptimize(run.data());
+    }
   }
 }
 BENCHMARK(BM_WriteBufferInsertExtract);

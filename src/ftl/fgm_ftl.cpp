@@ -1,6 +1,7 @@
 #include "ftl/fgm_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "telemetry/metrics.h"
@@ -20,7 +21,7 @@ FgmFtl::FgmFtl(nand::NandDevice& dev, const Config& config)
             [this](std::uint64_t sector, std::uint64_t new_lin) {
               l2p_[sector] = new_lin;
             }),
-      buffer_(config.buffer_sectors) {
+      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("FgmFtl: logical_sectors must be > 0");
   if (config_.logical_sectors > geo_.total_subpages())
@@ -34,7 +35,7 @@ void FgmFtl::check_range(std::uint64_t sector, std::uint32_t count) const {
     throw std::out_of_range("FgmFtl: sector range outside logical space");
 }
 
-SimTime FgmFtl::flush_run(const std::vector<BufferedSector>& run,
+SimTime FgmFtl::flush_run(std::span<const BufferedSector> run,
                           SimTime now) {
   // The FGM scheme merges small writes only when their logical block
   // addresses are consecutive (paper Sec. 2). Because mapping is
@@ -52,8 +53,7 @@ SimTime FgmFtl::flush_run(const std::vector<BufferedSector>& run,
            run[j].sector == run[j - 1].sector + 1)
       ++j;
     const std::size_t n = j - i;
-    std::vector<SectorWrite> group;
-    group.reserve(n);
+    std::array<SectorWrite, nand::kMaxSubpagesPerPage> group{};
     std::uint64_t small_in_group = 0;
     for (std::size_t k = i; k < j; ++k) {
       const BufferedSector& bs = run[k];
@@ -62,10 +62,12 @@ SimTime FgmFtl::flush_run(const std::vector<BufferedSector>& run,
         pool_.invalidate(l2p_[bs.sector]);
         l2p_[bs.sector] = nand::kUnmapped;
       }
-      group.push_back(SectorWrite{bs.sector, bs.token});
+      group[k - i] = SectorWrite{bs.sector, bs.token};
       if (bs.small) ++small_in_group;
     }
-    done = std::max(done, pool_.write_group(group, now));
+    done = std::max(done, pool_.write_group(
+                              std::span<const SectorWrite>(group.data(), n),
+                              now));
     // Attribute the page's cost proportionally to its small-write sectors:
     // a lone sync 4-KB sector pays the whole 16-KB page (request WAF 4),
     // four merged ones pay 4 KB each (request WAF 1). Multiply before
@@ -105,13 +107,13 @@ IoResult FgmFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
   if (sync) {
     // Durability demanded now: flush this request's sectors together with
     // any contiguous buffered neighbors (the only merge still possible).
-    const auto run = buffer_.extract_run(sector);
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_run(sector, run_);
+    done = std::max(done, flush_run(run_, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim = buffer_.extract_oldest_run();
-    if (victim.empty()) break;
-    done = std::max(done, flush_run(victim, now));
+    buffer_.extract_oldest_run(run_);
+    if (run_.empty()) break;
+    done = std::max(done, flush_run(run_, now));
   }
   return IoResult{done, true};
 }
@@ -152,9 +154,9 @@ IoResult FgmFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run = buffer_.extract_oldest_run();
-    if (run.empty()) break;
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_oldest_run(run_);
+    if (run_.empty()) break;
+    done = std::max(done, flush_run(run_, now));
   }
   return IoResult{done, true};
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,7 @@ class FgmFtl : public Ftl {
 
  private:
   /// Writes one extracted buffer run to flash as dense page programs.
-  SimTime flush_run(const std::vector<BufferedSector>& run, SimTime now);
+  SimTime flush_run(std::span<const BufferedSector> run, SimTime now);
   void check_range(std::uint64_t sector, std::uint32_t count) const;
 
   nand::NandDevice& dev_;
@@ -76,6 +77,7 @@ class FgmFtl : public Ftl {
   BlockAllocator allocator_;
   FinePool pool_;
   WriteBuffer buffer_;
+  std::vector<BufferedSector> run_;     ///< extract scratch, reused
   std::vector<std::uint64_t> l2p_;      ///< sector -> linear subpage addr
   std::vector<std::uint32_t> version_;  ///< per-sector write counter
   std::uint32_t writes_since_wl_ = 0;

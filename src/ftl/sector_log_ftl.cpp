@@ -1,6 +1,7 @@
 #include "ftl/sector_log_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -43,7 +44,7 @@ SectorLogFtl::SectorLogFtl(nand::NandDevice& dev, const Config& config)
                 [this](std::span<const SectorWrite> batch, SimTime now) {
                   return merge_batch(batch, now);
                 }),
-      buffer_(config.buffer_sectors) {
+      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("SectorLogFtl: logical_sectors must be > 0");
   if (config_.log_region_fraction <= 0.0 ||
@@ -79,7 +80,7 @@ SimTime SectorLogFtl::write_full_lpn(std::uint64_t lpn,
                                      const BufferedSector* group,
                                      SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   std::uint64_t small_sectors = 0;
   for (std::uint32_t s = 0; s < subs; ++s) {
     drop_log_copy(group[s].sector);
@@ -90,7 +91,8 @@ SimTime SectorLogFtl::write_full_lpn(std::uint64_t lpn,
     pool_data_.invalidate(l2p_[lpn]);
     l2p_[lpn] = nand::kUnmapped;
   }
-  const auto [new_lin, done] = pool_data_.write_page(lpn, tokens, now);
+  const auto [new_lin, done] = pool_data_.write_page(
+      lpn, std::span<const std::uint64_t>(tokens.data(), subs), now);
   l2p_[lpn] = new_lin;
   stats_.small_service_flash_bytes += small_sectors * geo_.subpage_bytes();
   return done;
@@ -100,17 +102,20 @@ SimTime SectorLogFtl::append_to_log(std::span<const BufferedSector> group,
                                     SimTime now) {
   // One full-page program carrying this (<= Nsub) group -- logical-level
   // subpage granularity, physical-level full-page cost.
-  std::vector<SectorWrite> writes;
-  writes.reserve(group.size());
+  std::array<SectorWrite, nand::kMaxSubpagesPerPage> writes{};
   std::uint64_t small_in_group = 0;
-  for (const BufferedSector& bs : group) {
-    drop_log_copy(bs.sector);
-    writes.push_back(SectorWrite{bs.sector, bs.token});
-    if (bs.small) ++small_in_group;
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    drop_log_copy(group[k].sector);
+    writes[k] = SectorWrite{group[k].sector, group[k].token};
+    if (group[k].small) ++small_in_group;
   }
-  const SimTime done = pool_log_.write_group(writes, now);
+  const SimTime done = pool_log_.write_group(
+      std::span<const SectorWrite>(writes.data(), group.size()), now);
+  // Multiply before dividing (as FgmFtl::flush_run does): page_bytes /
+  // group.size() truncates for 3-sector groups and would leak bytes of
+  // attributed cost.
   stats_.small_service_flash_bytes +=
-      small_in_group * (geo_.page_bytes / group.size());
+      small_in_group * geo_.page_bytes / group.size();
   return done;
 }
 
@@ -122,7 +127,7 @@ SimTime SectorLogFtl::merge_batch(std::span<const SectorWrite> batch,
   return pool_data_.merge_sectors(batch, l2p_, now);
 }
 
-SimTime SectorLogFtl::flush_run(const std::vector<BufferedSector>& run,
+SimTime SectorLogFtl::flush_run(std::span<const BufferedSector> run,
                                 SimTime now) {
   // Placement mirrors subFTL: complete logical pages to the data region,
   // the rest appended to the log.
@@ -136,9 +141,7 @@ SimTime SectorLogFtl::flush_run(const std::vector<BufferedSector>& run,
     if (j - i == subs) {
       done = std::max(done, write_full_lpn(lpn, &run[i], now));
     } else {
-      done = std::max(
-          done, append_to_log(
-                    std::span<const BufferedSector>(&run[i], j - i), now));
+      done = std::max(done, append_to_log(run.subspan(i, j - i), now));
     }
     i = j;
   }
@@ -173,15 +176,13 @@ IoResult SectorLogFtl::write(std::uint64_t sector, std::uint32_t count,
 
   SimTime done = now + config_.buffer_insert_us;
   if (sync) {
-    const auto run =
-        buffer_.extract_page_group(sector, geo_.subpages_per_page);
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_page_group(sector, run_);
+    done = std::max(done, flush_run(run_, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim =
-        buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (victim.empty()) break;
-    done = std::max(done, flush_run(victim, now));
+    buffer_.extract_oldest_page_group(run_);
+    if (run_.empty()) break;
+    done = std::max(done, flush_run(run_, now));
   }
   return IoResult{done, true};
 }
@@ -238,10 +239,9 @@ IoResult SectorLogFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run =
-        buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (run.empty()) break;
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_oldest_page_group(run_);
+    if (run_.empty()) break;
+    done = std::max(done, flush_run(run_, now));
   }
   return IoResult{done, true};
 }

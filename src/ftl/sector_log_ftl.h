@@ -78,7 +78,7 @@ class SectorLogFtl : public Ftl {
   void load_state(util::StateReader& r) override;
 
  private:
-  SimTime flush_run(const std::vector<BufferedSector>& run, SimTime now);
+  SimTime flush_run(std::span<const BufferedSector> run, SimTime now);
   SimTime write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
                          SimTime now);
   /// Appends small sectors to the log region (one full-page program per
@@ -99,6 +99,7 @@ class SectorLogFtl : public Ftl {
   FullPagePool pool_data_;
   FinePool pool_log_;
   WriteBuffer buffer_;
+  std::vector<BufferedSector> run_;  ///< extract scratch, reused
   std::vector<std::uint64_t> l2p_;  ///< lpn -> linear page (data region)
   std::unordered_map<std::uint64_t, std::uint64_t> log_map_;  ///< sector->sub
   std::vector<std::uint32_t> version_;

@@ -1,6 +1,7 @@
 #include "ftl/sub_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -62,7 +63,7 @@ SubFtl::SubFtl(nand::NandDevice& dev, const Config& config)
                   return sub_hot_[sector];
                 },
                 [this](std::uint64_t sector) { sub_hot_[sector] = false; }),
-      buffer_(config.buffer_sectors) {
+      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
   if (config_.logical_sectors == 0)
     throw std::invalid_argument("SubFtl: logical_sectors must be > 0");
   if (config_.subpage_region_fraction <= 0.0 ||
@@ -104,7 +105,7 @@ void SubFtl::drop_subpage_copy(std::uint64_t sector) {
 SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
                                SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> tokens{};
   std::uint64_t small_sectors = 0;
   for (std::uint32_t s = 0; s < subs; ++s) {
     // The fresh full page supersedes any subpage-region copy.
@@ -116,7 +117,8 @@ SimTime SubFtl::write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
     pool_full_.invalidate(l2p_[lpn]);
     l2p_[lpn] = nand::kUnmapped;
   }
-  const auto [new_lin, done] = pool_full_.write_page(lpn, tokens, now);
+  const auto [new_lin, done] = pool_full_.write_page(
+      lpn, std::span<const std::uint64_t>(tokens.data(), subs), now);
   l2p_[lpn] = new_lin;
   // Small writes that merged into a full page pay exactly their own bytes.
   stats_.small_service_flash_bytes += small_sectors * geo_.subpage_bytes();
@@ -147,7 +149,7 @@ SimTime SubFtl::write_small_sector(const BufferedSector& bs, SimTime now) {
   return done;
 }
 
-SimTime SubFtl::flush_run(const std::vector<BufferedSector>& run,
+SimTime SubFtl::flush_run(std::span<const BufferedSector> run,
                           SimTime now) {
   // Data placement (Sec. 4.1): a COMPLETE logical page inside the flush
   // group goes to the full-page region; incomplete pages are small writes
@@ -177,7 +179,8 @@ SimTime SubFtl::rmw_into_fullpage(std::uint64_t sector, std::uint64_t token,
   // The overflow valve services a small write the CGM way; the whole
   // read + merge + full-page program attributes to RMW.
   const telemetry::CauseScope cause(sink_, telemetry::Cause::kRmw, lpn, now);
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> storage{};
+  const std::span<std::uint64_t> tokens(storage.data(), subs);
   SimTime t = now;
   const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
   if (merges_old_page) {
@@ -242,13 +245,13 @@ IoResult SubFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
 
   SimTime done = now + config_.buffer_insert_us;
   if (sync) {
-    const auto run = buffer_.extract_page_group(sector, geo_.subpages_per_page);
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_page_group(sector, run_);
+    done = std::max(done, flush_run(run_, now));
   }
   while (buffer_.over_capacity()) {
-    const auto victim = buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (victim.empty()) break;
-    done = std::max(done, flush_run(victim, now));
+    buffer_.extract_oldest_page_group(run_);
+    if (run_.empty()) break;
+    done = std::max(done, flush_run(run_, now));
   }
   return IoResult{done, true};
 }
@@ -336,9 +339,9 @@ IoResult SubFtl::flush(SimTime now) {
                                     buffer_.size(), now);
   SimTime done = now;
   while (!buffer_.empty()) {
-    const auto run = buffer_.extract_oldest_page_group(geo_.subpages_per_page);
-    if (run.empty()) break;
-    done = std::max(done, flush_run(run, now));
+    buffer_.extract_oldest_page_group(run_);
+    if (run_.empty()) break;
+    done = std::max(done, flush_run(run_, now));
   }
   return IoResult{done, true};
 }

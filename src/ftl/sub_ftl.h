@@ -94,7 +94,7 @@ class SubFtl : public Ftl {
   std::size_t subpage_mapping_entries() const { return sub_entries_; }
 
  private:
-  SimTime flush_run(const std::vector<BufferedSector>& run, SimTime now);
+  SimTime flush_run(std::span<const BufferedSector> run, SimTime now);
   SimTime write_full_lpn(std::uint64_t lpn, const BufferedSector* group,
                          SimTime now);
   SimTime write_small_sector(const BufferedSector& bs, SimTime now);
@@ -118,6 +118,7 @@ class SubFtl : public Ftl {
   FullPagePool pool_full_;
   SubpagePool pool_sub_;
   WriteBuffer buffer_;
+  std::vector<BufferedSector> run_;     ///< extract scratch, reused
   std::vector<std::uint64_t> l2p_;      ///< lpn -> linear page (full region)
   /// Subpage map as flat per-sector arrays (kUnmapped = not in the region):
   /// the small-write/read hot path costs one indexed load instead of a

@@ -1,4 +1,4 @@
-// Host write buffer (fgmFTL and subFTL front end).
+// Host write buffer (fgmFTL, subFTL and sectorLogFTL front end).
 //
 // Buffers dirty 4-KB sectors so that small *asynchronous* writes can be
 // merged into full-page programs before reaching flash. Synchronous writes
@@ -7,13 +7,20 @@
 // workloads defeat the FGM scheme (paper Sec. 2).
 //
 // The buffer only stores tokens; flush policy lives in the owning FTL.
+//
+// Layout: one flat record per buffered logical page (per-sector present
+// and small bits, tokens and write sequence numbers), found through an
+// open-addressed table keyed by logical page number. Every live sector
+// sits on an intrusive LRU list in write-sequence order, so the least-
+// recently-written sector is always the list head. Extraction fills a
+// vector the caller owns and reuses; after warm-up no call allocates.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
+#include "nand/geometry.h"
 #include "util/serialize.h"
 
 namespace esp::ftl {
@@ -26,7 +33,9 @@ struct BufferedSector {
 
 class WriteBuffer {
  public:
-  explicit WriteBuffer(std::size_t capacity_sectors);
+  /// `sectors_per_page` is the owning FTL's page width (the merge unit of
+  /// the page-group extracts); at most nand::kMaxSubpagesPerPage.
+  WriteBuffer(std::size_t capacity_sectors, std::uint32_t sectors_per_page);
 
   /// Inserts or overwrites a dirty sector. Returns true when the sector was
   /// already buffered (write hit).
@@ -38,66 +47,95 @@ class WriteBuffer {
   /// Drops a sector (TRIM). Returns true when it was present.
   bool erase(std::uint64_t sector);
 
-  /// Removes and returns the maximal run of buffered sectors contiguous
-  /// with (and including) `sector`, sorted ascending. Empty when `sector`
-  /// is not buffered.
-  std::vector<BufferedSector> extract_run(std::uint64_t sector);
+  // Every extract clears `out` (keeping its capacity) and fills it with the
+  // removed sectors, sorted ascending; `out` stays empty when there is
+  // nothing to extract.
 
-  /// Removes and returns the least-recently-written sector's contiguous
-  /// run (capacity eviction). Empty when the buffer is empty.
-  std::vector<BufferedSector> extract_oldest_run();
+  /// The maximal run of buffered sectors contiguous with (and including)
+  /// `sector`. Empty when `sector` is not buffered.
+  void extract_run(std::uint64_t sector, std::vector<BufferedSector>& out);
 
-  /// Page-granular merge unit: removes and returns every buffered sector
-  /// belonging to the maximal chain of consecutive logical pages (of
-  /// `sectors_per_page` sectors) that each hold at least one buffered
-  /// sector, containing `sector`'s page. Sorted ascending. This is the
-  /// "merge small writes with consecutive logical block addresses" unit of
-  /// the paper's buffered FTLs: sectors of the same page always flush into
-  /// the same physical page.
-  std::vector<BufferedSector> extract_page_group(std::uint64_t sector,
-                                                 std::uint32_t sectors_per_page);
+  /// The least-recently-written sector's contiguous run (capacity
+  /// eviction).
+  void extract_oldest_run(std::vector<BufferedSector>& out);
 
-  /// Removes and returns the least-recently-written sector's page group.
-  std::vector<BufferedSector> extract_oldest_page_group(
-      std::uint32_t sectors_per_page);
+  /// Page-granular merge unit: every buffered sector belonging to the
+  /// maximal chain of consecutive logical pages that each hold at least one
+  /// buffered sector, containing `sector`'s page. This is the "merge small
+  /// writes with consecutive logical block addresses" unit of the paper's
+  /// buffered FTLs: sectors of the same page always flush into the same
+  /// physical page. Empty when `sector` is not buffered.
+  void extract_page_group(std::uint64_t sector,
+                          std::vector<BufferedSector>& out);
 
-  /// Removes and returns everything, ordered by write age (oldest first,
-  /// each entry expanded to its contiguous run).
-  std::vector<BufferedSector> drain();
+  /// The least-recently-written sector's page group.
+  void extract_oldest_page_group(std::vector<BufferedSector>& out);
 
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
-  bool over_capacity() const { return entries_.size() > capacity_; }
-  bool empty() const { return entries_.empty(); }
+  bool over_capacity() const { return size_ > capacity_; }
+  bool empty() const { return size_ == 0; }
 
-  /// Length of the insertion log, stale entries included (bounded-memory
-  /// regression tests).
-  std::size_t age_log_size() const { return age_log_.size(); }
-
-  /// Snapshot support. Entries are archived in sorted-sector order (the
-  /// hash map is only ever probed by key, so insertion order is not
-  /// behavior; sorting makes the archive canonical). The age log is saved
-  /// verbatim, stale entries included, so LRU eviction order is exact.
+  /// Snapshot support. Only live (sector, token, seq, small) entries are
+  /// archived, in sector order (canonical); loading rebuilds the LRU list
+  /// by sorting on seq, so eviction order is exact. A malformed section
+  /// (duplicate sector, duplicate seq, seq >= next_seq) throws.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
-  /// Drops stale age-log entries (overwritten or extracted sectors). Called
-  /// when stale entries dominate so the log stays O(live entries) even
-  /// under overwrite-only workloads that never trigger the lazy pruning at
-  /// extraction.
-  void compact_age_log();
-  struct Entry {
-    std::uint64_t token;
-    std::uint64_t seq;
-    bool small;
+  static constexpr std::uint32_t kSlots = nand::kMaxSubpagesPerPage;
+  static constexpr std::uint32_t kNil = ~0u;
+
+  /// One buffered logical page. A sector's LRU node id is
+  /// `record index * kSlots + slot`; `prev`/`next` hold node ids.
+  struct PageRecord {
+    std::uint64_t lpn = 0;
+    std::uint32_t present = 0;  ///< bit s: sector lpn * spp + s buffered
+    std::uint32_t small = 0;    ///< bit s: that sector came from a small write
+    std::array<std::uint64_t, kSlots> token{};
+    std::array<std::uint64_t, kSlots> seq{};
+    std::array<std::uint32_t, kSlots> prev{};
+    std::array<std::uint32_t, kSlots> next{};
+  };
+  struct Bucket {
+    std::uint64_t lpn = 0;
+    std::uint32_t record = kNil;  ///< kNil = empty bucket
   };
 
+  std::size_t home(std::uint64_t lpn) const {
+    return static_cast<std::size_t>((lpn * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  std::uint32_t find(std::uint64_t lpn) const;
+  std::uint32_t allocate(std::uint64_t lpn);
+  void release(std::uint32_t record);
+  void rehash(std::size_t buckets);
+
+  /// Writes `sector` with an explicit sequence number and links it at the
+  /// LRU tail; returns true on overwrite.
+  bool place(std::uint64_t sector, std::uint64_t token, std::uint64_t seq,
+             bool small);
+  /// Unlinks one present sector, releasing its record when it empties.
+  void remove(std::uint32_t record, std::uint32_t slot);
+  /// Appends one present sector to `out`, then removes it.
+  void take(std::uint32_t record, std::uint32_t slot,
+            std::vector<BufferedSector>& out);
+  void link_tail(std::uint32_t node);
+  void unlink(std::uint32_t node);
+  std::uint64_t sector_of(std::uint32_t node) const {
+    return records_[node / kSlots].lpn * spp_ + node % kSlots;
+  }
+
   std::size_t capacity_;
+  std::uint32_t spp_;
   std::uint64_t next_seq_ = 0;
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  /// Insertion log for LRU eviction; stale entries skipped lazily.
-  std::deque<std::pair<std::uint64_t, std::uint64_t>> age_log_;  // (seq, sector)
+  std::size_t size_ = 0;  ///< live sectors
+  std::vector<PageRecord> records_;
+  std::vector<std::uint32_t> free_records_;
+  std::vector<Bucket> table_;  ///< power-of-two size, linear probing
+  unsigned shift_ = 0;         ///< 64 - log2(table_.size())
+  std::uint32_t head_ = kNil;  ///< least-recently-written sector's node
+  std::uint32_t tail_ = kNil;
 };
 
 }  // namespace esp::ftl

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <iosfwd>
 #include <istream>
 #include <ostream>
@@ -66,13 +65,6 @@ class StateWriter {
     for (std::size_t i = 0; i < v.size(); ++i) u8(v[i] ? 1 : 0);
   }
 
-  template <typename T>
-  void pod_deque(const std::deque<T>& d) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    u64(d.size());
-    for (const T& v : d) raw(&v, sizeof(T));
-  }
-
   /// std::pair is not trivially copyable; its members are written
   /// field-by-field (also skips any padding between them).
   template <typename A, typename B>
@@ -81,17 +73,6 @@ class StateWriter {
                   std::is_trivially_copyable_v<B>);
     u64(v.size());
     for (const auto& [a, b] : v) {
-      raw(&a, sizeof(A));
-      raw(&b, sizeof(B));
-    }
-  }
-
-  template <typename A, typename B>
-  void pair_deque(const std::deque<std::pair<A, B>>& d) {
-    static_assert(std::is_trivially_copyable_v<A> &&
-                  std::is_trivially_copyable_v<B>);
-    u64(d.size());
-    for (const auto& [a, b] : d) {
       raw(&a, sizeof(A));
       raw(&b, sizeof(B));
     }
@@ -165,18 +146,6 @@ class StateReader {
     for (std::size_t i = 0; i < v.size(); ++i) v[i] = u8() != 0;
   }
 
-  template <typename T>
-  void pod_deque(std::deque<T>& d) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t n = checked_count(u64(), sizeof(T));
-    d.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      T v;
-      raw(&v, sizeof(T));
-      d.push_back(v);
-    }
-  }
-
   template <typename A, typename B>
   void pair_vec(std::vector<std::pair<A, B>>& v) {
     static_assert(std::is_trivially_copyable_v<A> &&
@@ -185,20 +154,6 @@ class StateReader {
     for (auto& [a, b] : v) {
       raw(&a, sizeof(A));
       raw(&b, sizeof(B));
-    }
-  }
-
-  template <typename A, typename B>
-  void pair_deque(std::deque<std::pair<A, B>>& d) {
-    static_assert(std::is_trivially_copyable_v<A> &&
-                  std::is_trivially_copyable_v<B>);
-    const std::uint64_t n = checked_count(u64(), sizeof(A) + sizeof(B));
-    d.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::pair<A, B> v;
-      raw(&v.first, sizeof(A));
-      raw(&v.second, sizeof(B));
-      d.push_back(v);
     }
   }
 

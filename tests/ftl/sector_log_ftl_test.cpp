@@ -44,6 +44,17 @@ TEST(SectorLogFtl, SyncSmallWriteBurnsAFullPage) {
   EXPECT_DOUBLE_EQ(fx.ftl->stats().avg_small_request_waf(), 4.0);
 }
 
+TEST(SectorLogFtl, ThreeSectorAppendAttributesTheWholePage) {
+  // One 3-sector sync write is one padded 16-KB log program; its three
+  // small sectors must be charged all 16,384 bytes (request WAF 4/3), not
+  // 3 x (16,384 / 3) = 16,383.
+  LogFixture fx;
+  fx.ftl->write(0, 3, true, 0.0);
+  EXPECT_EQ(fx.ftl->stats().flash_prog_full, 1u);
+  EXPECT_EQ(fx.ftl->stats().small_service_flash_bytes, 16384u);
+  EXPECT_DOUBLE_EQ(fx.ftl->stats().avg_small_request_waf(), 4.0 / 3.0);
+}
+
 TEST(SectorLogFtl, LogCopyShadowsDataRegion) {
   LogFixture fx;
   fx.ftl->write(0, 4, true, 0.0);  // data region v1
