@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/ssd.h"
 #include "ftl/block_allocator.h"
@@ -207,10 +209,10 @@ BENCHMARK(BM_MaintReleaseIdleBlocks)
 
 // GC allocation churn (FullPagePool::collect_block): steady-state greedy GC
 // driven by random full-page overwrites over a small logical space. Before
-// the recycled per-slot arrays (BlockPoolCore's spare arrays) and the
+// recycled per-slot storage (today BlockPoolCore's owner slabs) and the
 // pooled GC-token scratch, every collected block freed and re-grew its
-// per-page vectors, so this benchmark's ns/op tracked the allocator; now the arrays
-// recycle and the timed loop is allocation-free after warm-up.
+// per-page vectors, so this benchmark's ns/op tracked the allocator; now
+// the slabs recycle and the timed loop is allocation-free after warm-up.
 void BM_FullPoolGcChurn(benchmark::State& state) {
   nand::Geometry geo;
   geo.channels = 4;
@@ -246,6 +248,98 @@ void BM_FullPoolGcChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullPoolGcChurn);
+
+// ---------------------------------------------------------------------------
+// Device-state layout: random access over the whole device.
+//
+// Both benchmarks run on an 8-chip device with 64 pages per block and the
+// argument's blocks per chip: 128 keeps the state within a few MiB (cache
+// and TLB resident), 2,048 is prod geometry's block count per chip (the
+// state spans tens of MiB, so every access is a cache and TLB miss). The
+// growth between the two rows is what the flat page-record arena and the
+// pools' owner slabs (docs/PERFORMANCE.md, "Flat device state") reduce.
+
+nand::Geometry layout_geo(std::uint32_t blocks_per_chip) {
+  nand::Geometry geo;
+  geo.channels = 4;
+  geo.chips_per_channel = 2;
+  geo.blocks_per_chip = blocks_per_chip;
+  geo.pages_per_block = 64;
+  return geo;
+}
+
+// NandDevice::read_page of a random fully programmed page: one page-record
+// decode plus the retention verdict of every slot.
+void BM_DeviceReadPageRandom(benchmark::State& state) {
+  const nand::Geometry geo =
+      layout_geo(static_cast<std::uint32_t>(state.range(0)));
+  nand::NandDevice dev(geo);
+  const nand::AddressCodec codec(geo);
+  std::vector<std::uint64_t> tokens(geo.subpages_per_page);
+  for (std::uint64_t lin = 0; lin < geo.total_pages(); ++lin) {
+    for (std::uint32_t s = 0; s < geo.subpages_per_page; ++s)
+      tokens[s] = ftl::make_token(lin * geo.subpages_per_page + s, 1);
+    dev.program_full(codec.decode_page(lin), tokens, 0.0);
+  }
+  util::Xoshiro256 rng(7);
+  for (auto _ : state) {
+    const auto ack =
+        dev.read_page(codec.decode_page(rng.below(geo.total_pages())), 1.0);
+    benchmark::DoNotOptimize(ack.token[0]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeviceReadPageRandom)->Arg(128)->Arg(2048);
+
+/// A FullPagePool with 90% of the device's pages written once, in a
+/// shuffled list of their linear addresses.
+struct FullPoolFill {
+  explicit FullPoolFill(std::uint32_t blocks_per_chip)
+      : geo(layout_geo(blocks_per_chip)),
+        dev(geo),
+        allocator(geo),
+        pool(dev, allocator, ftl::FullPagePool::Config{}, stats,
+             [](std::uint64_t, std::uint64_t) {}) {
+    std::vector<std::uint64_t> tokens(geo.subpages_per_page, 1);
+    SimTime now = 0.0;
+    for (std::uint64_t lpn = 0; lpn < geo.total_pages() * 9 / 10; ++lpn) {
+      const auto [lin, done] = pool.write_page(lpn, tokens, now);
+      pages.push_back(lin);
+      now = done;
+    }
+    util::Xoshiro256 rng(8);
+    for (std::size_t i = pages.size(); i > 1; --i)
+      std::swap(pages[i - 1], pages[rng.below(i)]);
+  }
+
+  nand::Geometry geo;
+  nand::NandDevice dev;
+  ftl::BlockAllocator allocator;
+  ftl::FtlStats stats;
+  ftl::FullPagePool pool;
+  std::vector<std::uint64_t> pages;
+};
+
+// FullPagePool::invalidate of a random live page: the owner-slab lookup,
+// the valid-count update and the lazy victim-heap push that every cgmFTL
+// overwrite pays. When every page is invalid the pool is rebuilt untimed.
+void BM_FullPoolInvalidateRandom(benchmark::State& state) {
+  const auto blocks = static_cast<std::uint32_t>(state.range(0));
+  auto fill = std::make_unique<FullPoolFill>(blocks);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == fill->pages.size()) {
+      state.PauseTiming();
+      fill.reset();
+      fill = std::make_unique<FullPoolFill>(blocks);
+      next = 0;
+      state.ResumeTiming();
+    }
+    fill->pool.invalidate(fill->pages[next++]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FullPoolInvalidateRandom)->Arg(128)->Arg(2048);
 
 void BM_CellModelProgram(benchmark::State& state) {
   nand::WordLine wl(4, 8192, nand::CellModelParams{}, util::Xoshiro256(5));

@@ -20,9 +20,13 @@ BlockPoolCore::BlockPoolCore(nand::NandDevice& dev, BlockAllocator& allocator,
       blocks_per_chip_(dev.geometry().blocks_per_chip),
       pages_per_block_(dev.geometry().pages_per_block),
       meta_(dev.geometry().total_blocks()),
-      written_at_(track_write_times ? dev.geometry().total_blocks() : 0),
+      track_write_times_(track_write_times),
       owned_by_chip_(dev.geometry().total_chips()),
-      active_block_(dev.geometry().total_chips()) {}
+      active_block_(dev.geometry().total_chips()) {
+  const std::size_t blocks = meta_.size();
+  slab_owner_.reserve(blocks * slots_per_block_);
+  if (track_write_times_) slab_written_at_.reserve(blocks * pages_per_block_);
+}
 
 void BlockPoolCore::index_add(std::uint32_t chip, std::uint32_t block) {
   auto& owned = owned_by_chip_[chip];
@@ -38,7 +42,7 @@ void BlockPoolCore::index_remove(std::uint32_t chip, std::uint32_t block) {
 const BlockPoolCore::Block& BlockPoolCore::invalidate(std::size_t idx,
                                                       std::size_t slot) {
   const Block& m = meta_[idx];
-  if (!m.owned || !m.valid[slot])
+  if (!m.owned || !valid(idx, slot))
     throw std::logic_error(
         std::string("invalidate: slot not valid in the ") +
         telemetry::health_pool_name(kind_) + " pool");
@@ -58,19 +62,23 @@ std::optional<std::uint32_t> BlockPoolCore::open(std::uint32_t chip,
   m.level = 0;
   m.cursor = 0;
   m.valid_count = 0;
-  SpareArrays spare;
-  if (!spare_arrays_.empty()) {
-    spare = std::move(spare_arrays_.back());
-    spare_arrays_.pop_back();
+  if (free_slabs_.empty()) {  // grow by one row (within the reservation)
+    free_slabs_.push_back(
+        static_cast<std::uint32_t>(slab_owner_.size() / slots_per_block_));
+    slab_owner_.resize(slab_owner_.size() + slots_per_block_);
+    if (track_write_times_)
+      slab_written_at_.resize(slab_written_at_.size() + pages_per_block_);
   }
-  m.owner = std::move(spare.owner);
-  m.owner.assign(slots_per_block_, nand::kUnmapped);
-  m.valid = std::move(spare.valid);
-  m.valid.assign(slots_per_block_, false);
-  if (!written_at_.empty()) {
-    written_at_[idx] = std::move(spare.written_at);
-    written_at_[idx].assign(pages_per_block_, 0.0);
-  }
+  m.slab = free_slabs_.back();
+  free_slabs_.pop_back();
+  std::ranges::fill(std::span(slab_owner_)
+                        .subspan(row(idx, slots_per_block_), slots_per_block_),
+                    nand::kUnmapped);
+  if (track_write_times_)
+    std::ranges::fill(
+        std::span(slab_written_at_)
+            .subspan(row(idx, pages_per_block_), pages_per_block_),
+        0.0);
   active_block_[chip] = *blk;
   ++blocks_in_use_;
   if (sink_)
@@ -162,10 +170,8 @@ void BlockPoolCore::release(std::size_t idx, SimTime done) {
   m.owned = false;
   m.active = false;
   index_remove(chip, blk);
-  spare_arrays_.push_back(
-      {std::move(m.owner), std::move(m.valid),
-       written_at_.empty() ? std::vector<SimTime>{}
-                           : std::move(written_at_[idx])});
+  free_slabs_.push_back(m.slab);
+  m.slab = kNoSlab;
   --blocks_in_use_;
   allocator_.release(chip, blk, pe);
 }
@@ -202,10 +208,11 @@ void BlockPoolCore::save_state(util::StateWriter& w) const {
     w.u8(m.level);
     w.u32(m.cursor);
     w.u32(m.valid_count);
-    w.pod_vec(m.owner);
-    w.bool_vec(m.valid);
+    w.u32(m.slab);
   }
-  for (const auto& times : written_at_) w.pod_vec(times);
+  w.pod_vec(slab_owner_);
+  w.pod_vec(slab_written_at_);
+  w.pod_vec(free_slabs_);
   w.u64(owned_by_chip_.size());
   for (const auto& owned : owned_by_chip_) w.pod_vec(owned);
   for (const auto& ab : active_block_) {
@@ -229,10 +236,12 @@ void BlockPoolCore::load_state(util::StateReader& r) {
     m.level = r.u8();
     m.cursor = r.u32();
     m.valid_count = r.u32();
-    r.pod_vec(m.owner);
-    r.bool_vec(m.valid);
+    m.slab = r.u32();
   }
-  for (auto& times : written_at_) r.pod_vec(times);
+  r.pod_vec(slab_owner_);
+  r.pod_vec(slab_written_at_);
+  r.pod_vec(free_slabs_);
+  check_slabs();
   if (r.u64() != owned_by_chip_.size())
     throw std::runtime_error("BlockPoolCore::load_state: chip count mismatch");
   for (auto& owned : owned_by_chip_) r.pod_vec(owned);
@@ -246,7 +255,43 @@ void BlockPoolCore::load_state(util::StateReader& r) {
   rr_chip_ = r.u32();
   blocks_in_use_ = r.u64();
   valid_slots_ = r.u64();
-  spare_arrays_.clear();
+}
+
+void BlockPoolCore::check_slabs() const {
+  const auto fail = [](const char* what) {
+    throw std::runtime_error(std::string("BlockPoolCore::load_state: ") +
+                             what);
+  };
+  const std::size_t slabs = slab_owner_.size() / slots_per_block_;
+  if (slab_owner_.size() % slots_per_block_ != 0 || slabs > meta_.size())
+    fail("corrupt owner slabs");
+  if (slab_written_at_.size() != (track_write_times_ ? slabs * pages_per_block_
+                                                     : 0))
+    fail("corrupt write-time slabs");
+  // Every slab is either one owned block's row or on the free list, once.
+  std::vector<bool> used(slabs, false);
+  const auto take = [&](std::uint32_t slab) {
+    if (slab >= slabs) fail("slab id out of range");
+    if (used[slab]) fail("slab id used twice");
+    used[slab] = true;
+  };
+  for (std::size_t idx = 0; idx < meta_.size(); ++idx) {
+    const Block& m = meta_[idx];
+    if (!m.owned) {
+      if (m.slab != kNoSlab) fail("unowned block holds a slab");
+      continue;
+    }
+    take(m.slab);
+    const auto live = std::ranges::count_if(
+        std::span(slab_owner_)
+            .subspan(row(idx, slots_per_block_), slots_per_block_),
+        [](std::uint64_t o) { return o != nand::kUnmapped; });
+    if (static_cast<std::uint32_t>(live) != m.valid_count)
+      fail("valid count disagrees with the owner slab");
+  }
+  for (const std::uint32_t slab : free_slabs_) take(slab);
+  if (std::find(used.begin(), used.end(), false) != used.end())
+    fail("slab neither owned nor free");
 }
 
 }  // namespace esp::ftl

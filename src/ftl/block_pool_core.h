@@ -8,10 +8,12 @@
 // Everything else lives here, once:
 //
 //   * per-block metadata: ownership, the active flag, the program cursor,
-//     the ESP level, per-slot owner and valid bits (a slot is the pool's
-//     mapping unit: a page, or one sector of a page) and, where data ages
-//     out, per-page program times -- the arrays recycled across block
-//     lifetimes;
+//     the ESP level and the valid count;
+//   * per-slot owners (a slot is the pool's mapping unit: a page, or one
+//     sector of a page) and, where data ages out, per-page program times,
+//     in slabs: one row per owned block in one flat array, taken when the
+//     block is opened and recycled when it is released. A slot is valid
+//     exactly when its owner is not nand::kUnmapped;
 //   * the per-chip owned-block index in ascending block id, so every walk
 //     over the pool's blocks visits them in chip-asc/block-asc order, the
 //     tie-break order of a full-device scan;
@@ -30,6 +32,7 @@
 #include <optional>
 #include <queue>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -40,6 +43,7 @@
 #include "nand/device.h"
 #include "telemetry/health.h"
 #include "telemetry/sink.h"
+#include "util/huge_pages.h"
 
 namespace esp::ftl {
 
@@ -59,14 +63,16 @@ struct PoolConfig {
 
 class BlockPoolCore {
  public:
+  /// Slab of a block that owns none.
+  static constexpr std::uint32_t kNoSlab = ~0u;
+
   struct Block {
     bool owned = false;
     bool active = false;            ///< currently receiving writes
     std::uint8_t level = 0;         ///< ESP slot level (subpage pool; else 0)
     std::uint32_t cursor = 0;       ///< next page to program at this level
     std::uint32_t valid_count = 0;  ///< valid slots
-    std::vector<std::uint64_t> owner;  ///< per slot: lpn or sector
-    std::vector<bool> valid;           ///< per slot
+    std::uint32_t slab = kNoSlab;   ///< owner-slab row while owned
   };
 
   /// `kind` labels the pool's blocks in telemetry events and health rows;
@@ -96,30 +102,39 @@ class BlockPoolCore {
   const std::vector<std::uint32_t>& owned(std::uint32_t chip) const {
     return owned_by_chip_[chip];
   }
+  /// Owner (lpn or sector) of slot `slot` of owned block `idx`, or
+  /// nand::kUnmapped when the slot holds no valid data.
+  std::uint64_t owner(std::size_t idx, std::size_t slot) const {
+    return slab_owner_[row(idx, slots_per_block_) + slot];
+  }
+  bool valid(std::size_t idx, std::size_t slot) const {
+    return owner(idx, slot) != nand::kUnmapped;
+  }
   /// Per page of owned block `idx`: program time of the page's live data.
   /// Kept only by pools whose data ages out (the subpage region's
-  /// retention eviction, paper Sec. 4.3). Held apart from Block so the
-  /// per-block records the GC and invalidate paths touch stay compact.
-  std::vector<SimTime>& written_at(std::size_t idx) { return written_at_[idx]; }
+  /// retention eviction, paper Sec. 4.3), in slabs of their own beside the
+  /// owner slabs.
+  SimTime& written_at(std::size_t idx, std::uint32_t page) {
+    return slab_written_at_[row(idx, pages_per_block_) + page];
+  }
   /// The block `chip` currently writes into, if any.
   std::optional<std::uint32_t>& active(std::uint32_t chip) {
     return active_block_[chip];
   }
 
-  /// Records `owner` as live in slot `slot` of block `idx`.
+  /// Records `owner` as live in slot `slot` of owned block `idx`. Throws
+  /// std::logic_error for nand::kUnmapped, which marks a slot invalid.
   void fill_slot(std::size_t idx, std::size_t slot, std::uint64_t owner) {
-    Block& m = meta_[idx];
-    m.owner[slot] = owner;
-    m.valid[slot] = true;
-    ++m.valid_count;
+    if (owner == nand::kUnmapped)
+      throw std::logic_error("fill_slot: kUnmapped cannot own a slot");
+    slab_owner_[row(idx, slots_per_block_) + slot] = owner;
+    ++meta_[idx].valid_count;
     ++valid_slots_;
   }
-  /// Drops the live slot `slot` of block `idx`.
+  /// Drops the live slot `slot` of owned block `idx`.
   void clear_slot(std::size_t idx, std::size_t slot) {
-    Block& m = meta_[idx];
-    m.valid[slot] = false;
-    m.owner[slot] = nand::kUnmapped;
-    --m.valid_count;
+    slab_owner_[row(idx, slots_per_block_) + slot] = nand::kUnmapped;
+    --meta_[idx].valid_count;
     --valid_slots_;
   }
   /// Host-path invalidation: clear_slot after checking that the slot is
@@ -205,7 +220,7 @@ class BlockPoolCore {
   /// Erases block `idx` at `now`; returns the erase completion time.
   SimTime erase(std::size_t idx, SimTime now);
   /// Tail of every collection, after erase(): records kErased/kRetired at
-  /// `done`, drops ownership, recycles the slot arrays and returns the
+  /// `done`, drops ownership, recycles the block's slab and returns the
   /// block to the allocator.
   void release(std::size_t idx, SimTime done);
 
@@ -222,10 +237,10 @@ class BlockPoolCore {
   void set_telemetry(telemetry::Sink* sink) { sink_ = sink; }
   telemetry::Sink* sink() const { return sink_; }
 
-  /// Snapshot support: per-block metadata, owned-block index, active
-  /// blocks, round-robin position and the exact victim/wear heap layouts.
-  /// Recycled spare arrays are NOT archived (pure allocation reuse, no
-  /// behavior).
+  /// Snapshot support: per-block metadata, the slabs and their free list,
+  /// owned-block index, active blocks, round-robin position and the exact
+  /// victim/wear heap layouts. Load throws on a slab id that is out of
+  /// range or used twice.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
@@ -244,6 +259,13 @@ class BlockPoolCore {
   std::optional<std::size_t> wear_level_victim(std::uint32_t pe_threshold);
   void index_add(std::uint32_t chip, std::uint32_t block);
   void index_remove(std::uint32_t chip, std::uint32_t block);
+  /// load_state's slab checks: every slab id in range and used once.
+  void check_slabs() const;
+  /// First element of owned block `idx`'s row in a slab array of
+  /// `width`-element rows.
+  std::size_t row(std::size_t idx, std::size_t width) const {
+    return std::size_t{meta_[idx].slab} * width;
+  }
 
   nand::NandDevice& dev_;
   BlockAllocator& allocator_;
@@ -255,8 +277,17 @@ class BlockPoolCore {
   std::uint32_t pages_per_block_;
 
   std::vector<Block> meta_;  ///< indexed by chip*blocks_per_chip+block
-  /// Per-block written_at arrays; empty unless write times are tracked.
-  std::vector<std::vector<SimTime>> written_at_;
+  /// Slabs: row r of slab_owner_ (slots_per_block_ owners) and of
+  /// slab_written_at_ (pages_per_block_ times; empty unless write times are
+  /// tracked) belongs to the owned block whose Block::slab is r. Rows are
+  /// appended only when no released one is free, so the memory touched
+  /// tracks the peak number of owned blocks. Capacity for every block is
+  /// reserved up front and left untouched until used, so appending never
+  /// reallocates (no copy, no transient second footprint).
+  util::HugeVector<std::uint64_t> slab_owner_;
+  util::HugeVector<SimTime> slab_written_at_;
+  std::vector<std::uint32_t> free_slabs_;  ///< released rows, reused LIFO
+  bool track_write_times_;
   std::vector<std::vector<std::uint32_t>> owned_by_chip_;
   std::vector<std::optional<std::uint32_t>> active_block_;  ///< per chip
   /// Lazy min-heap of GC candidates: (valid_count at push, block index).
@@ -267,16 +298,6 @@ class BlockPoolCore {
       victim_heap_;
   /// Wear-leveling candidates, pushed at seal time (see wear_index.h).
   WearIndex wear_index_;
-  /// Per-slot arrays of released blocks. On release the arrays move here
-  /// (capacity kept); on (re)allocation they move back and are assign()ed
-  /// to size. Bounds allocation churn to the peak number of simultaneously
-  /// owned blocks instead of one heap cycle per GC pass.
-  struct SpareArrays {
-    std::vector<std::uint64_t> owner;
-    std::vector<bool> valid;
-    std::vector<SimTime> written_at;
-  };
-  std::vector<SpareArrays> spare_arrays_;
   std::uint32_t rr_chip_ = 0;
   std::uint64_t blocks_in_use_ = 0;
   std::uint64_t valid_slots_ = 0;

@@ -1,6 +1,7 @@
 #include "ftl/cgm_ftl.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <stdexcept>
 
@@ -44,7 +45,8 @@ SimTime CgmFtl::write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
                           std::uint32_t slot_count, bool small_request,
                           SimTime now) {
   const std::uint32_t subs = geo_.subpages_per_page;
-  std::vector<std::uint64_t> tokens(subs, 0);
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> page_tokens{};
+  const std::span<std::uint64_t> tokens(page_tokens.data(), subs);
   SimTime t = now;
 
   const bool partial = slot_count < subs;

@@ -17,6 +17,7 @@
 #include "ftl/ftl.h"
 #include "ftl/fullpage_pool.h"
 #include "nand/device.h"
+#include "util/huge_pages.h"
 
 namespace esp::ftl {
 
@@ -78,8 +79,8 @@ class CgmFtl : public Ftl {
   FtlStats stats_;
   BlockAllocator allocator_;
   FullPagePool pool_;
-  std::vector<std::uint64_t> l2p_;      ///< lpn -> linear page (kUnmapped)
-  std::vector<std::uint32_t> version_;  ///< per-sector write counter
+  util::HugeVector<std::uint64_t> l2p_;      ///< lpn -> linear page (kUnmapped)
+  util::HugeVector<std::uint32_t> version_;  ///< per-sector write counter
   std::uint32_t writes_since_wl_ = 0;
   telemetry::Sink* sink_ = nullptr;
 };

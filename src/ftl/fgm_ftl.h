@@ -19,6 +19,7 @@
 #include "ftl/ftl.h"
 #include "ftl/write_buffer.h"
 #include "nand/device.h"
+#include "util/huge_pages.h"
 
 namespace esp::ftl {
 
@@ -78,8 +79,8 @@ class FgmFtl : public Ftl {
   FinePool pool_;
   WriteBuffer buffer_;
   std::vector<BufferedSector> run_;     ///< extract scratch, reused
-  std::vector<std::uint64_t> l2p_;      ///< sector -> linear subpage addr
-  std::vector<std::uint32_t> version_;  ///< per-sector write counter
+  util::HugeVector<std::uint64_t> l2p_;      ///< sector -> linear subpage addr
+  util::HugeVector<std::uint32_t> version_;  ///< per-sector write counter
   std::uint32_t writes_since_wl_ = 0;
   telemetry::Sink* sink_ = nullptr;
 };

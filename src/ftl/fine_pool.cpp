@@ -79,7 +79,6 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   const MaintenanceTimer timer(stats_, nullptr, &stats_.maint_gc_ns);
   const std::uint32_t chip = core_.chip_of(idx);
   const std::uint32_t blk = core_.block_of(idx);
-  const BlockPoolCore::Block& victim = core_.block(idx);
   const std::uint32_t subs = geo_.subpages_per_page;
   in_gc_ = true;
   telemetry::Sink* sink = core_.sink();
@@ -95,23 +94,24 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   // holds anything live), then repack them densely into full pages.
   std::vector<SectorWrite>& live = gc_live_;
   live.clear();
-  live.reserve(victim.valid_count);
+  live.reserve(core_.block(idx).valid_count);
   SimTime t = now;
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
     bool any = false;
     for (std::uint32_t s = 0; s < subs; ++s)
-      any |= victim.valid[static_cast<std::size_t>(page) * subs + s];
+      any |= core_.valid(idx, static_cast<std::size_t>(page) * subs + s);
     if (!any) continue;
     const auto read = dev_.read_page(nand::PageAddr{chip, blk, page}, now);
     ++stats_.flash_reads;
     t = std::max(t, read.done);
     for (std::uint32_t s = 0; s < subs; ++s) {
       const auto slot_idx = static_cast<std::size_t>(page) * subs + s;
-      if (!victim.valid[slot_idx]) continue;
+      const std::uint64_t sector = core_.owner(idx, slot_idx);
+      if (sector == nand::kUnmapped) continue;
       if (read.status[s] == nand::ReadStatus::kCorrupted ||
           read.status[s] == nand::ReadStatus::kUncorrectable)
         ++stats_.read_failures;
-      live.push_back(SectorWrite{victim.owner[slot_idx], read.token[s]});
+      live.push_back(SectorWrite{sector, read.token[s]});
       core_.clear_slot(idx, slot_idx);
     }
   }

@@ -1,6 +1,7 @@
 #include "ftl/fullpage_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "util/logger.h"
@@ -71,9 +72,10 @@ SimTime FullPagePool::read_for_rmw(std::uint64_t page_lin,
 }
 
 SimTime FullPagePool::merge_sectors(std::span<const SectorWrite> batch,
-                                    std::vector<std::uint64_t>& l2p,
+                                    std::span<std::uint64_t> l2p,
                                     SimTime now) {
-  std::vector<SectorWrite> sorted(batch.begin(), batch.end());
+  std::vector<SectorWrite>& sorted = merge_sorted_;
+  sorted.assign(batch.begin(), batch.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const SectorWrite& a, const SectorWrite& b) {
               return a.sector < b.sector;
@@ -81,14 +83,14 @@ SimTime FullPagePool::merge_sectors(std::span<const SectorWrite> batch,
   const std::uint32_t subs = geo_.subpages_per_page;
   telemetry::Sink* sink = core_.sink();
   SimTime done = now;
-  std::vector<std::uint64_t> tokens(subs, 0);
   std::size_t i = 0;
   while (i < sorted.size()) {
     const std::uint64_t lpn = sorted[i].sector / subs;
     std::size_t j = i;
     while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
 
-    tokens.assign(subs, 0);
+    std::array<std::uint64_t, nand::kMaxSubpagesPerPage> page_tokens{};
+    const std::span<std::uint64_t> tokens(page_tokens.data(), subs);
     SimTime t = now;
     const bool merges_old_page = l2p[lpn] != nand::kUnmapped;
     if (merges_old_page) {
@@ -142,10 +144,9 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
       idx, now);
   std::uint64_t& moved_stat = for_wear_leveling ? stats_.wear_level_relocations
                                                 : stats_.gc_copy_sectors;
-  const BlockPoolCore::Block& victim = core_.block(idx);
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
-    if (!victim.valid[page]) continue;
-    const std::uint64_t lpn = victim.owner[page];
+    const std::uint64_t lpn = core_.owner(idx, page);
+    if (lpn == nand::kUnmapped) continue;
     const nand::PageAddr src{chip, blk, page};
 
     if (use_copyback_ && core_.ensure_active_on(chip, now) &&

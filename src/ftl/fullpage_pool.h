@@ -61,7 +61,7 @@ class FullPagePool {
   /// over the old page when `l2p` (the owner's lpn -> page map) has one.
   /// Returns the latest completion time.
   SimTime merge_sectors(std::span<const SectorWrite> batch,
-                        std::vector<std::uint64_t>& l2p, SimTime now);
+                        std::span<std::uint64_t> l2p, SimTime now);
 
   /// Runs GC while the pool is over quota or the allocator is below
   /// reserve; returns the (possibly advanced) time.
@@ -102,6 +102,9 @@ class FullPagePool {
   bool use_copyback_;
   /// Pooled GC read buffer (collect_block never nests within itself).
   std::vector<std::uint64_t> gc_tokens_;
+  /// Pooled merge_sectors sort buffer (merge_sectors never nests within
+  /// itself: the GC its page writes run relocates, it never merges).
+  std::vector<SectorWrite> merge_sorted_;
   bool in_gc_ = false;
 };
 

@@ -26,6 +26,7 @@
 #include "ftl/fullpage_pool.h"
 #include "ftl/write_buffer.h"
 #include "nand/device.h"
+#include "util/huge_pages.h"
 
 namespace esp::ftl {
 
@@ -100,9 +101,9 @@ class SectorLogFtl : public Ftl {
   FinePool pool_log_;
   WriteBuffer buffer_;
   std::vector<BufferedSector> run_;  ///< extract scratch, reused
-  std::vector<std::uint64_t> l2p_;  ///< lpn -> linear page (data region)
+  util::HugeVector<std::uint64_t> l2p_;  ///< lpn -> linear page (data region)
   std::unordered_map<std::uint64_t, std::uint64_t> log_map_;  ///< sector->sub
-  std::vector<std::uint32_t> version_;
+  util::HugeVector<std::uint32_t> version_;
   std::uint32_t writes_since_wl_ = 0;
   bool wl_toggle_ = false;
   telemetry::Sink* sink_ = nullptr;

@@ -30,6 +30,7 @@
 #include "ftl/subpage_pool.h"
 #include "ftl/write_buffer.h"
 #include "nand/device.h"
+#include "util/huge_pages.h"
 
 namespace esp::ftl {
 
@@ -119,7 +120,7 @@ class SubFtl : public Ftl {
   SubpagePool pool_sub_;
   WriteBuffer buffer_;
   std::vector<BufferedSector> run_;     ///< extract scratch, reused
-  std::vector<std::uint64_t> l2p_;      ///< lpn -> linear page (full region)
+  util::HugeVector<std::uint64_t> l2p_;  ///< lpn -> linear page (full region)
   /// Subpage map as flat per-sector arrays (kUnmapped = not in the region):
   /// the small-write/read hot path costs one indexed load instead of a
   /// hash+probe. The MODELED mapping cost stays the paper's hash table --
@@ -128,7 +129,7 @@ class SubFtl : public Ftl {
   std::vector<std::uint64_t> sub_lin_;  ///< sector -> linear subpage
   std::vector<bool> sub_hot_;  ///< updated since entering the region
   std::size_t sub_entries_ = 0;  ///< live subpage-map entries
-  std::vector<std::uint32_t> version_;
+  util::HugeVector<std::uint32_t> version_;
   SimTime last_retention_scan_ = 0.0;
   std::uint32_t writes_since_wl_ = 0;
   bool wl_toggle_ = false;  ///< alternate regions between WL checks

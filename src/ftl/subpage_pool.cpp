@@ -68,10 +68,10 @@ SimTime SubpagePool::forward_page(std::uint32_t chip, std::uint32_t blk,
   ++stats_.flash_prog_sub;
   ++stats_.forward_migrations;
   stats_.small_extra_flash_bytes += geo_.subpage_bytes();
-  core_.written_at(idx)[page] = read.done;
+  core_.written_at(idx, page) = read.done;
   if (!config_.reference_scan_maintenance)
     retention_queue_.push(idx, page, read.done);
-  place_(core_.block(idx).owner[page],
+  place_(core_.owner(idx, page),
          codec_.encode_subpage(nand::SubpageAddr{pa, to_slot}));
   if (sink && sink->wants_op(telemetry::OpKind::kForwardMigration))
     sink->record_op(
@@ -85,10 +85,11 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
   for (;;) {
     auto& active = core_.active(chip);
     if (active) {
-      BlockPoolCore::Block& m = core_.block(core_.index(chip, *active));
+      const std::size_t idx = core_.index(chip, *active);
+      BlockPoolCore::Block& m = core_.block(idx);
       while (m.cursor < geo_.pages_per_block) {
         const std::uint32_t p = m.cursor;
-        if (m.valid[p]) {
+        if (core_.valid(idx, p)) {
           // Valid data in the way: forward it into this level's slot and
           // keep walking (the paper's Fig. 7(c) migration).
           t = forward_page(chip, *active, p, m.level, t);
@@ -102,8 +103,8 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
         return true;
       }
       // Sealed at this level; an empty block is an idle-release candidate.
-      const std::size_t idx = core_.seal(chip);
-      if (core_.block(idx).valid_count == 0) idle_candidates_.push_back(idx);
+      core_.seal(chip);
+      if (m.valid_count == 0) idle_candidates_.push_back(idx);
     }
     // Prefer opening a fresh block (keeps every block's 0th subpages in
     // play before any 1st subpage is written).
@@ -162,7 +163,7 @@ std::optional<std::pair<std::uint64_t, SimTime>> SubpagePool::try_write_sector(
     ++stats_.flash_prog_sub;
     const std::size_t idx = core_.index(chip, blk);
     core_.fill_slot(idx, page, sector);
-    core_.written_at(idx)[page] = t;
+    core_.written_at(idx, page) = t;
     if (!config_.reference_scan_maintenance)
       retention_queue_.push(idx, page, t);
     const std::uint64_t sub_lin =
@@ -276,8 +277,8 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
   evictions.clear();
   evictions.reserve(victim.valid_count);
   for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
-    if (!victim.valid[page]) continue;
-    const std::uint64_t sector = victim.owner[page];
+    const std::uint64_t sector = core_.owner(idx, page);
+    if (sector == nand::kUnmapped) continue;
     const auto live_slot = dev_.block(chip, blk).slots_programmed(page) - 1;
     const auto read = dev_.read_subpage(
         nand::SubpageAddr{nand::PageAddr{chip, blk, page}, live_slot}, t);
@@ -393,8 +394,8 @@ SimTime SubpagePool::retention_evict_pages(std::size_t idx,
   const SimTime block_start = t;
   retention_evictions_.clear();
   for (const std::uint32_t page : pages) {
-    if (!m.valid[page]) continue;  // duplicate queue entries
-    const std::uint64_t sector = m.owner[page];
+    const std::uint64_t sector = core_.owner(idx, page);
+    if (sector == nand::kUnmapped) continue;  // duplicate queue entries
     const auto live_slot = dev_.block(chip, b).slots_programmed(page) - 1;
     const auto read = dev_.read_subpage(
         nand::SubpageAddr{nand::PageAddr{chip, b, page}, live_slot}, t);
@@ -432,11 +433,10 @@ SimTime SubpagePool::retention_scan_reference(SimTime now) {
       const std::size_t idx = core_.index(chip, b);
       const BlockPoolCore::Block& m = core_.block(idx);
       if (m.valid_count == 0) continue;
-      const std::vector<SimTime>& written_at = core_.written_at(idx);
       retention_pages_.clear();
       for (std::uint32_t page = 0; page < geo_.pages_per_block; ++page) {
-        if (!m.valid[page]) continue;
-        if (now - written_at[page] <= config_.retention_evict_age)
+        if (!core_.valid(idx, page)) continue;
+        if (now - core_.written_at(idx, page) <= config_.retention_evict_age)
           continue;
         retention_pages_.push_back(page);
       }
@@ -463,8 +463,8 @@ SimTime SubpagePool::retention_scan_indexed(SimTime now) {
   std::size_t kept = 0;
   for (const auto& e : retention_expired_) {
     const BlockPoolCore::Block& m = core_.block(e.block_idx);
-    if (m.owned && m.valid[e.page] &&
-        core_.written_at(e.block_idx)[e.page] == e.written_at)
+    if (m.owned && core_.valid(e.block_idx, e.page) &&
+        core_.written_at(e.block_idx, e.page) == e.written_at)
       retention_expired_[kept++] = e;
   }
   retention_expired_.resize(kept);

@@ -1,139 +1,143 @@
 #include "nand/block.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
 namespace esp::nand {
+namespace {
 
-Block::Block(std::uint32_t pages_per_block, std::uint32_t subpages_per_page)
+constexpr std::uint8_t kStateMask = 0x3;
+constexpr unsigned kNppShift = 2;
+
+std::uint8_t pack_slot(SlotState state, std::uint32_t npp) {
+  return static_cast<std::uint8_t>(static_cast<std::uint8_t>(state) |
+                                   npp << kNppShift);
+}
+SlotState state_of(std::uint8_t packed) {
+  return static_cast<SlotState>(packed & kStateMask);
+}
+
+}  // namespace
+
+Block::Block(std::uint32_t pages_per_block, std::uint32_t subpages_per_page,
+             std::span<std::uint64_t> rows)
     : pages_(pages_per_block),
       subs_(subpages_per_page),
-      mode_(pages_per_block, PageMode::kErased),
-      programmed_(pages_per_block, 0),
-      state_(static_cast<std::size_t>(pages_per_block) * subpages_per_page,
-             SlotState::kEmpty),
-      npp_(state_.size(), 0),
-      token_(state_.size(), 0),
-      written_at_(state_.size(), 0.0) {
+      meta_words_(static_cast<std::uint32_t>(meta_words(subs_))),
+      record_words_(static_cast<std::uint32_t>(record_words(subs_))),
+      rows_(rows) {
   if (pages_ == 0 || subs_ == 0 || subs_ > kMaxSubpagesPerPage)
     throw std::invalid_argument("Block: bad page/subpage counts");
+  if (rows_.size() != static_cast<std::size_t>(pages_) * record_words_)
+    throw std::invalid_argument("Block: rows do not hold one record per page");
+}
+
+void Block::throw_page_out_of_range(std::uint32_t page) const {
+  throw std::out_of_range("Block: page " + std::to_string(page) +
+                          " out of range");
 }
 
 void Block::erase() {
   ++pe_cycles_;
   programmed_pages_ = 0;
   first_program_us_ = -1.0;
-  std::fill(mode_.begin(), mode_.end(), PageMode::kErased);
-  std::fill(programmed_.begin(), programmed_.end(), 0);
-  std::fill(state_.begin(), state_.end(), SlotState::kEmpty);
-  std::fill(npp_.begin(), npp_.end(), 0);
-  std::fill(token_.begin(), token_.end(), 0);
-  std::fill(written_at_.begin(), written_at_.end(), 0.0);
-}
-
-void Block::check_page(std::uint32_t page) const {
-  if (page >= pages_)
-    throw std::out_of_range("Block: page " + std::to_string(page) +
-                            " out of range");
+  std::fill(rows_.begin(), rows_.end(), 0);
 }
 
 void Block::program_full(std::uint32_t page,
                          std::span<const std::uint64_t> tokens, SimTime now) {
-  check_page(page);
+  std::uint64_t* rec = record(page);
+  auto* meta = reinterpret_cast<unsigned char*>(rec);
   if (tokens.size() != subs_)
     throw std::logic_error("Block::program_full: token count != subpages");
-  if (mode_[page] != PageMode::kErased)
+  if (static_cast<PageMode>(meta[0]) != PageMode::kErased)
     throw std::logic_error(
         "Block::program_full: page already programmed this erase cycle");
-  mode_[page] = PageMode::kFull;
-  programmed_[page] = static_cast<std::uint8_t>(subs_);
+  meta[0] = static_cast<std::uint8_t>(PageMode::kFull);
+  meta[1] = static_cast<std::uint8_t>(subs_);
   if (programmed_pages_++ == 0) first_program_us_ = now;
+  std::uint64_t* cell = rec + meta_words_;
   for (std::uint32_t s = 0; s < subs_; ++s) {
-    const std::size_t i = idx(page, s);
-    state_[i] = SlotState::kStored;
-    npp_[i] = 0;
-    token_[i] = tokens[s];
-    written_at_[i] = now;
+    meta[2 + s] = pack_slot(SlotState::kStored, 0);
+    cell[2 * s] = tokens[s];
+    cell[2 * s + 1] = std::bit_cast<std::uint64_t>(now);
   }
 }
 
 void Block::program_subpage(std::uint32_t page, std::uint32_t slot,
                             std::uint64_t token, SimTime now) {
-  check_page(page);
+  std::uint64_t* rec = record(page);
+  auto* meta = reinterpret_cast<unsigned char*>(rec);
   if (slot >= subs_)
     throw std::out_of_range("Block::program_subpage: slot out of range");
-  if (mode_[page] == PageMode::kFull)
+  if (static_cast<PageMode>(meta[0]) == PageMode::kFull)
     throw std::logic_error(
         "Block::program_subpage: page holds a full-page program");
-  if (slot != programmed_[page])
+  const std::uint32_t programmed = meta[1];
+  if (slot != programmed)
     throw std::logic_error(
         "Block::program_subpage: slots must be programmed sequentially "
-        "(next=" + std::to_string(programmed_[page]) +
+        "(next=" + std::to_string(programmed) +
         ", got=" + std::to_string(slot) + ")");
   // The physics of Fig. 4: the new program pulse destroys data in every
   // previously programmed slot of this word line.
   for (std::uint32_t s = 0; s < slot; ++s) {
-    const std::size_t i = idx(page, s);
-    if (state_[i] == SlotState::kStored) state_[i] = SlotState::kCorrupted;
+    unsigned char& packed = meta[2 + s];
+    if (state_of(packed) == SlotState::kStored)
+      packed = pack_slot(SlotState::kCorrupted, packed >> kNppShift);
   }
-  const std::size_t i = idx(page, slot);
-  state_[i] = SlotState::kStored;
-  npp_[i] = programmed_[page];  // k prior program ops -> Npp^k type
-  token_[i] = token;
-  written_at_[i] = now;
-  if (programmed_[page] == 0) {
-    mode_[page] = PageMode::kEsp;
+  // k prior program ops -> Npp^k type
+  meta[2 + slot] = pack_slot(SlotState::kStored, programmed);
+  std::uint64_t* cell = rec + meta_words_;
+  cell[2 * slot] = token;
+  cell[2 * slot + 1] = std::bit_cast<std::uint64_t>(now);
+  if (programmed == 0) {
+    meta[0] = static_cast<std::uint8_t>(PageMode::kEsp);
     if (programmed_pages_++ == 0) first_program_us_ = now;
   }
-  ++programmed_[page];
+  meta[1] = static_cast<std::uint8_t>(programmed + 1);
 }
 
 SlotView Block::slot(std::uint32_t page, std::uint32_t slot) const {
-  check_page(page);
+  const std::uint64_t* rec = record(page);
   if (slot >= subs_)
     throw std::out_of_range("Block::slot: slot out of range");
-  const std::size_t i = idx(page, slot);
-  return SlotView{state_[i], token_[i], written_at_[i], npp_[i]};
+  const std::uint8_t packed =
+      reinterpret_cast<const unsigned char*>(rec)[2 + slot];
+  const std::uint64_t* cell = rec + meta_words_ + 2 * slot;
+  return SlotView{state_of(packed), cell[0], std::bit_cast<SimTime>(cell[1]),
+                  static_cast<std::uint8_t>(packed >> kNppShift)};
+}
+
+Block::PageView Block::page_view(std::uint32_t page) const {
+  const std::uint64_t* rec = record(page);
+  const auto* meta = reinterpret_cast<const unsigned char*>(rec);
+  const std::uint64_t* cell = rec + meta_words_;
+  PageView view;
+  view.mode = static_cast<PageMode>(meta[0]);
+  for (std::uint32_t s = 0; s < subs_; ++s) {
+    const std::uint8_t packed = meta[2 + s];
+    view.slots[s] = SlotView{state_of(packed), cell[2 * s],
+                             std::bit_cast<SimTime>(cell[2 * s + 1]),
+                             static_cast<std::uint8_t>(packed >> kNppShift)};
+  }
+  return view;
 }
 
 bool Block::is_erased() const { return programmed_pages_ == 0; }
 
 void Block::save_state(util::StateWriter& w) const {
-  w.tag("BLK0");
-  w.u32(pages_);
-  w.u32(subs_);
   w.u32(pe_cycles_);
   w.u32(programmed_pages_);
   w.f64(first_program_us_);
-  w.pod_vec(mode_);
-  w.pod_vec(programmed_);
-  w.pod_vec(state_);
-  w.pod_vec(npp_);
-  w.pod_vec(token_);
-  w.pod_vec(written_at_);
 }
 
 void Block::load_state(util::StateReader& r) {
-  r.tag("BLK0");
-  const std::uint32_t pages = r.u32();
-  const std::uint32_t subs = r.u32();
-  if (pages != pages_ || subs != subs_)
-    throw std::runtime_error("Block::load_state: geometry mismatch");
   pe_cycles_ = r.u32();
   programmed_pages_ = r.u32();
   first_program_us_ = r.f64();
-  r.pod_vec(mode_);
-  r.pod_vec(programmed_);
-  r.pod_vec(state_);
-  r.pod_vec(npp_);
-  r.pod_vec(token_);
-  r.pod_vec(written_at_);
-  if (mode_.size() != pages_ || programmed_.size() != pages_ ||
-      state_.size() != static_cast<std::size_t>(pages_) * subs_ ||
-      npp_.size() != state_.size() || token_.size() != state_.size() ||
-      written_at_.size() != state_.size())
-    throw std::runtime_error("Block::load_state: corrupt slot arrays");
 }
 
 }  // namespace esp::nand

@@ -17,9 +17,10 @@
 // are firmware bugs, and the tests rely on them failing loudly.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "nand/geometry.h"
 #include "util/serialize.h"
@@ -47,10 +48,31 @@ struct SlotView {
   std::uint8_t npp = 0;        ///< Npp^k type: prior WL programs at write
 };
 
-/// One erase block: page modes, per-slot data, and P/E wear.
+/// One erase block: P/E wear and program bookkeeping, plus a view of the
+/// block's page records in the device's cell arena (NandDevice).
+///
+/// A page record is record_words(subs) 64-bit words:
+///   * meta_words(subs) words of bytes -- byte 0 the PageMode, byte 1 the
+///     slots programmed this erase cycle, byte 2 + s slot s packed as
+///     SlotState | npp << 2, zero padding to a whole word;
+///   * then one (token, written_at) word pair per slot, written_at as the
+///     bit pattern of its double.
+/// An all-zero record is an erased page, so erase() clears one contiguous
+/// range. At 4 subpages a record is 72 bytes.
 class Block {
  public:
-  Block(std::uint32_t pages_per_block, std::uint32_t subpages_per_page);
+  static constexpr std::size_t meta_words(std::uint32_t subs) {
+    return (2 + std::size_t{subs} + 7) / 8;
+  }
+  static constexpr std::size_t record_words(std::uint32_t subs) {
+    return meta_words(subs) + 2 * std::size_t{subs};
+  }
+
+  /// A block over `rows`: pages_per_block page records of
+  /// record_words(subpages_per_page) words, zeroed (every page erased).
+  /// The block reads and writes them in place; `rows` must outlive it.
+  Block(std::uint32_t pages_per_block, std::uint32_t subpages_per_page,
+        std::span<std::uint64_t> rows);
 
   /// Erases the whole block, incrementing the P/E count.
   void erase();
@@ -69,12 +91,22 @@ class Block {
                        std::uint64_t token, SimTime now);
 
   SlotView slot(std::uint32_t page, std::uint32_t slot) const;
-  PageMode page_mode(std::uint32_t page) const { return mode_.at(page); }
+  PageMode page_mode(std::uint32_t page) const {
+    return static_cast<PageMode>(meta(page)[0]);
+  }
   /// Number of program operations the page's word line has received this
   /// erase cycle (= next programmable slot index in ESP mode).
   std::uint32_t slots_programmed(std::uint32_t page) const {
-    return programmed_.at(page);
+    return meta(page)[1];
   }
+
+  /// One decode of a whole page record: its mode and slots[s] for every
+  /// s < subpages_per_page().
+  struct PageView {
+    PageMode mode = PageMode::kErased;
+    std::array<SlotView, kMaxSubpagesPerPage> slots;
+  };
+  PageView page_view(std::uint32_t page) const;
 
   std::uint32_t pe_cycles() const { return pe_cycles_; }
   std::uint32_t pages() const { return pages_; }
@@ -94,31 +126,31 @@ class Block {
   /// data stands in for the last rewrite of the epoch.
   void add_wear(std::uint32_t cycles) noexcept { pe_cycles_ += cycles; }
 
-  /// Snapshot support: full per-slot state. Shape (pages, subpages) must
-  /// match the constructed block on load.
+  /// Snapshot support: the per-block scalars. The page records live in
+  /// the arena, which the device archives as a whole.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
-  std::size_t idx(std::uint32_t page, std::uint32_t slot) const {
-    return static_cast<std::size_t>(page) * subs_ + slot;
+  /// Start of `page`'s record; throws std::out_of_range past the block.
+  std::uint64_t* record(std::uint32_t page) const {
+    if (page >= pages_) throw_page_out_of_range(page);
+    return rows_.data() + std::size_t{page} * record_words_;
   }
-  void check_page(std::uint32_t page) const;
+  [[noreturn]] void throw_page_out_of_range(std::uint32_t page) const;
+  /// The record's meta bytes (see the layout above), read as characters.
+  const unsigned char* meta(std::uint32_t page) const {
+    return reinterpret_cast<const unsigned char*>(record(page));
+  }
 
   std::uint32_t pages_;
   std::uint32_t subs_;
+  std::uint32_t meta_words_;    ///< meta_words(subs_)
+  std::uint32_t record_words_;  ///< record_words(subs_)
   std::uint32_t pe_cycles_ = 0;
   std::uint32_t programmed_pages_ = 0;  ///< pages with >=1 program this cycle
   SimTime first_program_us_ = -1.0;     ///< first program since erase (<0: none)
-
-  std::vector<PageMode> mode_;
-  std::vector<std::uint8_t> programmed_;  ///< per page: slots programmed
-  // Structure-of-arrays slot state (memory-dense; one block holds
-  // pages * subs slots).
-  std::vector<SlotState> state_;
-  std::vector<std::uint8_t> npp_;
-  std::vector<std::uint64_t> token_;
-  std::vector<SimTime> written_at_;
+  std::span<std::uint64_t> rows_;       ///< pages_ page records
 };
 
 }  // namespace esp::nand

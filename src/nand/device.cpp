@@ -17,11 +17,15 @@ NandDevice::NandDevice(const Geometry& geo, const TimingSpec& timing,
       chip_busy_accum_(geo.total_chips(), 0.0),
       channel_busy_accum_(geo.channels, 0.0) {
   geo_.validate();
-  blocks_.reserve(static_cast<std::size_t>(geo_.total_chips()) *
-                  geo_.blocks_per_chip);
-  for (std::uint32_t c = 0; c < geo_.total_chips(); ++c)
-    for (std::uint32_t b = 0; b < geo_.blocks_per_chip; ++b)
-      blocks_.emplace_back(geo_.pages_per_block, geo_.subpages_per_page);
+  const std::size_t block_words =
+      static_cast<std::size_t>(geo_.pages_per_block) *
+      Block::record_words(geo_.subpages_per_page);
+  arena_.resize(geo_.total_blocks() * block_words);
+  const std::span<std::uint64_t> arena(arena_);
+  blocks_.reserve(geo_.total_blocks());
+  for (std::size_t i = 0; i < geo_.total_blocks(); ++i)
+    blocks_.emplace_back(geo_.pages_per_block, geo_.subpages_per_page,
+                         arena.subspan(i * block_words, block_words));
 }
 
 Block& NandDevice::block_ref(std::uint32_t chip, std::uint32_t blk) {
@@ -87,9 +91,8 @@ OpAck NandDevice::program_subpage(const SubpageAddr& addr, std::uint64_t token,
   return ack;
 }
 
-ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
-                               std::uint32_t slot, SimTime now) {
-  const SlotView view = blk.slot(page, slot);
+ReadStatus NandDevice::verdict(const Block& blk, PageMode mode,
+                               const SlotView& view, SimTime now) {
   switch (view.state) {
     case SlotState::kEmpty:
       return ReadStatus::kEmpty;
@@ -102,7 +105,7 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
   const SimTime age = now - view.written_at;
   if (reliability_mode_ == ReliabilityMode::kDeterministic) {
     const SimTime horizon =
-        blk.page_mode(page) == PageMode::kFull
+        mode == PageMode::kFull
             ? retention_.fullpage_horizon(blk.pe_cycles())
             : retention_.subpage_horizon(view.npp, blk.pe_cycles());
     if (age > horizon) {
@@ -115,7 +118,7 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
     // draw each of the subpage's codewords from the binomial tail.
     const double months = age / sim_time::kMonth;
     const double norm_ber =
-        blk.page_mode(page) == PageMode::kFull
+        mode == PageMode::kFull
             ? retention_.fullpage_ber(months, blk.pe_cycles())
             : retention_.subpage_ber(view.npp, months, blk.pe_cycles());
     const double raw_ber = norm_ber * ecc_.spec().max_raw_ber() /
@@ -138,9 +141,10 @@ ReadStatus NandDevice::verdict(const Block& blk, std::uint32_t page,
 
 ReadAck NandDevice::read_subpage(const SubpageAddr& addr, SimTime now) {
   const Block& blk = block(addr.page.chip, addr.page.block);
+  const SlotView view = blk.slot(addr.page.page, addr.slot);
   ReadAck ack;
-  ack.status = verdict(blk, addr.page.page, addr.slot, now);
-  ack.token = blk.slot(addr.page.page, addr.slot).token;
+  ack.status = verdict(blk, blk.page_mode(addr.page.page), view, now);
+  ack.token = view.token;
   ++counters_.reads_sub;
   ack.done = schedule(addr.page.chip, timing_.read_sub_us,
                       geo_.subpage_bytes(), /*transfer_first=*/false, now);
@@ -152,10 +156,11 @@ ReadAck NandDevice::read_subpage(const SubpageAddr& addr, SimTime now) {
 
 PageReadAck NandDevice::read_page(const PageAddr& addr, SimTime now) {
   const Block& blk = block(addr.chip, addr.block);
+  const Block::PageView page = blk.page_view(addr.page);
   PageReadAck ack;
   for (std::uint32_t s = 0; s < geo_.subpages_per_page; ++s) {
-    ack.status[s] = verdict(blk, addr.page, s, now);
-    ack.token[s] = blk.slot(addr.page, s).token;
+    ack.status[s] = verdict(blk, page.mode, page.slots[s], now);
+    ack.token[s] = page.slots[s].token;
   }
   ++counters_.reads_full;
   ack.done = schedule(addr.chip, timing_.read_full_us, geo_.page_bytes,
@@ -170,12 +175,13 @@ OpAck NandDevice::copyback(const PageAddr& src, const PageAddr& dst,
                            SimTime now) {
   if (src.chip != dst.chip)
     throw std::logic_error("NandDevice::copyback: pages must share a chip");
-  const Block& src_blk = block(src.chip, src.block);
-  std::vector<std::uint64_t> tokens(geo_.subpages_per_page);
+  const Block::PageView page = block(src.chip, src.block).page_view(src.page);
+  std::array<std::uint64_t, kMaxSubpagesPerPage> tokens{};
   for (std::uint32_t s = 0; s < geo_.subpages_per_page; ++s)
-    tokens[s] = src_blk.slot(src.page, s).token;
+    tokens[s] = page.slots[s].token;
   Block& dst_blk = block_ref(dst.chip, dst.block);
-  dst_blk.program_full(dst.page, tokens, now);
+  dst_blk.program_full(
+      dst.page, std::span(tokens).first(geo_.subpages_per_page), now);
   ++counters_.reads_full;
   ++counters_.progs_full;
   // Chip busy for sense + program; only command overhead on the channel.
@@ -237,7 +243,10 @@ void NandDevice::apply_synthetic_wear(std::uint32_t chip, std::uint32_t block,
 void NandDevice::save_state(util::StateWriter& w) const {
   w.tag("NAND");
   w.u64(blocks_.size());
+  w.u32(geo_.pages_per_block);
+  w.u32(geo_.subpages_per_page);
   for (const Block& blk : blocks_) blk.save_state(w);
+  w.pod_vec(arena_);
   w.pod_vec(channel_busy_until_);
   w.pod_vec(chip_busy_until_);
   w.pod_vec(chip_busy_accum_);
@@ -259,9 +268,14 @@ void NandDevice::save_state(util::StateWriter& w) const {
 
 void NandDevice::load_state(util::StateReader& r) {
   r.tag("NAND");
-  if (r.u64() != blocks_.size())
+  const std::uint64_t blocks = r.u64();
+  const std::uint32_t pages = r.u32();
+  const std::uint32_t subs = r.u32();
+  if (blocks != blocks_.size() || pages != geo_.pages_per_block ||
+      subs != geo_.subpages_per_page)
     throw std::runtime_error("NandDevice::load_state: geometry mismatch");
   for (Block& blk : blocks_) blk.load_state(r);
+  r.pod_fixed(std::span<std::uint64_t>(arena_));
   r.pod_vec(channel_busy_until_);
   r.pod_vec(chip_busy_until_);
   r.pod_vec(chip_busy_accum_);

@@ -1,7 +1,8 @@
 // Multi-channel NAND device: command set, timing, and read reliability.
 //
 // The device composes:
-//   * Block state machines (ESP semantics, Npp tracking) per chip;
+//   * Block state machines (ESP semantics, Npp tracking) per chip, over one
+//     page-major cell arena holding every page record of the device;
 //   * a resource-reservation timing model -- each operation occupies its
 //     channel for the data transfer and its chip for the array operation,
 //     so independent chips/channels overlap exactly as on the paper's
@@ -26,6 +27,7 @@
 #include "nand/timing.h"
 #include "telemetry/health.h"
 #include "telemetry/sink.h"
+#include "util/huge_pages.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/sim_time.h"
@@ -73,6 +75,9 @@ class NandDevice {
  public:
   explicit NandDevice(const Geometry& geo, const TimingSpec& timing = {},
                       const RetentionModel& retention = {});
+  // Blocks view the arena in place: a copy would alias the original's.
+  NandDevice(const NandDevice&) = delete;
+  NandDevice& operator=(const NandDevice&) = delete;
 
   // ---- command set -------------------------------------------------------
   /// Programs a whole page (tokens.size() == subpages_per_page).
@@ -170,7 +175,8 @@ class NandDevice {
 
  private:
   Block& block_ref(std::uint32_t chip, std::uint32_t blk);
-  ReadStatus verdict(const Block& blk, std::uint32_t page, std::uint32_t slot,
+  /// Read verdict for one decoded slot of a page in mode `mode` of `blk`.
+  ReadStatus verdict(const Block& blk, PageMode mode, const SlotView& view,
                      SimTime now);
 
   /// Reserves channel + chip time for one operation; returns completion.
@@ -180,6 +186,10 @@ class NandDevice {
   Geometry geo_;
   TimingSpec timing_;
   RetentionModel retention_;
+  /// Every page record of the device, page-major: block i's records are
+  /// the i-th run of pages_per_block records (see Block for the layout).
+  /// Allocated once; never resized, so the blocks' views stay valid.
+  util::HugeVector<std::uint64_t> arena_;
   std::vector<Block> blocks_;  ///< [chip * blocks_per_chip + block]
   std::vector<SimTime> channel_busy_until_;
   std::vector<SimTime> chip_busy_until_;

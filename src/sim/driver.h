@@ -15,6 +15,7 @@
 #include "ftl/ftl.h"
 #include "nand/device.h"
 #include "util/histogram.h"
+#include "util/huge_pages.h"
 #include "workload/request.h"
 
 namespace esp::telemetry {
@@ -198,7 +199,7 @@ class Driver {
   /// Completion times of in-flight requests (min-heap, size <= QD).
   std::priority_queue<SimTime, std::vector<SimTime>, std::greater<>>
       inflight_;
-  std::vector<std::uint32_t> shadow_version_;
+  util::HugeVector<std::uint32_t> shadow_version_;
   /// Sectors whose latest state is "discarded" (set by whole-page trims,
   /// cleared by rewrites) -- mirrors the FTLs' page-aligned trim semantics.
   std::vector<bool> shadow_trimmed_;

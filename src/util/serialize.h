@@ -24,6 +24,7 @@
 #include <istream>
 #include <ostream>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -53,8 +54,8 @@ class StateWriter {
   }
 
   /// Trivially copyable element vectors are written as one raw span.
-  template <typename T>
-  void pod_vec(const std::vector<T>& v) {
+  template <typename T, typename A>
+  void pod_vec(const std::vector<T, A>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
     if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
@@ -134,11 +135,21 @@ class StateReader {
     return s;
   }
 
-  template <typename T>
-  void pod_vec(std::vector<T>& v) {
+  template <typename T, typename A>
+  void pod_vec(std::vector<T, A>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     v.resize(checked_count(u64(), sizeof(T)));
     if (!v.empty()) raw(v.data(), v.size() * sizeof(T));
+  }
+
+  /// Reads a pod_vec-format array into `out` in place, for storage that
+  /// must not move; throws unless the stored length equals out.size().
+  template <typename T>
+  void pod_fixed(std::span<T> out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (u64() != out.size())
+      throw std::runtime_error("StateReader: fixed array length mismatch");
+    if (!out.empty()) raw(out.data(), out.size() * sizeof(T));
   }
 
   void bool_vec(std::vector<bool>& v) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 namespace esp::nand {
 namespace {
@@ -12,10 +13,17 @@ namespace {
 constexpr std::uint32_t kPages = 8;
 constexpr std::uint32_t kSubs = 4;
 
-Block make_block() { return Block(kPages, kSubs); }
+/// A block over a local, zeroed record buffer (NandDevice hands each block
+/// its slice of the device arena the same way).
+struct TestBlock {
+  std::vector<std::uint64_t> rows =
+      std::vector<std::uint64_t>(kPages * Block::record_words(kSubs));
+  Block blk{kPages, kSubs, rows};
+};
 
 TEST(Block, StartsErased) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   EXPECT_TRUE(blk.is_erased());
   EXPECT_EQ(blk.pe_cycles(), 0u);
   EXPECT_EQ(blk.page_mode(0), PageMode::kErased);
@@ -23,7 +31,8 @@ TEST(Block, StartsErased) {
 }
 
 TEST(Block, FullPageProgramStoresAllSlots) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   const std::array<std::uint64_t, kSubs> tokens{10, 20, 30, 40};
   blk.program_full(2, tokens, 100.0);
   EXPECT_EQ(blk.page_mode(2), PageMode::kFull);
@@ -38,20 +47,23 @@ TEST(Block, FullPageProgramStoresAllSlots) {
 }
 
 TEST(Block, FullPageProgramTwiceThrows) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   const std::array<std::uint64_t, kSubs> tokens{1, 2, 3, 4};
   blk.program_full(0, tokens, 0.0);
   EXPECT_THROW(blk.program_full(0, tokens, 1.0), std::logic_error);
 }
 
 TEST(Block, FullProgramRejectsWrongTokenCount) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   const std::array<std::uint64_t, 2> wrong{1, 2};
   EXPECT_THROW(blk.program_full(0, wrong, 0.0), std::logic_error);
 }
 
 TEST(Block, SubpageProgramSequence) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   blk.program_subpage(0, 0, 111, 1.0);
   EXPECT_EQ(blk.page_mode(0), PageMode::kEsp);
   EXPECT_EQ(blk.slots_programmed(0), 1u);
@@ -60,7 +72,8 @@ TEST(Block, SubpageProgramSequence) {
 }
 
 TEST(Block, SubpageOutOfOrderThrows) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   EXPECT_THROW(blk.program_subpage(0, 1, 5, 0.0), std::logic_error);
   blk.program_subpage(0, 0, 5, 0.0);
   EXPECT_THROW(blk.program_subpage(0, 2, 5, 0.0), std::logic_error);
@@ -69,7 +82,8 @@ TEST(Block, SubpageOutOfOrderThrows) {
 
 TEST(Block, SubpageProgramDestroysEarlierSlots) {
   // Fig. 4: programming sp2 corrupts sp1's stored data.
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   blk.program_subpage(0, 0, 100, 1.0);
   blk.program_subpage(0, 1, 200, 2.0);
   EXPECT_EQ(blk.slot(0, 0).state, SlotState::kCorrupted);
@@ -79,7 +93,8 @@ TEST(Block, SubpageProgramDestroysEarlierSlots) {
 
 TEST(Block, NppTypeTracksPriorPrograms) {
   // The k-th programmed slot is an Npp^k-type subpage (Sec. 3.3).
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   for (std::uint32_t s = 0; s < kSubs; ++s)
     blk.program_subpage(0, s, s, static_cast<SimTime>(s));
   for (std::uint32_t s = 0; s < kSubs; ++s)
@@ -91,7 +106,8 @@ TEST(Block, NppTypeTracksPriorPrograms) {
 }
 
 TEST(Block, SubpageProgramLeavesOtherPagesAlone) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   blk.program_subpage(0, 0, 1, 0.0);
   blk.program_subpage(1, 0, 2, 0.0);
   blk.program_subpage(0, 1, 3, 0.0);
@@ -101,7 +117,8 @@ TEST(Block, SubpageProgramLeavesOtherPagesAlone) {
 }
 
 TEST(Block, MixedModesRejected) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   const std::array<std::uint64_t, kSubs> tokens{1, 2, 3, 4};
   blk.program_full(0, tokens, 0.0);
   EXPECT_THROW(blk.program_subpage(0, 0, 9, 1.0), std::logic_error);
@@ -110,13 +127,15 @@ TEST(Block, MixedModesRejected) {
 }
 
 TEST(Block, EspPageExhaustsAfterAllSlots) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   for (std::uint32_t s = 0; s < kSubs; ++s) blk.program_subpage(0, s, s, 0.0);
   EXPECT_THROW(blk.program_subpage(0, kSubs, 9, 0.0), std::out_of_range);
 }
 
 TEST(Block, EraseResetsEverythingAndCountsPe) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   const std::array<std::uint64_t, kSubs> tokens{1, 2, 3, 4};
   blk.program_full(0, tokens, 0.0);
   blk.program_subpage(1, 0, 7, 0.0);
@@ -131,16 +150,21 @@ TEST(Block, EraseResetsEverythingAndCountsPe) {
 }
 
 TEST(Block, OutOfRangeAccessesThrow) {
-  Block blk = make_block();
+  TestBlock t;
+  Block& blk = t.blk;
   EXPECT_THROW(blk.slot(kPages, 0), std::out_of_range);
   EXPECT_THROW(blk.slot(0, kSubs), std::out_of_range);
   EXPECT_THROW(blk.program_subpage(kPages, 0, 1, 0.0), std::out_of_range);
 }
 
 TEST(Block, RejectsBadConstruction) {
-  EXPECT_THROW(Block(0, 4), std::invalid_argument);
-  EXPECT_THROW(Block(8, 0), std::invalid_argument);
-  EXPECT_THROW(Block(8, kMaxSubpagesPerPage + 1), std::invalid_argument);
+  std::vector<std::uint64_t> rows(
+      8 * Block::record_words(kMaxSubpagesPerPage + 1));
+  EXPECT_THROW(Block(0, 4, rows), std::invalid_argument);
+  EXPECT_THROW(Block(8, 0, rows), std::invalid_argument);
+  EXPECT_THROW(Block(8, kMaxSubpagesPerPage + 1, rows), std::invalid_argument);
+  // Rows must hold exactly one record per page.
+  EXPECT_THROW(Block(8, 4, rows), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <vector>
 
 namespace esp::nand {
 namespace {
@@ -213,6 +215,130 @@ TEST(NandDevice, OutOfRangeThrows) {
                std::out_of_range);
   EXPECT_THROW(dev.erase_block(0, 99, 0.0), std::out_of_range);
 }
+
+// ---- cell arena: every block's page records are its own -------------------
+//
+// All blocks share one page-major arena. Programming and erasing one block
+// must leave every other block bit-identical, in particular its arena
+// neighbours across a chip boundary and at both ends of the arena. Run at
+// 4 and 8 subpages per page, whose records pad their meta bytes
+// differently (one word vs two).
+
+/// Everything observable about one block: P/E, page modes, slot views.
+struct BlockImage {
+  std::uint32_t pe = 0;
+  std::vector<PageMode> modes;
+  std::vector<std::uint32_t> programmed;
+  std::vector<SlotView> slots;
+
+  explicit BlockImage(const Block& blk) : pe(blk.pe_cycles()) {
+    for (std::uint32_t p = 0; p < blk.pages(); ++p) {
+      modes.push_back(blk.page_mode(p));
+      programmed.push_back(blk.slots_programmed(p));
+      for (std::uint32_t s = 0; s < blk.subpages_per_page(); ++s)
+        slots.push_back(blk.slot(p, s));
+    }
+  }
+  bool operator==(const BlockImage& o) const {
+    if (pe != o.pe || modes != o.modes || programmed != o.programmed ||
+        slots.size() != o.slots.size())
+      return false;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const SlotView& a = slots[i];
+      const SlotView& b = o.slots[i];
+      if (a.state != b.state || a.token != b.token ||
+          a.written_at != b.written_at || a.npp != b.npp)
+        return false;
+    }
+    return true;
+  }
+};
+
+class NandDeviceArena : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  static Geometry geo() {
+    Geometry g;
+    g.channels = 2;
+    g.chips_per_channel = 1;
+    g.blocks_per_chip = 3;
+    g.pages_per_block = 4;
+    g.subpages_per_page = GetParam();
+    g.page_bytes = 4096 * g.subpages_per_page;
+    return g;
+  }
+};
+
+TEST_P(NandDeviceArena, BlockOpsLeaveEveryOtherBlockBitIdentical) {
+  const Geometry g = geo();
+  const std::uint32_t subs = g.subpages_per_page;
+  // First block, both sides of the chip boundary, last block.
+  const std::array<std::array<std::uint32_t, 2>, 4> targets{
+      {{0, 0}, {0, g.blocks_per_chip - 1}, {1, 0}, {1, g.blocks_per_chip - 1}}};
+  for (const auto& [tc, tb] : targets) {
+    SCOPED_TRACE("target chip " + std::to_string(tc) + " block " +
+                 std::to_string(tb));
+    NandDevice dev(g);
+    // Give every other block distinctive content: one erase (P/E 1), then
+    // full pages on even page numbers and 1..subs ESP slots on odd ones.
+    SimTime now = 1.0;
+    std::uint64_t token = 1;
+    std::vector<std::uint64_t> tokens(subs);
+    for (std::uint32_t c = 0; c < g.total_chips(); ++c) {
+      for (std::uint32_t b = 0; b < g.blocks_per_chip; ++b) {
+        if (c == tc && b == tb) continue;
+        dev.erase_block(c, b, now);
+        for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
+          now += 1.0;
+          if (p % 2 == 0) {
+            for (auto& t : tokens) t = token++;
+            dev.program_full(PageAddr{c, b, p}, tokens, now);
+          } else {
+            for (std::uint32_t s = 0; s <= (p / 2) % subs; ++s)
+              dev.program_subpage(SubpageAddr{PageAddr{c, b, p}, s}, token++,
+                                  now);
+          }
+        }
+      }
+    }
+    const auto images = [&] {
+      std::vector<BlockImage> out;
+      for (std::uint32_t c = 0; c < g.total_chips(); ++c)
+        for (std::uint32_t b = 0; b < g.blocks_per_chip; ++b)
+          if (c != tc || b != tb) out.emplace_back(dev.block(c, b));
+      return out;
+    };
+    const std::vector<BlockImage> before = images();
+
+    for (auto& t : tokens) t = ~0ull - token++;
+    for (std::uint32_t p = 0; p < g.pages_per_block; ++p)
+      dev.program_full(PageAddr{tc, tb, p}, tokens, now + 1.0);
+    EXPECT_TRUE(images() == before) << "full program leaked";
+    dev.erase_block(tc, tb, now + 2.0);
+    EXPECT_TRUE(images() == before) << "erase leaked";
+    for (std::uint32_t p = 0; p < g.pages_per_block; ++p)
+      for (std::uint32_t s = 0; s < subs; ++s)
+        dev.program_subpage(SubpageAddr{PageAddr{tc, tb, p}, s},
+                            ~0ull - token++, now + 3.0);
+    EXPECT_TRUE(images() == before) << "ESP program leaked";
+    dev.erase_block(tc, tb, now + 4.0);
+    EXPECT_TRUE(images() == before) << "second erase leaked";
+
+    // The target itself reads back fully erased after two cycles.
+    const Block& target = dev.block(tc, tb);
+    EXPECT_EQ(target.pe_cycles(), 2u);
+    for (std::uint32_t p = 0; p < g.pages_per_block; ++p) {
+      EXPECT_EQ(target.page_mode(p), PageMode::kErased);
+      EXPECT_EQ(target.slots_programmed(p), 0u);
+      for (std::uint32_t s = 0; s < subs; ++s) {
+        EXPECT_EQ(target.slot(p, s).state, SlotState::kEmpty);
+        EXPECT_EQ(target.slot(p, s).token, 0u);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SubpagesPerPage, NandDeviceArena,
+                         ::testing::Values(4u, 8u));
 
 }  // namespace
 }  // namespace esp::nand
