@@ -130,7 +130,7 @@ BENCHMARK(BM_SsdSyncSmallWrite);
 /// A standalone subpage region on an 8-chip device: Arg blocks per chip,
 /// half given to the pool. Kept small enough that setup (one write per
 /// page of every owned block) stays in the low milliseconds.
-struct MaintHarness {
+struct MaintHarness final : ftl::EvictionTarget {
   nand::Geometry geo;
   std::unique_ptr<nand::NandDevice> dev;
   std::unique_ptr<ftl::BlockAllocator> allocator;
@@ -149,22 +149,21 @@ struct MaintHarness {
     cfg.quota_blocks = geo.total_blocks() / 2;
     cfg.retention_evict_age = 15 * sim_time::kDay;
     cfg.reference_scan_maintenance = reference_scan;
-    pool = std::make_unique<ftl::SubpagePool>(
-        *dev, *allocator, cfg, stats, /*place=*/
-        [](std::uint64_t, std::uint64_t) {},
-        /*evict=*/
-        [this](std::span<const ftl::SectorWrite>, SimTime t, bool) {
-          return t;
-        },
-        /*hot=*/[](std::uint64_t) { return false; },
-        /*kept=*/[](std::uint64_t) {});
     // One live subpage per page of every quota block (level 0 fills the
     // 0th slot of each page before any block advances).
     const std::uint64_t sectors = cfg.quota_blocks * geo.pages_per_block;
+    pool = std::make_unique<ftl::SubpagePool>(*dev, *allocator, cfg, stats,
+                                              sectors, *this);
     for (std::uint64_t s = 0; s < sectors; ++s) {
-      now = pool->write_sector(s, ftl::make_token(s, 1), now).second;
+      now = pool->try_write_sector(s, ftl::make_token(s, 1), now).value();
       now += 1.0;  // distinct written_at per page
     }
+  }
+
+  /// Evictions (none fire in these benchmarks) go nowhere.
+  SimTime merge_sectors(std::span<const ftl::SectorWrite>,
+                        SimTime t) override {
+    return t;
   }
 };
 
@@ -224,24 +223,16 @@ void BM_FullPoolGcChurn(benchmark::State& state) {
   ftl::FtlStats stats;
   const std::uint64_t lpns =
       geo.total_pages() * 7 / 10;  // 30% over-provisioning
-  std::vector<std::uint64_t> page_of(lpns, ~0ull);
   ftl::FullPagePool::Config cfg;
   cfg.reserve_free_blocks = 8;
-  ftl::FullPagePool pool(
-      dev, allocator, cfg, stats,
-      [&page_of](std::uint64_t lpn, std::uint64_t lin) {
-        page_of[lpn] = lin;
-      });
+  ftl::FullPagePool pool(dev, allocator, cfg, stats, lpns);
   std::vector<std::uint64_t> tokens(geo.subpages_per_page);
   util::Xoshiro256 rng(6);
   SimTime now = 0.0;
   auto write = [&](std::uint64_t lpn) {
     for (std::uint32_t s = 0; s < geo.subpages_per_page; ++s)
       tokens[s] = ftl::make_token(lpn * geo.subpages_per_page + s, 1);
-    if (page_of[lpn] != ~0ull) pool.invalidate(page_of[lpn]);
-    const auto [lin, done] = pool.write_page(lpn, tokens, now);
-    page_of[lpn] = lin;
-    now = done;
+    now = pool.write_page(lpn, tokens, now);
   };
   for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) write(lpn);  // fill
   for (auto _ : state) write(rng.below(lpns));  // steady-state GC
@@ -291,25 +282,24 @@ void BM_DeviceReadPageRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceReadPageRandom)->Arg(128)->Arg(2048);
 
-/// A FullPagePool with 90% of the device's pages written once, in a
-/// shuffled list of their linear addresses.
+/// A FullPagePool with 90% of the device's pages written once, and their
+/// lpns in shuffled order.
 struct FullPoolFill {
   explicit FullPoolFill(std::uint32_t blocks_per_chip)
       : geo(layout_geo(blocks_per_chip)),
         dev(geo),
         allocator(geo),
         pool(dev, allocator, ftl::FullPagePool::Config{}, stats,
-             [](std::uint64_t, std::uint64_t) {}) {
+             geo.total_pages() * 9 / 10) {
     std::vector<std::uint64_t> tokens(geo.subpages_per_page, 1);
     SimTime now = 0.0;
-    for (std::uint64_t lpn = 0; lpn < geo.total_pages() * 9 / 10; ++lpn) {
-      const auto [lin, done] = pool.write_page(lpn, tokens, now);
-      pages.push_back(lin);
-      now = done;
+    for (std::uint64_t lpn = 0; lpn < pool.lpns(); ++lpn) {
+      now = pool.write_page(lpn, tokens, now);
+      lpns.push_back(lpn);
     }
     util::Xoshiro256 rng(8);
-    for (std::size_t i = pages.size(); i > 1; --i)
-      std::swap(pages[i - 1], pages[rng.below(i)]);
+    for (std::size_t i = lpns.size(); i > 1; --i)
+      std::swap(lpns[i - 1], lpns[rng.below(i)]);
   }
 
   nand::Geometry geo;
@@ -317,25 +307,26 @@ struct FullPoolFill {
   ftl::BlockAllocator allocator;
   ftl::FtlStats stats;
   ftl::FullPagePool pool;
-  std::vector<std::uint64_t> pages;
+  std::vector<std::uint64_t> lpns;
 };
 
-// FullPagePool::invalidate of a random live page: the owner-slab lookup,
-// the valid-count update and the lazy victim-heap push that every cgmFTL
-// overwrite pays. When every page is invalid the pool is rebuilt untimed.
+// FullPagePool::drop of a random live lpn: the map lookup, the owner-slab
+// lookup, the valid-count update and the lazy victim-heap push that every
+// cgmFTL overwrite pays. When every lpn is dropped the pool is rebuilt
+// untimed.
 void BM_FullPoolInvalidateRandom(benchmark::State& state) {
   const auto blocks = static_cast<std::uint32_t>(state.range(0));
   auto fill = std::make_unique<FullPoolFill>(blocks);
   std::size_t next = 0;
   for (auto _ : state) {
-    if (next == fill->pages.size()) {
+    if (next == fill->lpns.size()) {
       state.PauseTiming();
       fill.reset();
       fill = std::make_unique<FullPoolFill>(blocks);
       next = 0;
       state.ResumeTiming();
     }
-    fill->pool.invalidate(fill->pages[next++]);
+    fill->pool.drop(fill->lpns[next++]);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -46,56 +46,33 @@ Ssd::Ssd(const SsdConfig& config) : config_(config) {
   device_ = std::make_unique<nand::NandDevice>(
       config_.geometry, config_.timing,
       nand::RetentionModel(config_.retention));
-  const std::uint64_t sectors = config_.logical_sectors();
+  ftl::FtlConfig c;
+  c.logical_sectors = config_.logical_sectors();
+  c.gc_reserve_blocks = config_.gc_reserve_blocks;
+  c.buffer_sectors = config_.buffer_sectors;
+  c.wl_pe_threshold = config_.wl_pe_threshold;
+  c.wl_check_interval = config_.wl_check_interval;
+  c.use_copyback = config_.use_copyback;
+  c.reference_scan_maintenance = config_.reference_scan_maintenance;
   switch (config_.ftl) {
-    case FtlKind::kCgm: {
-      ftl::CgmFtl::Config c;
-      c.logical_sectors = sectors;
-      c.gc_reserve_blocks = config_.gc_reserve_blocks;
-      c.wl_pe_threshold = config_.wl_pe_threshold;
-      c.wl_check_interval = config_.wl_check_interval;
-      c.use_copyback = config_.use_copyback;
-      c.reference_scan_maintenance = config_.reference_scan_maintenance;
+    case FtlKind::kCgm:
       ftl_ = std::make_unique<ftl::CgmFtl>(*device_, c);
       break;
-    }
-    case FtlKind::kFgm: {
-      ftl::FgmFtl::Config c;
-      c.logical_sectors = sectors;
-      c.gc_reserve_blocks = config_.gc_reserve_blocks;
-      c.buffer_sectors = config_.buffer_sectors;
-      c.wl_pe_threshold = config_.wl_pe_threshold;
-      c.wl_check_interval = config_.wl_check_interval;
-      c.reference_scan_maintenance = config_.reference_scan_maintenance;
+    case FtlKind::kFgm:
       ftl_ = std::make_unique<ftl::FgmFtl>(*device_, c);
       break;
-    }
     case FtlKind::kSub: {
-      ftl::SubFtl::Config c;
-      c.logical_sectors = sectors;
-      c.subpage_region_fraction = config_.subpage_region_fraction;
-      c.gc_reserve_blocks = config_.gc_reserve_blocks;
-      c.buffer_sectors = config_.buffer_sectors;
-      c.retention_evict_age = config_.retention_evict_age;
-      c.retention_scan_interval = config_.retention_scan_interval;
-      c.wl_pe_threshold = config_.wl_pe_threshold;
-      c.wl_check_interval = config_.wl_check_interval;
-      c.use_copyback = config_.use_copyback;
-      c.reference_scan_maintenance = config_.reference_scan_maintenance;
-      ftl_ = std::make_unique<ftl::SubFtl>(*device_, c);
+      ftl::SubFtl::Config sub{c};
+      sub.subpage_region_fraction = config_.subpage_region_fraction;
+      sub.retention_evict_age = config_.retention_evict_age;
+      sub.retention_scan_interval = config_.retention_scan_interval;
+      ftl_ = std::make_unique<ftl::SubFtl>(*device_, sub);
       break;
     }
     case FtlKind::kSectorLog: {
-      ftl::SectorLogFtl::Config c;
-      c.logical_sectors = sectors;
-      c.log_region_fraction = config_.subpage_region_fraction;
-      c.gc_reserve_blocks = config_.gc_reserve_blocks;
-      c.buffer_sectors = config_.buffer_sectors;
-      c.wl_pe_threshold = config_.wl_pe_threshold;
-      c.wl_check_interval = config_.wl_check_interval;
-      c.use_copyback = config_.use_copyback;
-      c.reference_scan_maintenance = config_.reference_scan_maintenance;
-      ftl_ = std::make_unique<ftl::SectorLogFtl>(*device_, c);
+      ftl::SectorLogFtl::Config log{c};
+      log.log_region_fraction = config_.subpage_region_fraction;
+      ftl_ = std::make_unique<ftl::SectorLogFtl>(*device_, log);
       break;
     }
   }

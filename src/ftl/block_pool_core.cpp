@@ -257,6 +257,12 @@ void BlockPoolCore::load_state(util::StateReader& r) {
   valid_slots_ = r.u64();
 }
 
+void BlockPoolCore::map_error(const std::string& what) const {
+  throw std::runtime_error(std::string("load_state: ") +
+                           telemetry::health_pool_name(kind_) +
+                           " pool map: " + what);
+}
+
 void BlockPoolCore::check_slabs() const {
   const auto fail = [](const char* what) {
     throw std::runtime_error(std::string("BlockPoolCore::load_state: ") +

@@ -25,7 +25,7 @@
 //
 // A pool asks the core which block to collect next or which sealed block
 // is coldest, then does the flash I/O itself. Every call is direct: no
-// virtual dispatch and no std::function.
+// virtual dispatch and no type-erased callbacks.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,7 @@
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -244,7 +245,30 @@ class BlockPoolCore {
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
+  /// Snapshot check of a pool's key -> address map, after load_state:
+  /// every mapped key's slot, located(address) -> (block index, slot),
+  /// must be live and owned by that key, and the number of mapped keys
+  /// must equal valid_slots(). Throws std::runtime_error otherwise.
+  template <typename Locate>
+  void check_map(std::span<const std::uint64_t> map, Locate&& locate) const {
+    std::uint64_t mapped = 0;
+    for (std::uint64_t key = 0; key < map.size(); ++key) {
+      if (map[key] == nand::kUnmapped) continue;
+      ++mapped;
+      const auto [idx, slot] = locate(map[key]);
+      if (idx >= meta_.size() || !meta_[idx].owned ||
+          slot >= slots_per_block_ || owner(idx, slot) != key)
+        map_error("key " + std::to_string(key) +
+                  " maps a slot it does not own");
+    }
+    if (mapped != valid_slots_)
+      map_error(std::to_string(mapped) + " keys mapped, " +
+                std::to_string(valid_slots_) + " slots valid");
+  }
+
  private:
+  /// Throws check_map's std::runtime_error.
+  [[noreturn]] void map_error(const std::string& what) const;
   bool space_pressure() const {
     return allocator_.total_free() <= config_.reserve_free_blocks ||
            blocks_in_use_ >= config_.quota_blocks;

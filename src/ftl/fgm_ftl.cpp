@@ -2,37 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
-
-#include "telemetry/metrics.h"
 
 namespace esp::ftl {
 
 FgmFtl::FgmFtl(nand::NandDevice& dev, const Config& config)
-    : dev_(dev),
-      config_(config),
-      geo_(dev.geometry()),
-      codec_(geo_),
-      allocator_(geo_),
-      pool_(dev, allocator_,
-            FinePool::Config{/*quota_blocks=*/~0ull, config.gc_reserve_blocks,
-                             config.reference_scan_maintenance},
-            stats_,
-            [this](std::uint64_t sector, std::uint64_t new_lin) {
-              l2p_[sector] = new_lin;
-            }),
-      buffer_(config.buffer_sectors, geo_.subpages_per_page) {
-  if (config_.logical_sectors == 0)
-    throw std::invalid_argument("FgmFtl: logical_sectors must be > 0");
-  if (config_.logical_sectors > geo_.total_subpages())
-    throw std::invalid_argument("FgmFtl: logical space exceeds physical");
-  l2p_.assign(config_.logical_sectors, nand::kUnmapped);
-  version_.assign(config_.logical_sectors, 0);
-}
+    : BufferedFtl(dev, config, "fgmFTL", "FGMF", MergeUnit::kRun),
+      pool_(dev, allocator_, pool_config(), stats_, config.logical_sectors) {}
 
-void FgmFtl::check_range(std::uint64_t sector, std::uint32_t count) const {
-  if (count == 0 || sector + count > config_.logical_sectors)
-    throw std::out_of_range("FgmFtl: sector range outside logical space");
+SimTime FgmFtl::wear_level(SimTime now, bool /*turn*/) {
+  return pool_.static_wear_level(now, config_.wl_pe_threshold);
 }
 
 SimTime FgmFtl::flush_run(std::span<const BufferedSector> run,
@@ -46,24 +24,13 @@ SimTime FgmFtl::flush_run(std::span<const BufferedSector> run,
   // (`run` is one sorted contiguous run; chop it into page-sized groups.)
   const std::uint32_t subs = geo_.subpages_per_page;
   SimTime done = now;
-  std::size_t i = 0;
-  while (i < run.size()) {
-    std::size_t j = i + 1;
-    while (j < run.size() && j - i < subs &&
-           run[j].sector == run[j - 1].sector + 1)
-      ++j;
-    const std::size_t n = j - i;
+  for (std::size_t i = 0; i < run.size(); i += subs) {
+    const std::size_t n = std::min<std::size_t>(subs, run.size() - i);
     std::array<SectorWrite, nand::kMaxSubpagesPerPage> group{};
     std::uint64_t small_in_group = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      const BufferedSector& bs = run[k];
-      // Drop the stale flash copy before placing the fresh one.
-      if (l2p_[bs.sector] != nand::kUnmapped) {
-        pool_.invalidate(l2p_[bs.sector]);
-        l2p_[bs.sector] = nand::kUnmapped;
-      }
-      group[k - i] = SectorWrite{bs.sector, bs.token};
-      if (bs.small) ++small_in_group;
+    for (std::size_t k = 0; k < n; ++k) {
+      group[k] = SectorWrite{run[i + k].sector, run[i + k].token};
+      if (run[i + k].small) ++small_in_group;
     }
     done = std::max(done, pool_.write_group(
                               std::span<const SectorWrite>(group.data(), n),
@@ -75,149 +42,54 @@ SimTime FgmFtl::flush_run(std::span<const BufferedSector> run,
     // leak up to n-1 bytes of attributed cost per group.
     stats_.small_service_flash_bytes +=
         small_in_group * geo_.page_bytes / n;
-    i = j;
   }
   return done;
 }
 
-IoResult FgmFtl::write(std::uint64_t sector, std::uint32_t count, bool sync,
-                       SimTime now) {
-  check_range(sector, count);
-  if (config_.wl_check_interval > 0 &&
-      ++writes_since_wl_ >= config_.wl_check_interval) {
-    writes_since_wl_ = 0;
-    now = pool_.static_wear_level(now, config_.wl_pe_threshold);
-  }
-  ++stats_.host_write_requests;
-  stats_.host_write_sectors += count;
-  const bool small = count < geo_.subpages_per_page;
-  if (small) {
-    ++stats_.small_write_requests;
-    stats_.small_write_bytes +=
-        static_cast<std::uint64_t>(count) * geo_.subpage_bytes();
-  }
-
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t s = sector + i;
-    if (buffer_.insert(s, make_token(s, ++version_[s]), small))
-      ++stats_.buffer_hits;
-  }
-
-  SimTime done = now + config_.buffer_insert_us;
-  if (sync) {
-    // Durability demanded now: flush this request's sectors together with
-    // any contiguous buffered neighbors (the only merge still possible).
-    buffer_.extract_run(sector, run_);
-    done = std::max(done, flush_run(run_, now));
-  }
-  while (buffer_.over_capacity()) {
-    buffer_.extract_oldest_run(run_);
-    if (run_.empty()) break;
-    done = std::max(done, flush_run(run_, now));
-  }
-  return IoResult{done, true};
-}
-
 IoResult FgmFtl::read(std::uint64_t sector, std::uint32_t count, SimTime now,
                       std::vector<std::uint64_t>* tokens) {
-  check_range(sector, count);
-  ++stats_.host_read_requests;
-  stats_.host_read_sectors += count;
-  if (tokens) tokens->assign(count, 0);
-
+  begin_read(sector, count, tokens);
   SimTime done = now;
   bool ok = true;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t s = sector + i;
     std::uint64_t token = 0;
-    if (buffer_.lookup(s, &token)) {
-      ++stats_.buffer_hits;
-    } else if (l2p_[s] != nand::kUnmapped) {
-      const auto ack = dev_.read_subpage(codec_.decode_subpage(l2p_[s]), now);
-      ++stats_.flash_reads;
-      token = ack.token;
-      if (ack.status != nand::ReadStatus::kOk) {
-        ok = false;
-        ++stats_.read_failures;
-      }
-      done = std::max(done, ack.done);
-    }
+    if (!buffered(s, &token) && pool_.subpage_of(s) != nand::kUnmapped)
+      token = read_subpage(pool_.subpage_of(s), now, done, ok);
     if (tokens) (*tokens)[i] = token;
   }
   return IoResult{done, ok};
 }
 
-IoResult FgmFtl::flush(SimTime now) {
-  // Explicit host flush: programs issued by the drain (and any GC they
-  // trigger) attribute to the flush, not to the host write path.
-  const telemetry::CauseScope cause(sink_, telemetry::Cause::kFlush,
-                                    buffer_.size(), now);
-  SimTime done = now;
-  while (!buffer_.empty()) {
-    buffer_.extract_oldest_run(run_);
-    if (run_.empty()) break;
-    done = std::max(done, flush_run(run_, now));
-  }
-  return IoResult{done, true};
-}
-
-void FgmFtl::trim(std::uint64_t sector, std::uint32_t count) {
-  check_range(sector, count);
-  // Page-aligned contract (see Ftl::trim): although the mapping is
-  // per-sector, only sectors of whole logical pages inside the range are
-  // dropped -- including their buffered copies. Partial edges keep their
-  // newest data.
+void FgmFtl::trim_page(std::uint64_t lpn) {
+  // Although the mapping is per-sector, only whole pages are dropped --
+  // including their buffered copies (see FtlBase::trim).
   const std::uint32_t subs = geo_.subpages_per_page;
-  const std::uint64_t first = (sector + subs - 1) / subs * subs;
-  const std::uint64_t end = (sector + count) / subs * subs;
-  for (std::uint64_t s = first; s < end; ++s) {
+  for (std::uint64_t s = lpn * subs; s < (lpn + 1) * subs; ++s) {
     buffer_.erase(s);
-    if (l2p_[s] != nand::kUnmapped) {
-      pool_.invalidate(l2p_[s]);
-      l2p_[s] = nand::kUnmapped;
-    }
+    pool_.drop(s);
   }
 }
 
 std::uint64_t FgmFtl::mapping_memory_bytes() const {
   // One 32-bit sub-PPA per sector: Nsub x the CGM table.
-  return l2p_.size() * sizeof(std::uint32_t);
+  return pool_.sectors() * sizeof(std::uint32_t);
 }
 
-void FgmFtl::set_telemetry(telemetry::Sink* sink) {
-  sink_ = sink;
+void FgmFtl::attach(telemetry::Sink* sink) {
   pool_.set_telemetry(sink);
-  if (!sink) return;
-  telemetry::MetricsRegistry& reg = sink->registry();
-  bind_stats(reg, name(), stats_);
-  reg.gauge(name() + "/fine_blocks").set_provider([this] {
-    return static_cast<double>(pool_.blocks_in_use());
-  });
-  reg.gauge(name() + "/mapping_memory_bytes").set_provider([this] {
-    return static_cast<double>(mapping_memory_bytes());
-  });
+  if (sink)
+    gauge(*sink, "fine_blocks", [this] { return pool_.blocks_in_use(); });
 }
 
-void FgmFtl::save_state(util::StateWriter& w) const {
-  w.tag("FGMF");
-  save_stats(w, stats_);
-  allocator_.save_state(w);
+void FgmFtl::save_body(util::StateWriter& w) const {
   pool_.save_state(w);
   buffer_.save_state(w);
-  w.pod_vec(l2p_);
-  w.pod_vec(version_);
-  w.u32(writes_since_wl_);
 }
 
-void FgmFtl::load_state(util::StateReader& r) {
-  r.tag("FGMF");
-  load_stats(r, stats_);
-  allocator_.load_state(r);
+void FgmFtl::load_body(util::StateReader& r) {
   pool_.load_state(r);
   buffer_.load_state(r);
-  r.pod_vec(l2p_);
-  r.pod_vec(version_);
-  writes_since_wl_ = r.u32();
 }
 
 }  // namespace esp::ftl

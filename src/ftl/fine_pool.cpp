@@ -6,22 +6,26 @@
 namespace esp::ftl {
 
 FinePool::FinePool(nand::NandDevice& dev, BlockAllocator& allocator,
-                   const Config& config, FtlStats& stats, PlaceFn place,
-                   EvictFn evict_on_gc)
+                   const Config& config, FtlStats& stats,
+                   std::uint64_t sectors, EvictionTarget* log_target)
     : dev_(dev),
       stats_(stats),
-      place_(std::move(place)),
-      evict_on_gc_(std::move(evict_on_gc)),
+      log_target_(log_target),
       geo_(dev.geometry()),
       codec_(geo_),
       core_(dev, allocator, config, stats, telemetry::HealthPool::kFine,
             geo_.pages_per_block * geo_.subpages_per_page) {
-  if (!place_) throw std::invalid_argument("FinePool: place callback required");
+  map_.assign(sectors, nand::kUnmapped);
 }
 
 SimTime FinePool::write_group(std::span<const SectorWrite> group, SimTime now) {
   if (group.empty() || group.size() > geo_.subpages_per_page)
     throw std::logic_error("FinePool::write_group: bad group size");
+  for (const SectorWrite& sw : group) drop(sw.sector);
+  return program(group, now);
+}
+
+SimTime FinePool::program(std::span<const SectorWrite> group, SimTime now) {
   if (!in_gc_) now = maybe_gc(now);
   const auto chip = core_.ensure_active(now);
   if (!chip)
@@ -43,21 +47,22 @@ SimTime FinePool::write_group(std::span<const SectorWrite> group, SimTime now) {
     core_.fill_slot(
         idx, static_cast<std::size_t>(page) * geo_.subpages_per_page + i,
         group[i].sector);
-    const std::uint64_t sub_lin = codec_.encode_subpage(
+    map_[group[i].sector] = codec_.encode_subpage(
         nand::SubpageAddr{addr, static_cast<std::uint32_t>(i)});
-    place_(group[i].sector, sub_lin);
   }
   return ack.done;
 }
 
-void FinePool::invalidate(std::uint64_t sub_lin) {
-  const nand::SubpageAddr addr = codec_.decode_subpage(sub_lin);
+void FinePool::drop(std::uint64_t sector) {
+  if (map_[sector] == nand::kUnmapped) return;
+  const nand::SubpageAddr addr = codec_.decode_subpage(map_[sector]);
   const std::size_t idx = core_.index(addr.page.chip, addr.page.block);
   const auto slot =
       static_cast<std::size_t>(addr.page.page) * geo_.subpages_per_page +
       addr.slot;
   if (BlockPoolCore::sealed(core_.invalidate(idx, slot)))
     core_.push_victim(idx);
+  map_[sector] = nand::kUnmapped;
 }
 
 SimTime FinePool::maybe_gc(SimTime now) {
@@ -82,7 +87,7 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   const std::uint32_t subs = geo_.subpages_per_page;
   in_gc_ = true;
   telemetry::Sink* sink = core_.sink();
-  // Repacks (or log-cleaning merges via evict_on_gc_) and the final erase
+  // Repacks (or log-cleaning merges into log_target_) and the final erase
   // all attribute to this GC/WL episode.
   const telemetry::CauseScope cause(
       sink,
@@ -117,17 +122,18 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   }
   std::uint64_t copied = 0;
   std::uint64_t evicted = 0;
-  if (evict_on_gc_ && !for_wear_leveling) {
+  if (log_target_ && !for_wear_leveling) {
     // Log-region cleaning: merge every live sector out of this pool.
     if (!live.empty()) {
       stats_.cold_evictions += live.size();
       evicted = live.size();
-      t = evict_on_gc_(live, t);
+      for (const SectorWrite& sw : live) map_[sw.sector] = nand::kUnmapped;
+      t = log_target_->merge_sectors(live, t);
     }
   } else {
     for (std::size_t i = 0; i < live.size(); i += subs) {
       const std::size_t n = std::min<std::size_t>(subs, live.size() - i);
-      t = write_group(std::span<const SectorWrite>(&live[i], n), t);
+      t = program(std::span<const SectorWrite>(&live[i], n), t);
       if (for_wear_leveling)
         stats_.wear_level_relocations += n;
       else
@@ -151,11 +157,17 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
 void FinePool::save_state(util::StateWriter& w) const {
   w.tag("FPOL");
   core_.save_state(w);
+  w.pod_vec(map_);
 }
 
 void FinePool::load_state(util::StateReader& r) {
   r.tag("FPOL");
   core_.load_state(r);
+  r.pod_fixed(std::span(map_));
+  const std::uint64_t per_block = geo_.pages_per_block * geo_.subpages_per_page;
+  core_.check_map(map_, [&](std::uint64_t sub_lin) {
+    return std::pair{sub_lin / per_block, sub_lin % per_block};
+  });
   in_gc_ = false;
 }
 

@@ -1,4 +1,5 @@
-// Abstract FTL interface shared by cgmFTL, fgmFTL and subFTL.
+// Abstract FTL interface shared by cgmFTL, fgmFTL, subFTL and
+// sectorLogFTL (all four build on FtlBase, ftl/ftl_base.h).
 //
 // The host interface is sector-granular (4-KB Ssub units): a request is
 // (first sector, sector count, sync flag). Simulated time flows through

@@ -10,22 +10,30 @@ namespace esp::ftl {
 
 FullPagePool::FullPagePool(nand::NandDevice& dev, BlockAllocator& allocator,
                            const Config& config, FtlStats& stats,
-                           RelocateFn relocate)
+                           std::uint64_t lpns)
     : dev_(dev),
       stats_(stats),
-      relocate_(std::move(relocate)),
       geo_(dev.geometry()),
       codec_(geo_),
       core_(dev, allocator, config, stats, telemetry::HealthPool::kFull,
             geo_.pages_per_block),
       use_copyback_(config.use_copyback),
       gc_tokens_(geo_.subpages_per_page) {
-  if (!relocate_)
-    throw std::invalid_argument("FullPagePool: relocate callback required");
+  l2p_.assign(lpns, nand::kUnmapped);
 }
 
-std::pair<std::uint64_t, SimTime> FullPagePool::write_page(
-    std::uint64_t lpn, std::span<const std::uint64_t> tokens, SimTime now) {
+SimTime FullPagePool::write_page(std::uint64_t lpn,
+                                 std::span<const std::uint64_t> tokens,
+                                 SimTime now) {
+  // Drop the stale copy before programming: GC may run inside program(),
+  // and a still-valid old page would be pointlessly copied.
+  drop(lpn);
+  return program(lpn, tokens, now);
+}
+
+SimTime FullPagePool::program(std::uint64_t lpn,
+                              std::span<const std::uint64_t> tokens,
+                              SimTime now) {
   if (!in_gc_) now = maybe_gc(now);
   const auto chip = core_.ensure_active(now);
   if (!chip)
@@ -40,14 +48,17 @@ std::pair<std::uint64_t, SimTime> FullPagePool::write_page(
   ++stats_.flash_prog_full;
 
   core_.fill_slot(idx, page, lpn);
-  return {codec_.encode_page(addr), ack.done};
+  l2p_[lpn] = codec_.encode_page(addr);
+  return ack.done;
 }
 
-void FullPagePool::invalidate(std::uint64_t page_lin) {
-  const nand::PageAddr addr = codec_.decode_page(page_lin);
+void FullPagePool::drop(std::uint64_t lpn) {
+  if (l2p_[lpn] == nand::kUnmapped) return;
+  const nand::PageAddr addr = codec_.decode_page(l2p_[lpn]);
   const std::size_t idx = core_.index(addr.chip, addr.block);
   if (BlockPoolCore::sealed(core_.invalidate(idx, addr.page)))
     core_.push_victim(idx);
+  l2p_[lpn] = nand::kUnmapped;
 }
 
 SimTime FullPagePool::read_tokens(const nand::PageAddr& addr,
@@ -64,15 +75,32 @@ SimTime FullPagePool::read_tokens(const nand::PageAddr& addr,
   return read.done;
 }
 
-SimTime FullPagePool::read_for_rmw(std::uint64_t page_lin,
+SimTime FullPagePool::read_for_rmw(std::uint64_t lpn,
                                    std::span<std::uint64_t> tokens,
                                    SimTime now) {
   ++stats_.rmw_ops;
-  return read_tokens(codec_.decode_page(page_lin), tokens, now);
+  return read_tokens(codec_.decode_page(l2p_[lpn]), tokens, now);
+}
+
+SimTime FullPagePool::merge_page(std::uint64_t lpn,
+                                 std::span<const SectorWrite> sectors,
+                                 SimTime now) {
+  const std::uint32_t subs = geo_.subpages_per_page;
+  std::array<std::uint64_t, nand::kMaxSubpagesPerPage> page_tokens{};
+  const std::span<std::uint64_t> tokens(page_tokens.data(), subs);
+  SimTime t = now;
+  const bool merges_old_page = l2p_[lpn] != nand::kUnmapped;
+  if (merges_old_page) t = read_for_rmw(lpn, tokens, t);
+  for (const SectorWrite& sw : sectors) tokens[sw.sector % subs] = sw.token;
+  const SimTime done = write_page(lpn, tokens, t);
+  telemetry::Sink* sink = core_.sink();
+  if (sink && merges_old_page && sink->wants_op(telemetry::OpKind::kRmw))
+    sink->record_op({telemetry::OpKind::kRmw, now, done,
+                     static_cast<std::uint64_t>(sectors.size())});
+  return done;
 }
 
 SimTime FullPagePool::merge_sectors(std::span<const SectorWrite> batch,
-                                    std::span<std::uint64_t> l2p,
                                     SimTime now) {
   std::vector<SectorWrite>& sorted = merge_sorted_;
   sorted.assign(batch.begin(), batch.end());
@@ -81,32 +109,15 @@ SimTime FullPagePool::merge_sectors(std::span<const SectorWrite> batch,
               return a.sector < b.sector;
             });
   const std::uint32_t subs = geo_.subpages_per_page;
-  telemetry::Sink* sink = core_.sink();
   SimTime done = now;
   std::size_t i = 0;
   while (i < sorted.size()) {
     const std::uint64_t lpn = sorted[i].sector / subs;
     std::size_t j = i;
     while (j < sorted.size() && sorted[j].sector / subs == lpn) ++j;
-
-    std::array<std::uint64_t, nand::kMaxSubpagesPerPage> page_tokens{};
-    const std::span<std::uint64_t> tokens(page_tokens.data(), subs);
-    SimTime t = now;
-    const bool merges_old_page = l2p[lpn] != nand::kUnmapped;
-    if (merges_old_page) {
-      t = read_for_rmw(l2p[lpn], tokens, t);
-      invalidate(l2p[lpn]);
-      l2p[lpn] = nand::kUnmapped;
-    }
-    for (std::size_t k = i; k < j; ++k)
-      tokens[sorted[k].sector % subs] = sorted[k].token;
-    const auto [new_lin, page_done] = write_page(lpn, tokens, t);
-    l2p[lpn] = new_lin;
+    const std::span<const SectorWrite> page(&sorted[i], j - i);
+    done = std::max(done, merge_page(lpn, page, now));
     stats_.small_extra_flash_bytes += geo_.page_bytes;
-    if (sink && merges_old_page && sink->wants_op(telemetry::OpKind::kRmw))
-      sink->record_op({telemetry::OpKind::kRmw, now, page_done,
-                       static_cast<std::uint64_t>(j - i)});
-    done = std::max(done, page_done);
     i = j;
   }
   return done;
@@ -148,6 +159,8 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
     const std::uint64_t lpn = core_.owner(idx, page);
     if (lpn == nand::kUnmapped) continue;
     const nand::PageAddr src{chip, blk, page};
+    moved_stat += geo_.subpages_per_page;
+    moved_sectors += geo_.subpages_per_page;
 
     if (use_copyback_ && core_.ensure_active_on(chip, now) &&
         core_.active(chip) != blk) {
@@ -161,9 +174,7 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
       ++stats_.flash_prog_full;
       core_.clear_slot(idx, page);
       core_.fill_slot(dst, dst_page, lpn);
-      moved_stat += geo_.subpages_per_page;
-      moved_sectors += geo_.subpages_per_page;
-      relocate_(lpn, codec_.encode_page(dst_addr));
+      l2p_[lpn] = codec_.encode_page(dst_addr);
       now = ack.done;
       continue;
     }
@@ -171,11 +182,7 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
     const SimTime read_done = read_tokens(src, gc_tokens_, now);
     // Invalidate before rewriting so the copy's accounting stays balanced.
     core_.clear_slot(idx, page);
-    const auto [new_lin, done] = write_page(lpn, gc_tokens_, read_done);
-    moved_stat += geo_.subpages_per_page;
-    moved_sectors += geo_.subpages_per_page;
-    relocate_(lpn, new_lin);
-    now = done;
+    now = program(lpn, gc_tokens_, read_done);
   }
   in_gc_ = false;
 
@@ -197,11 +204,17 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
 void FullPagePool::save_state(util::StateWriter& w) const {
   w.tag("POOL");
   core_.save_state(w);
+  w.pod_vec(l2p_);
 }
 
 void FullPagePool::load_state(util::StateReader& r) {
   r.tag("POOL");
   core_.load_state(r);
+  r.pod_fixed(std::span(l2p_));
+  core_.check_map(l2p_, [&](std::uint64_t page_lin) {
+    return std::pair{page_lin / geo_.pages_per_block,
+                     page_lin % geo_.pages_per_block};
+  });
   in_gc_ = false;
 }
 

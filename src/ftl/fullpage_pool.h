@@ -1,19 +1,16 @@
 // Coarse-grained (full-page) storage pool.
 //
 // Implements the CGM scheme's physical layer, shared by cgmFTL (as its only
-// pool) and subFTL (as its full-page region): out-of-place full-page
-// writes striped round-robin across chips, per-page validity tracking,
-// greedy garbage collection (victim = fewest valid pages), and dynamic
-// wear leveling via the shared low-P/E-first BlockAllocator. Block
-// ownership, victim choice and wear leveling live in BlockPoolCore; this
-// class keeps the page-append placement and the GC page copy.
-//
-// Mapping tables stay in the owning FTL; the pool reports relocations
-// through a callback so the FTL can patch its L2P entries.
+// pool), subFTL (as its full-page region) and sectorLogFTL (as its data
+// region): out-of-place full-page writes striped round-robin across chips,
+// per-page validity tracking, greedy garbage collection (victim = fewest
+// valid pages), and dynamic wear leveling via the shared low-P/E-first
+// BlockAllocator. Block ownership, victim choice and wear leveling live in
+// BlockPoolCore; this class keeps the lpn -> page map, the page-append
+// placement and the GC page copy. GC updates the map in place.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -23,10 +20,11 @@
 #include "nand/address.h"
 #include "nand/device.h"
 #include "telemetry/sink.h"
+#include "util/huge_pages.h"
 
 namespace esp::ftl {
 
-class FullPagePool {
+class FullPagePool final : public EvictionTarget {
  public:
   struct Config : PoolConfig {
     /// Use the NAND copy-back command for GC page moves whose destination
@@ -34,34 +32,38 @@ class FullPagePool {
     bool use_copyback = false;
   };
 
-  /// Invoked when GC moves a logical page: (lpn, new linear page address).
-  using RelocateFn =
-      std::function<void(std::uint64_t lpn, std::uint64_t new_page_lin)>;
-
+  /// Maps logical pages [0, lpns).
   FullPagePool(nand::NandDevice& dev, BlockAllocator& allocator,
-               const Config& config, FtlStats& stats, RelocateFn relocate);
+               const Config& config, FtlStats& stats, std::uint64_t lpns);
 
-  /// Programs one full page of tokens for `lpn`; runs GC first if space is
-  /// tight. Returns the linear page address and the completion time.
-  std::pair<std::uint64_t, SimTime> write_page(
-      std::uint64_t lpn, std::span<const std::uint64_t> tokens, SimTime now);
+  /// Linear address of `lpn`'s live page, or nand::kUnmapped.
+  std::uint64_t page_of(std::uint64_t lpn) const { return l2p_[lpn]; }
+  std::uint64_t lpns() const { return l2p_.size(); }
 
-  /// Marks a previously written page stale.
-  void invalidate(std::uint64_t page_lin);
+  /// Programs one full page of tokens for `lpn`. Its previous page goes
+  /// stale first, then GC runs if space is tight. Returns the completion.
+  SimTime write_page(std::uint64_t lpn, std::span<const std::uint64_t> tokens,
+                     SimTime now);
 
-  /// Read half of a read-modify-write: reads the page at `page_lin` into
+  /// Drops `lpn`'s page (TRIM); a no-op when it has none.
+  void drop(std::uint64_t lpn);
+
+  /// Read half of a read-modify-write: reads `lpn`'s (mapped) page into
   /// `tokens` (one per sector), counting the flash read, the RMW and every
   /// corrupted or uncorrectable sector. Returns the read's completion time.
-  SimTime read_for_rmw(std::uint64_t page_lin,
-                       std::span<std::uint64_t> tokens, SimTime now);
+  SimTime read_for_rmw(std::uint64_t lpn, std::span<std::uint64_t> tokens,
+                       SimTime now);
 
-  /// Read-modify-write merge of sectors leaving another region (the caller
-  /// has already dropped their entries there): one page program per
-  /// logical page, however many of its sectors `batch` carries, merged
-  /// over the old page when `l2p` (the owner's lpn -> page map) has one.
-  /// Returns the latest completion time.
+  /// Read-modify-write of `sectors`, all of logical page `lpn`: merged over
+  /// its current page when it has one, then programmed as one page. An RMW
+  /// op event spans [now, completion]. Returns the completion time.
+  SimTime merge_page(std::uint64_t lpn, std::span<const SectorWrite> sectors,
+                     SimTime now);
+
+  /// Eviction target: one merge_page per logical page, however many of
+  /// its sectors `batch` carries. Returns the latest completion time.
   SimTime merge_sectors(std::span<const SectorWrite> batch,
-                        std::span<std::uint64_t> l2p, SimTime now);
+                        SimTime now) override;
 
   /// Runs GC while the pool is over quota or the allocator is below
   /// reserve; returns the (possibly advanced) time.
@@ -80,11 +82,17 @@ class FullPagePool {
   /// block collections are recorded as mechanism-lane op events.
   void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
 
-  /// Snapshot support (see BlockPoolCore::save_state).
+  /// Snapshot support: the core's block state, then the lpn -> page map.
+  /// Load throws when a mapped page is not live or belongs to another lpn,
+  /// or when the mapped count differs from the valid page count.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
+  /// Programs `lpn`'s page and maps it, without superseding anything (GC
+  /// moves data whose old slot it has already cleared).
+  SimTime program(std::uint64_t lpn, std::span<const std::uint64_t> tokens,
+                  SimTime now);
   /// Reads page `addr` into `tokens`, counting the flash read and every
   /// corrupted or uncorrectable sector. Returns the read's completion.
   SimTime read_tokens(const nand::PageAddr& addr,
@@ -95,11 +103,11 @@ class FullPagePool {
 
   nand::NandDevice& dev_;
   FtlStats& stats_;
-  RelocateFn relocate_;
   nand::Geometry geo_;
   nand::AddressCodec codec_;
   BlockPoolCore core_;
   bool use_copyback_;
+  util::HugeVector<std::uint64_t> l2p_;  ///< lpn -> linear page (kUnmapped)
   /// Pooled GC read buffer (collect_block never nests within itself).
   std::vector<std::uint64_t> gc_tokens_;
   /// Pooled merge_sectors sort buffer (merge_sectors never nests within

@@ -8,19 +8,18 @@
 namespace esp::ftl {
 
 SubpagePool::SubpagePool(nand::NandDevice& dev, BlockAllocator& allocator,
-                         const Config& config, FtlStats& stats, PlaceFn place,
-                         EvictFn evict, HotFn hot, KeptFn kept)
+                         const Config& config, FtlStats& stats,
+                         std::uint64_t sectors, EvictionTarget& evict)
     : dev_(dev),
       config_(config),
       stats_(stats),
-      place_(std::move(place)),
-      evict_(std::move(evict)),
-      hot_(std::move(hot)),
-      kept_(std::move(kept)),
+      evict_(evict),
       geo_(dev.geometry()),
       codec_(geo_),
       core_(dev, allocator, config, stats, telemetry::HealthPool::kSub,
             geo_.pages_per_block, /*track_write_times=*/true),
+      map_(sectors, nand::kUnmapped),
+      hot_(sectors, false),
       // Bucket width: a fraction of the eviction age so the boundary
       // bucket a scan re-examines holds only the youngest ~3% of the
       // retention window's writes.
@@ -29,8 +28,6 @@ SubpagePool::SubpagePool(nand::NandDevice& dev, BlockAllocator& allocator,
           config.reserve_free_blocks +
           std::max<std::size_t>(geo_.total_blocks() / 32,
                                 geo_.total_chips())) {
-  if (!place_ || !evict_ || !hot_ || !kept_)
-    throw std::invalid_argument("SubpagePool: all callbacks required");
   if (config_.quota_blocks == 0)
     throw std::invalid_argument("SubpagePool: quota_blocks must be > 0");
 }
@@ -71,8 +68,8 @@ SimTime SubpagePool::forward_page(std::uint32_t chip, std::uint32_t blk,
   core_.written_at(idx, page) = read.done;
   if (!config_.reference_scan_maintenance)
     retention_queue_.push(idx, page, read.done);
-  place_(core_.owner(idx, page),
-         codec_.encode_subpage(nand::SubpageAddr{pa, to_slot}));
+  map_[core_.owner(idx, page)] =
+      codec_.encode_subpage(nand::SubpageAddr{pa, to_slot});
   if (sink && sink->wants_op(telemetry::OpKind::kForwardMigration))
     sink->record_op(
         {telemetry::OpKind::kForwardMigration, now, ack.done, to_slot});
@@ -145,18 +142,24 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
   }
 }
 
-std::pair<std::uint64_t, SimTime> SubpagePool::write_sector(
-    std::uint64_t sector, std::uint64_t token, SimTime now) {
-  if (auto placed = try_write_sector(sector, token, now)) return *placed;
-  throw std::runtime_error(
-      "SubpagePool: no free subpage slot available after GC");
+std::optional<SimTime> SubpagePool::try_write_sector(std::uint64_t sector,
+                                                     std::uint64_t token,
+                                                     SimTime now) {
+  if (map_[sector] != nand::kUnmapped) {
+    // Re-update of a resident sector: the old subpage goes stale and the
+    // sector is proven hot.
+    invalidate(sector);
+    hot_[sector] = true;
+  }
+  if (const auto done = place(sector, token, now)) return done;
+  hot_[sector] = false;
+  return std::nullopt;
 }
 
-std::optional<std::pair<std::uint64_t, SimTime>> SubpagePool::try_write_sector(
-    std::uint64_t sector, std::uint64_t token, SimTime now) {
+std::optional<SimTime> SubpagePool::place(std::uint64_t sector,
+                                          std::uint64_t token, SimTime now) {
   auto program_at = [&](std::uint32_t chip, std::uint32_t blk,
-                        std::uint32_t page, std::uint32_t slot, SimTime t)
-      -> std::pair<std::uint64_t, SimTime> {
+                        std::uint32_t page, std::uint32_t slot, SimTime t) {
     core_.rotate_past(chip);
     const nand::PageAddr pa{chip, blk, page};
     const auto ack = dev_.program_subpage(nand::SubpageAddr{pa, slot}, token, t);
@@ -166,10 +169,8 @@ std::optional<std::pair<std::uint64_t, SimTime>> SubpagePool::try_write_sector(
     core_.written_at(idx, page) = t;
     if (!config_.reference_scan_maintenance)
       retention_queue_.push(idx, page, t);
-    const std::uint64_t sub_lin =
-        codec_.encode_subpage(nand::SubpageAddr{pa, slot});
-    place_(sector, sub_lin);
-    return {sub_lin, ack.done};
+    map_[sector] = codec_.encode_subpage(nand::SubpageAddr{pa, slot});
+    return ack.done;
   };
 
   for (int round = 0; round < 2; ++round) {
@@ -210,8 +211,8 @@ std::optional<std::pair<std::uint64_t, SimTime>> SubpagePool::try_write_sector(
   return std::nullopt;
 }
 
-void SubpagePool::invalidate(std::uint64_t sub_lin) {
-  const nand::SubpageAddr addr = codec_.decode_subpage(sub_lin);
+void SubpagePool::invalidate(std::uint64_t sector) {
+  const nand::SubpageAddr addr = codec_.decode_subpage(map_[sector]);
   const std::size_t idx = core_.index(addr.page.chip, addr.page.block);
   // Guard against stale pointers: the live copy must be the page's latest
   // programmed slot.
@@ -223,6 +224,15 @@ void SubpagePool::invalidate(std::uint64_t sub_lin) {
         "SubpagePool::invalidate: address does not match live slot");
   const BlockPoolCore::Block& m = core_.invalidate(idx, addr.page.page);
   if (m.valid_count == 0 && !m.active) idle_candidates_.push_back(idx);
+  map_[sector] = nand::kUnmapped;
+}
+
+SimTime SubpagePool::evict(std::span<const SectorWrite> batch, SimTime now) {
+  for (const SectorWrite& sw : batch) {
+    map_[sw.sector] = nand::kUnmapped;
+    hot_[sw.sector] = false;
+  }
+  return evict_.merge_sectors(batch, now);
 }
 
 SimTime SubpagePool::collect(SimTime now,
@@ -285,20 +295,21 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
     ++stats_.flash_reads;
     if (read.status != nand::ReadStatus::kOk) ++stats_.read_failures;
     core_.clear_slot(idx, page);
-    if (hot_(sector)) {
+    if (hot_[sector]) {
       // Updated since entering the region: likely to be updated again --
       // keep it close (rewrite into the region). If the region is too
       // tight to accept it, demote it to the full-page region instead.
-      if (const auto placed =
-              try_write_sector(sector, read.token, read.done)) {
+      if (const auto placed = place(sector, read.token, read.done)) {
         if (for_wear_leveling)
           ++stats_.wear_level_relocations;
         else
           ++stats_.gc_copy_sectors;
         stats_.small_extra_flash_bytes += geo_.subpage_bytes();
-        kept_(sector);  // must be updated again to stay hot next time
+        // The rewrite counts as the sector's (re-)entry into the region:
+        // it must be updated again to stay hot next time.
+        hot_[sector] = false;
         ++kept_sectors;
-        t = placed->second;
+        t = *placed;
         continue;
       }
     }
@@ -308,7 +319,7 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
     evictions.push_back(SectorWrite{sector, read.token});
     t = std::max(t, read.done);
   }
-  if (!evictions.empty()) t = evict_(evictions, t, /*retention=*/false);
+  if (!evictions.empty()) t = evict(evictions, t);
 
   const SimTime done = core_.erase(idx, t);
   core_.release(idx, done);
@@ -410,7 +421,7 @@ SimTime SubpagePool::retention_evict_pages(std::size_t idx,
     telemetry::Sink* sink = core_.sink();
     const telemetry::CauseScope cause(sink, telemetry::Cause::kRetentionEvict,
                                       idx, block_start);
-    t = evict_(retention_evictions_, t, /*retention=*/true);
+    t = evict(retention_evictions_, t);
     if (sink)
       sink->record_op({telemetry::OpKind::kRetentionEvict, block_start, t,
                        retention_evictions_.size()});
@@ -494,6 +505,8 @@ void SubpagePool::save_state(util::StateWriter& w) const {
   core_.save_state(w);
   retention_queue_.save_state(w);
   w.pod_vec(idle_candidates_);
+  w.bool_vec(hot_);
+  w.pod_vec(map_);
 }
 
 void SubpagePool::load_state(util::StateReader& r) {
@@ -501,6 +514,32 @@ void SubpagePool::load_state(util::StateReader& r) {
   core_.load_state(r);
   retention_queue_.load_state(r);
   r.pod_vec(idle_candidates_);
+  const std::size_t sectors = map_.size();
+  r.bool_vec(hot_);
+  r.pod_fixed(std::span(map_));
+  if (hot_.size() != sectors)
+    throw std::runtime_error("SubpagePool::load_state: hot bits mismatch");
+  const std::uint32_t subs = geo_.subpages_per_page;
+  core_.check_map(map_, [&](std::uint64_t sub_lin) {
+    return std::pair{sub_lin / subs / geo_.pages_per_block,
+                     sub_lin / subs % geo_.pages_per_block};
+  });
+  // A page's live data sits in its latest programmed slot.
+  for (std::uint64_t sector = 0; sector < sectors; ++sector) {
+    if (map_[sector] == nand::kUnmapped) {
+      if (hot_[sector])
+        throw std::runtime_error(
+            "SubpagePool::load_state: hot bit on unmapped sector " +
+            std::to_string(sector));
+      continue;
+    }
+    const nand::SubpageAddr a = codec_.decode_subpage(map_[sector]);
+    if (dev_.block(a.page.chip, a.page.block).slots_programmed(a.page.page) !=
+        a.slot + 1)
+      throw std::runtime_error("SubpagePool::load_state: sector " +
+                               std::to_string(sector) +
+                               " maps a superseded subpage");
+  }
   in_gc_ = false;
   gc_dest_allocs_ = 0;
 }

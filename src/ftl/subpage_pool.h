@@ -13,7 +13,8 @@
 //     valid data FORWARD it into the page's next slot (one subpage program,
 //     no data loss -- the spX(0,0) -> spX(0,1) move of Fig. 7(c));
 //   * a page never holds more than one valid subpage (the latest slot), so
-//     the owning FTL's hash mapping stays small;
+//     the region's hash mapping (sector -> subpage, owned here) stays
+//     small;
 //   * when all levels of all blocks are exhausted, GC picks the block with
 //     the fewest valid subpages: subpages that were updated at least once
 //     since entering the region (hot) are rewritten into the region, the
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -56,41 +56,35 @@ class SubpagePool {
     double advance_max_valid_fraction = 0.25;
   };
 
-  /// Mapping update: (sector, new linear subpage address).
-  using PlaceFn =
-      std::function<void(std::uint64_t sector, std::uint64_t new_sub_lin)>;
-  /// Batched eviction to the full-page region; returns the completion
-  /// time. The batch is everything one GC pass (or one retention-scanned
-  /// block) sheds, so the receiver can merge sectors of the same logical
-  /// page into a single read-modify-write. `retention` distinguishes
-  /// age-triggered from GC cold eviction.
-  using EvictFn = std::function<SimTime(std::span<const SectorWrite> batch,
-                                        SimTime now, bool retention)>;
-  /// Hotness query: has this sector been updated since entering the region?
-  using HotFn = std::function<bool(std::uint64_t sector)>;
-  /// Notification that GC kept a hot sector in the region (rewrote it).
-  /// The owner resets its hot flag: the GC rewrite counts as the sector's
-  /// (re-)entry into the region, so it must be updated again to stay hot.
-  using KeptFn = std::function<void(std::uint64_t sector)>;
-
+  /// Maps sectors [0, sectors); GC and retention evictions go to `evict`
+  /// (the full-page region).
   SubpagePool(nand::NandDevice& dev, BlockAllocator& allocator,
-              const Config& config, FtlStats& stats, PlaceFn place,
-              EvictFn evict, HotFn hot, KeptFn kept);
+              const Config& config, FtlStats& stats, std::uint64_t sectors,
+              EvictionTarget& evict);
+
+  /// Linear subpage address of `sector`'s live copy, or nand::kUnmapped.
+  std::uint64_t subpage_of(std::uint64_t sector) const {
+    return map_[sector];
+  }
+  /// Updated since entering the region: GC keeps hot sectors in the region
+  /// and evicts the rest.
+  bool hot(std::uint64_t sector) const { return hot_[sector]; }
 
   /// Stores one sector via an ESP subpage program (forwarding/advancing/
-  /// collecting as needed). Returns (linear subpage address, completion).
-  /// Throws std::runtime_error when the region is truly out of slots.
-  std::pair<std::uint64_t, SimTime> write_sector(std::uint64_t sector,
-                                                 std::uint64_t token,
-                                                 SimTime now);
+  /// collecting as needed). A resident copy goes stale first and makes the
+  /// sector hot. Returns the completion time, or nullopt when the region
+  /// has no slot left: the sector has then left the region (unmapped, not
+  /// hot) and the caller must store it elsewhere.
+  std::optional<SimTime> try_write_sector(std::uint64_t sector,
+                                          std::uint64_t token, SimTime now);
 
-  /// Non-throwing variant used by GC's hot-rewrite path: nullopt when no
-  /// slot is available (caller falls back to eviction).
-  std::optional<std::pair<std::uint64_t, SimTime>> try_write_sector(
-      std::uint64_t sector, std::uint64_t token, SimTime now);
-
-  /// Marks the subpage at the given linear address stale.
-  void invalidate(std::uint64_t sub_lin);
+  /// Drops `sector`'s copy (TRIM, or a full-page write supersedes it); a
+  /// no-op when it has none.
+  void drop(std::uint64_t sector) {
+    if (map_[sector] == nand::kUnmapped) return;
+    invalidate(sector);
+    hot_[sector] = false;
+  }
 
   /// Evicts subpages older than config().retention_evict_age.
   SimTime retention_scan(SimTime now);
@@ -106,6 +100,7 @@ class SubpagePool {
   SimTime static_wear_level(SimTime now, std::uint32_t pe_threshold);
 
   std::uint64_t blocks_in_use() const { return core_.blocks_in_use(); }
+  /// Live subpages, which is also the number of mapped sectors.
   std::uint64_t valid_sectors() const { return core_.valid_slots(); }
   const Config& config() const { return config_; }
   /// Block ownership: health rows (ESP level and valid subpages; capacity
@@ -118,12 +113,24 @@ class SubpagePool {
   void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
 
   /// Snapshot support: the core's block state (live-subpage program times
-  /// included) plus retention queue and idle candidates. Pooled scratch is
-  /// NOT archived (pure allocation reuse, no behavior).
+  /// included), retention queue, idle candidates, hot bits and the sector
+  /// map. Pooled scratch is NOT archived (pure allocation reuse, no
+  /// behavior). Load throws on a map entry FullPagePool::load_state would
+  /// refuse, one that names a superseded ESP slot of its page, or a hot
+  /// bit on an unmapped sector.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
+  /// Programs `sector` into a free slot and maps it, without superseding
+  /// anything (GC rewrites sectors whose old slot it has already cleared).
+  /// nullopt when no slot is available.
+  std::optional<SimTime> place(std::uint64_t sector, std::uint64_t token,
+                               SimTime now);
+  /// Marks `sector`'s live subpage stale and unmaps it.
+  void invalidate(std::uint64_t sector);
+  /// Unmaps sectors leaving the region and merges them into evict_.
+  SimTime evict(std::span<const SectorWrite> batch, SimTime now);
   /// Finds (possibly creating/advancing) a free slot on `chip` and returns
   /// it; forwards valid data encountered on the way. Returns false when the
   /// chip has no capacity left at any level.
@@ -156,13 +163,16 @@ class SubpagePool {
   nand::NandDevice& dev_;
   Config config_;
   FtlStats& stats_;
-  PlaceFn place_;
-  EvictFn evict_;
-  HotFn hot_;
-  KeptFn kept_;
+  EvictionTarget& evict_;
   nand::Geometry geo_;
   nand::AddressCodec codec_;
   BlockPoolCore core_;
+  /// The region's sector map, as flat per-sector arrays: the small-write/
+  /// read hot path costs one indexed load instead of a hash+probe. The
+  /// MODELED mapping cost stays the paper's hash table -- 16 bytes per live
+  /// entry (valid_sectors()) -- not these simulator-side arrays.
+  std::vector<std::uint64_t> map_;  ///< sector -> linear subpage
+  std::vector<bool> hot_;
   /// Incremental maintenance indices (see docs/PERFORMANCE.md). The
   /// retention queue records every subpage program; idle_candidates_
   /// records every seal of an empty block and every transition of a

@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "util/serialize.h"
@@ -41,6 +42,20 @@ constexpr std::uint64_t token_version(std::uint64_t token) {
 struct SectorWrite {
   std::uint64_t sector = 0;
   std::uint64_t token = 0;
+};
+
+/// Where a region pool sheds sectors: the subpage region's GC and
+/// retention evictions and the sector log's cleaning merge them into the
+/// full-page region (FullPagePool implements this; tests fake it).
+class EvictionTarget {
+ public:
+  /// Merges `batch` -- sectors the sender has already unmapped -- into
+  /// their logical pages; returns the completion time.
+  virtual SimTime merge_sectors(std::span<const SectorWrite> batch,
+                                SimTime now) = 0;
+
+ protected:
+  ~EvictionTarget() = default;
 };
 
 /// Completion of one host request.

@@ -2,6 +2,8 @@
 // parameterized over all four FTLs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/ssd.h"
 #include "test_common.h"
 
@@ -77,6 +79,22 @@ TEST_P(FtlContract, OutOfRangeAccessesThrow) {
   EXPECT_THROW(ftl.read(sectors, 1, 0.0, nullptr), std::out_of_range);
   EXPECT_THROW(ftl.write(0, 0, false, 0.0), std::out_of_range);
   EXPECT_THROW(ftl.trim(sectors, 1), std::out_of_range);
+}
+
+TEST_P(FtlContract, RejectsWrappingRanges) {
+  // sector + count wraps past 2^64 here; a range check written as
+  // `sector + count > logical_sectors` would accept these and index the
+  // mapping out of bounds.
+  auto& ftl = ssd_.ftl();
+  const auto sectors = ftl.logical_sectors();
+  for (const std::uint64_t start : {UINT64_MAX, UINT64_MAX - 2, sectors}) {
+    SCOPED_TRACE(start);
+    EXPECT_THROW(ftl.read(start, 2, 0.0, nullptr), std::out_of_range);
+    EXPECT_THROW(ftl.write(start, 4, false, 0.0), std::out_of_range);
+    EXPECT_THROW(ftl.trim(start, 4), std::out_of_range);
+  }
+  EXPECT_EQ(ftl.stats().host_read_requests, 0u);
+  EXPECT_EQ(ftl.stats().host_write_requests, 0u);
 }
 
 TEST_P(FtlContract, CompletionTimesAreCausal) {

@@ -8,9 +8,10 @@
 //      byte-identical causal-attribution journals (every GC victim,
 //      retention eviction and wear-leveling move, in order);
 //   2. pool-level: one pool per mode driven with an identical
-//      write/invalidate/maintenance sequence must agree on every returned
-//      completion time, every mapping update, every eviction batch or GC
-//      relocation and every deterministic counter -- for the SubpagePool
+//      write/drop/maintenance sequence must agree on every returned
+//      completion time, every entry of the pool's own map, every eviction
+//      batch or GC relocation and every deterministic counter -- for the
+//      SubpagePool
 //      (retention, wear leveling, idle release) and for the append-only
 //      FullPagePool (with and without copy-back) and FinePool (greedy GC
 //      plus wear leveling through the shared block-pool core).
@@ -22,7 +23,6 @@
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "core/parallel_runner.h"
@@ -135,16 +135,17 @@ TEST(MaintenanceDifferential, JournalsByteIdenticalScanVsIndex) {
 // through one interleaved write/invalidate/maintenance sequence and demand
 // step-by-step agreement.
 
-struct PoolHarness {
+constexpr std::uint64_t kSectors = 600;
+
+struct PoolHarness final : ftl::EvictionTarget {
   nand::Geometry geo = test::tiny_geometry();
   std::unique_ptr<nand::NandDevice> dev;
   std::unique_ptr<ftl::BlockAllocator> allocator;
   ftl::FtlStats stats;
   std::unique_ptr<ftl::SubpagePool> pool;
-  /// sector -> live linear subpage address (the "owner FTL's" mapping).
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  /// Every eviction the pool handed back: (sector, token, retention?).
+  /// Every eviction the pool handed over: (sector, token, retention?).
   std::vector<std::tuple<std::uint64_t, std::uint64_t, bool>> evicted;
+  std::uint64_t retention_seen = 0;
 
   explicit PoolHarness(bool reference_scan) {
     dev = std::make_unique<nand::NandDevice>(geo);
@@ -154,21 +155,25 @@ struct PoolHarness {
     cfg.reserve_free_blocks = 4;
     cfg.retention_evict_age = 4000.0;  // us; writes advance now by ~2-8
     cfg.reference_scan_maintenance = reference_scan;
-    pool = std::make_unique<ftl::SubpagePool>(
-        *dev, *allocator, cfg, stats,
-        /*place=*/
-        [this](std::uint64_t sector, std::uint64_t lin) { map[sector] = lin; },
-        /*evict=*/
-        [this](std::span<const ftl::SectorWrite> batch, SimTime t,
-               bool retention) {
-          for (const auto& w : batch) {
-            evicted.emplace_back(w.sector, w.token, retention);
-            map.erase(w.sector);
-          }
-          return t;
-        },
-        /*hot=*/[](std::uint64_t sector) { return sector % 3 == 0; },
-        /*kept=*/[](std::uint64_t) {});
+    pool = std::make_unique<ftl::SubpagePool>(*dev, *allocator, cfg, stats,
+                                              kSectors, *this);
+  }
+
+  /// The full-page region's side of an eviction; a retention batch is one
+  /// the pool counted as retention evictions.
+  SimTime merge_sectors(std::span<const ftl::SectorWrite> batch,
+                        SimTime t) override {
+    const bool retention = stats.retention_evictions != retention_seen;
+    retention_seen = stats.retention_evictions;
+    for (const auto& w : batch) evicted.emplace_back(w.sector, w.token, retention);
+    return t;
+  }
+
+  std::uint64_t mapped_sectors() const {
+    std::uint64_t n = 0;
+    for (std::uint64_t s = 0; s < kSectors; ++s)
+      n += pool->subpage_of(s) != nand::kUnmapped;
+    return n;
   }
 };
 
@@ -176,7 +181,6 @@ TEST(MaintenanceDifferential, SubpagePoolStepwiseAgreement) {
   PoolHarness scan(true);
   PoolHarness index(false);
   util::Xoshiro256 rng(2017);
-  constexpr std::uint64_t kSectors = 600;
   constexpr std::uint32_t kWlThreshold = 2;
   std::vector<std::uint64_t> version(kSectors, 0);
   SimTime now = 0.0;
@@ -187,16 +191,12 @@ TEST(MaintenanceDifferential, SubpagePoolStepwiseAgreement) {
     if (roll < 88) {  // overwrite a random sector
       const std::uint64_t sector = rng.below(kSectors);
       const std::uint64_t token = ftl::make_token(sector, ++version[sector]);
-      auto write = [&](PoolHarness& h) {
-        const auto it = h.map.find(sector);
-        if (it != h.map.end()) h.pool->invalidate(it->second);
-        return h.pool->write_sector(sector, token, now);
-      };
-      const auto a = write(scan);
-      const auto b = write(index);
-      ASSERT_EQ(a.first, b.first) << "placement diverged at step " << step;
-      ASSERT_EQ(a.second, b.second) << "completion diverged at step " << step;
-      now = a.second + 1.0 + static_cast<double>(rng.below(6));
+      const SimTime a = scan.pool->try_write_sector(sector, token, now).value();
+      const SimTime b = index.pool->try_write_sector(sector, token, now).value();
+      ASSERT_EQ(scan.pool->subpage_of(sector), index.pool->subpage_of(sector))
+          << "placement diverged at step " << step;
+      ASSERT_EQ(a, b) << "completion diverged at step " << step;
+      now = a + 1.0 + static_cast<double>(rng.below(6));
     } else if (roll < 94) {
       ++retention_calls;
       const SimTime a = scan.pool->retention_scan(now);
@@ -227,11 +227,12 @@ TEST(MaintenanceDifferential, SubpagePoolStepwiseAgreement) {
   // retention/GC attribution; identical final mappings; identical
   // deterministic counters.
   ASSERT_EQ(scan.evicted, index.evicted);
-  ASSERT_EQ(scan.map.size(), index.map.size());
-  for (const auto& [sector, lin] : scan.map) {
-    const auto it = index.map.find(sector);
-    ASSERT_NE(it, index.map.end()) << "sector " << sector;
-    EXPECT_EQ(it->second, lin) << "sector " << sector;
+  ASSERT_EQ(scan.mapped_sectors(), index.mapped_sectors());
+  for (std::uint64_t sector = 0; sector < kSectors; ++sector) {
+    EXPECT_EQ(scan.pool->subpage_of(sector), index.pool->subpage_of(sector))
+        << "sector " << sector;
+    EXPECT_EQ(scan.pool->hot(sector), index.pool->hot(sector))
+        << "sector " << sector;
   }
   EXPECT_EQ(scan.stats.flash_prog_sub, index.stats.flash_prog_sub);
   EXPECT_EQ(scan.stats.flash_erases, index.stats.flash_erases);
@@ -271,6 +272,9 @@ const char* append_pool_name(AppendPool kind) {
   return "?";
 }
 
+// ~60% of the device's pages (FinePool: one sector per program).
+constexpr std::uint64_t kUnits = 1200;
+
 struct AppendPoolHarness {
   nand::Geometry geo = test::tiny_geometry();
   std::unique_ptr<nand::NandDevice> dev;
@@ -278,60 +282,67 @@ struct AppendPoolHarness {
   ftl::FtlStats stats;
   std::unique_ptr<ftl::FullPagePool> full;
   std::unique_ptr<ftl::FinePool> fine;
-  /// Mapping unit (lpn for FullPagePool, sector for FinePool) -> live
-  /// linear address, as the owner FTL would keep it.
-  std::unordered_map<std::uint64_t, std::uint64_t> map;
-  /// Every placement callback, in order: (unit, new linear address). GC
-  /// relocations for FullPagePool; every landing sector for FinePool.
+  /// The pool's map (unit: lpn for FullPagePool, sector for FinePool)
+  /// as of the last record_moves().
+  std::vector<std::uint64_t> map =
+      std::vector<std::uint64_t>(kUnits, nand::kUnmapped);
+  /// Every map change, step by step in unit order: (unit, new linear
+  /// address). Host writes, drops and GC relocations alike.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> moves;
 
   AppendPoolHarness(AppendPool kind, bool reference_scan) {
     dev = std::make_unique<nand::NandDevice>(geo);
     allocator = std::make_unique<ftl::BlockAllocator>(geo);
-    auto record = [this](std::uint64_t unit, std::uint64_t lin) {
-      map[unit] = lin;
-      moves.emplace_back(unit, lin);
-    };
     if (kind == AppendPool::kFine) {
       ftl::FinePool::Config cfg;
       cfg.reserve_free_blocks = 4;
       cfg.reference_scan_maintenance = reference_scan;
       fine = std::make_unique<ftl::FinePool>(*dev, *allocator, cfg, stats,
-                                             record);
+                                             kUnits);
     } else {
       ftl::FullPagePool::Config cfg;
       cfg.reserve_free_blocks = 4;
       cfg.use_copyback = kind == AppendPool::kFullCopyback;
       cfg.reference_scan_maintenance = reference_scan;
       full = std::make_unique<ftl::FullPagePool>(*dev, *allocator, cfg,
-                                                 stats, record);
+                                                 stats, kUnits);
     }
   }
 
   const ftl::BlockPoolCore& core() const {
     return full ? full->core() : fine->core();
   }
+  std::uint64_t address(std::uint64_t unit) const {
+    return full ? full->page_of(unit) : fine->subpage_of(unit);
+  }
+  bool mapped(std::uint64_t unit) const {
+    return address(unit) != nand::kUnmapped;
+  }
+
+  /// Appends this step's map changes to `moves`.
+  void record_moves() {
+    for (std::uint64_t unit = 0; unit < kUnits; ++unit) {
+      if (address(unit) == map[unit]) continue;
+      map[unit] = address(unit);
+      moves.emplace_back(unit, map[unit]);
+    }
+  }
 
   /// Overwrites `unit`; returns the program's completion time.
   SimTime write(std::uint64_t unit, std::uint64_t token, SimTime now) {
-    if (map.contains(unit)) invalidate(unit);
     if (fine) {
       const ftl::SectorWrite group[] = {{unit, token}};
       return fine->write_group(group, now);
     }
     const std::vector<std::uint64_t> tokens(geo.subpages_per_page, token);
-    const auto [lin, done] = full->write_page(unit, tokens, now);
-    map[unit] = lin;
-    return done;
+    return full->write_page(unit, tokens, now);
   }
 
-  void invalidate(std::uint64_t unit) {
-    const auto it = map.find(unit);
+  void drop(std::uint64_t unit) {
     if (full)
-      full->invalidate(it->second);
+      full->drop(unit);
     else
-      fine->invalidate(it->second);
-    map.erase(it);
+      fine->drop(unit);
   }
 
   SimTime static_wear_level(SimTime now, std::uint32_t threshold) {
@@ -347,10 +358,8 @@ TEST(MaintenanceDifferential, AppendOnlyPoolsStepwiseAgreement) {
     AppendPoolHarness scan(kind, true);
     AppendPoolHarness index(kind, false);
     util::Xoshiro256 rng(2017);
-    // ~60% of the device's pages (FinePool: one sector per program), a
-    // fifth of them hot: cold blocks stay sealed at low P/E, so the low
-    // threshold below keeps wear leveling busy.
-    constexpr std::uint64_t kUnits = 1200;
+    // A fifth of the units are hot: cold blocks stay sealed at low P/E, so
+    // the low threshold below keeps wear leveling busy.
     constexpr std::uint64_t kHotUnits = kUnits / 5;
     constexpr std::uint32_t kWlThreshold = 2;
     std::vector<std::uint64_t> version(kUnits, 0);
@@ -366,15 +375,15 @@ TEST(MaintenanceDifferential, AppendOnlyPoolsStepwiseAgreement) {
         const SimTime a = scan.write(unit, token, now);
         const SimTime b = index.write(unit, token, now);
         ASSERT_EQ(a, b) << "completion diverged at step " << step;
-        ASSERT_EQ(scan.map.at(unit), index.map.at(unit))
+        ASSERT_EQ(scan.address(unit), index.address(unit))
             << "placement diverged at step " << step;
         now = a + 1.0;
       } else if (roll < 94) {
         const std::uint64_t unit = rng.below(kUnits);
-        if (scan.map.contains(unit)) {
+        if (scan.mapped(unit)) {
           ++trims;
-          scan.invalidate(unit);
-          index.invalidate(unit);
+          scan.drop(unit);
+          index.drop(unit);
         }
       } else {
         ++wl_calls;
@@ -383,6 +392,8 @@ TEST(MaintenanceDifferential, AppendOnlyPoolsStepwiseAgreement) {
         ASSERT_EQ(a, b) << "wear-level completion diverged at step " << step;
         now = a + 1.0;
       }
+      scan.record_moves();
+      index.record_moves();
       ASSERT_EQ(scan.moves.size(), index.moves.size()) << "step " << step;
       if (!scan.moves.empty()) {
         ASSERT_EQ(scan.moves.back(), index.moves.back()) << "step " << step;
