@@ -38,13 +38,11 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/observers.h"
 #include "core/parallel_runner.h"
 #include "core/shard.h"
 #include "sim/driver.h"
-#include "telemetry/forensics.h"
-#include "telemetry/health.h"
 #include "telemetry/json.h"
-#include "telemetry/telemetry.h"
 #include "util/table_printer.h"
 #include "workload/splitter.h"
 
@@ -63,6 +61,20 @@ struct Mode {
   /// wall clock is the fork-to-join measure window.
   unsigned shards = 1;
   bool forensics = false;
+};
+
+/// Sidecar settings of the cells that stream an observer.
+struct StreamOpts {
+  std::string health_out = "replay_health.jsonl";
+  // Endpoint epochs by default: the gate bounds the ALWAYS-ON per-op tax
+  // of the health stream. Snapshot cost is a separate, user-chosen knob --
+  // O(blocks) per epoch at whatever cadence --health-interval picks -- and
+  // this bench's deliberately compressed clock (400 us think time) would
+  // make any fixed simulated-seconds cadence absurdly aggressive: 1 sim-s
+  // is ~2500 requests here, vs minutes of real traffic on a device.
+  double health_interval_s = 0.0;
+  std::string forensics_out = "replay_forensics.jsonl";
+  std::uint32_t forensics_top = 16;
 };
 
 struct CellOut {
@@ -122,18 +134,25 @@ workload::SyntheticParams mixed_workload(std::uint32_t sectors_per_page,
   return p;
 }
 
+/// `path_tag` is appended to the cell key in stream paths, so a duel's
+/// streams do not overwrite the parallel cell's.
 core::ExperimentCell make_cell(const std::string& geom_name,
                                const nand::Geometry& geo, core::FtlKind kind,
                                const Mode& mode, double budget_scale,
-                               double measure_scale,
-                               const std::string& health_out,
-                               double health_interval_s) {
+                               double measure_scale, const StreamOpts& opts,
+                               const std::string& path_tag = "") {
   core::ExperimentCell cell;
   cell.key = "replay/" + geom_name + "/" + core::ftl_kind_name(kind) + "/" +
              mode.name;
   if (mode.health) {
-    cell.spec.health_path = bench::cell_journal_path(health_out, cell.key);
-    cell.spec.health_interval_us = health_interval_s * sim_time::kSecond;
+    cell.spec.health_path =
+        bench::cell_journal_path(opts.health_out, cell.key + path_tag);
+    cell.spec.health_interval_us = opts.health_interval_s * sim_time::kSecond;
+  }
+  if (mode.forensics) {
+    cell.spec.forensics_path =
+        bench::cell_journal_path(opts.forensics_out, cell.key + path_tag);
+    cell.spec.forensics_top = opts.forensics_top;
   }
   core::SsdConfig& ssd = cell.spec.ssd;
   ssd.geometry = geo;
@@ -179,45 +198,32 @@ core::ExperimentCell make_cell(const std::string& geom_name,
 
 /// Simulated-side outcomes must be BIT-identical between scan and index
 /// maintenance -- the tentpole's equivalence contract. Compares everything
-/// deterministic in the result (wall times and maint_* are host-side).
+/// deterministic in the result: every simulated FtlStats counter (the WAFs,
+/// GC and RMW counts derive from them), device erases, requests and the
+/// simulated end time. Wall times and maint_* are host-side.
 bool same_decisions(const core::RunResult& a, const core::RunResult& b) {
-  const ftl::FtlStats& sa = a.raw.ftl_stats;
-  const ftl::FtlStats& sb = b.raw.ftl_stats;
-  return a.gc_invocations == b.gc_invocations && a.erases == b.erases &&
-         a.rmw_ops == b.rmw_ops && a.verify_failures == b.verify_failures &&
-         a.overall_waf == b.overall_waf &&
-         a.small_request_waf == b.small_request_waf &&
+  return a.erases == b.erases && a.verify_failures == b.verify_failures &&
          a.raw.requests == b.raw.requests && a.raw.end_us == b.raw.end_us &&
-         sa.host_write_sectors == sb.host_write_sectors &&
-         sa.flash_prog_full == sb.flash_prog_full &&
-         sa.flash_prog_sub == sb.flash_prog_sub &&
-         sa.gc_copy_sectors == sb.gc_copy_sectors &&
-         sa.retention_evictions == sb.retention_evictions &&
-         sa.wear_level_relocations == sb.wear_level_relocations;
+         ftl::same_simulated_stats(a.raw.ftl_stats, b.raw.ftl_stats);
 }
 
 /// Shard-merge reconciliation: the merged top-level counters of a sharded
 /// run must equal the sums over its shard_results -- the join is pure
 /// bookkeeping, never a re-simulation.
 bool merged_equals_sum(const core::RunResult& m) {
-  std::uint64_t requests = 0, erases = 0, gc = 0, rmw = 0, verify = 0;
-  std::uint64_t host_writes = 0, prog_full = 0, prog_sub = 0;
+  std::uint64_t requests = 0, erases = 0, verify = 0;
+  ftl::FtlStats stats;
   for (const core::RunResult& r : m.shard_results) {
     requests += r.raw.requests;
     erases += r.erases;
-    gc += r.gc_invocations;
-    rmw += r.rmw_ops;
     verify += r.verify_failures;
-    host_writes += r.raw.ftl_stats.host_write_sectors;
-    prog_full += r.raw.ftl_stats.flash_prog_full;
-    prog_sub += r.raw.ftl_stats.flash_prog_sub;
+    stats = ftl::stats_sum(stats, r.raw.ftl_stats);
   }
   return m.raw.requests == requests && m.erases == erases &&
-         m.gc_invocations == gc && m.rmw_ops == rmw &&
          m.verify_failures == verify &&
-         m.raw.ftl_stats.host_write_sectors == host_writes &&
-         m.raw.ftl_stats.flash_prog_full == prog_full &&
-         m.raw.ftl_stats.flash_prog_sub == prog_sub;
+         m.gc_invocations == stats.gc_invocations &&
+         m.rmw_ops == stats.rmw_ops &&
+         ftl::same_simulated_stats(m.raw.ftl_stats, stats);
 }
 
 std::string slurp(const std::string& path) {
@@ -228,96 +234,79 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-/// Result of one paired observer duel (see run_health_duel and
-/// run_forensics_duel): cpu_index is always the stream-off side, cpu_stream
-/// the stream-on side; only the counters of the stream under test are set.
+/// Result of one paired observer duel (run_duel).
 struct DuelResult {
-  double cpu_index = 0.0;   ///< thread-CPU seconds, stream-off side
-  double cpu_health = 0.0;  ///< thread-CPU seconds, stream-on side
+  double cpu_base = 0.0;      ///< thread-CPU seconds, baseline side
+  double cpu_observed = 0.0;  ///< thread-CPU seconds, observed side
   std::uint64_t requests = 0;
-  std::uint64_t health_epochs = 0;
-  std::uint64_t health_lines = 0;
-  std::uint64_t forensics_requests = 0;
-  std::uint64_t forensics_exemplars = 0;
+  core::RunResult counters;   ///< the observer's stream counters
   bool same_decisions = true;
+
+  double overhead() const {
+    return cpu_base > 0.0 ? cpu_observed / cpu_base - 1.0 : 0.0;
+  }
 };
 
-/// The health gate's measurement: two identical simulators -- health
-/// stream off (A) and on (B) -- stepped on ONE thread in alternating
-/// 1024-request chunks, accumulating each side's thread-CPU time.
+/// One overhead gate's measurement: two identical simulators -- the
+/// baseline (A) and the one carrying the observers `observed_spec`
+/// requests (B) -- stepped on ONE thread in alternating 1024-request
+/// chunks, accumulating each side's thread-CPU time. With `lean_baseline`
+/// side A carries the lean facade B's observers hang off, so the gate
+/// prices the observer's marginal cost (forensics: the decision a user
+/// makes when switching --forensics-out on); without it A runs bare, so
+/// the facade is priced too (health: the always-on stream's whole tax).
 ///
 /// Why not compare two whole cells? Per-cell CPU time on a shared,
-/// frequency-scaled host wanders by far more than the 3% gate threshold
+/// frequency-scaled host wanders by far more than the gate thresholds
 /// (the thread CPU clock counts seconds, not cycles, so it cannot see
 /// DVFS), and no estimator over serially-run cells cancels drift on that
 /// scale. Chunk interleaving makes both sides sample the same machine
 /// state at millisecond granularity; the chunk order also flips every
 /// iteration (A B | B A | ...) so linear drift cancels within each pair.
-/// The ratio of accumulated CPU times then isolates what the gate is
-/// actually after: the health stream's own per-op cost.
-DuelResult run_health_duel(const core::ExperimentSpec& index_spec,
-                           const core::ExperimentSpec& health_spec) {
-  // Sink lifetimes mirror run_experiment: stream, monitor and facade must
-  // outlive the Ssd (its destructor materializes the telemetry registry).
-  std::ofstream health_os(health_spec.health_path,
-                          std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!health_os)
-    throw std::runtime_error("duel: cannot open health file: " +
-                             health_spec.health_path);
-  const auto& geo = health_spec.ssd.geometry;
-  telemetry::HealthHeader hdr;
-  hdr.ftl = core::ftl_kind_name(health_spec.ssd.ftl);
-  hdr.chips = geo.total_chips();
-  hdr.blocks_per_chip = geo.blocks_per_chip;
-  hdr.pages_per_block = geo.pages_per_block;
-  hdr.subpages_per_page = geo.subpages_per_page;
-  hdr.seed = health_spec.workload.seed;
-  hdr.interval_us = health_spec.health_interval_us;
-  hdr.rated_pe = health_spec.health_rated_pe;
-  telemetry::HealthMonitor health(health_os, hdr);
-  telemetry::TelemetryConfig cfg;
-  cfg.trace_capacity = 256;
-  cfg.op_detail = false;  // the lean always-on facade run_experiment owns
-  telemetry::Telemetry tel(cfg);
+/// The ratio of accumulated CPU times then isolates the observer's own
+/// per-op cost. The duel also proves the observer passive: both sides must
+/// end in the same simulated state.
+DuelResult run_duel(const core::ExperimentSpec& base_spec,
+                    const core::ExperimentSpec& observed_spec,
+                    bool lean_baseline) {
+  // Facades and observers outlive the Ssds: the Ssd destructor
+  // materializes the telemetry registry.
+  telemetry::Telemetry tel_a(core::lean_telemetry_config());
+  telemetry::Telemetry tel_b(core::lean_telemetry_config());
+  core::Observers observers(observed_spec, tel_b);
 
-  core::Ssd a(index_spec.ssd);
-  core::Ssd b(health_spec.ssd);
-  a.precondition(index_spec.precondition_fraction);
-  b.precondition(health_spec.precondition_fraction);
-  tel.set_health(&health);
-  b.attach_telemetry(&tel);  // epoch 0: the post-precondition baseline
+  core::Ssd a(base_spec.ssd);
+  core::Ssd b(observed_spec.ssd);
+  a.precondition(base_spec.precondition_fraction);
+  b.precondition(observed_spec.precondition_fraction);
+  if (lean_baseline) a.attach_telemetry(&tel_a);
+  b.attach_telemetry(&tel_b);  // health epoch 0: the post-precondition state
 
-  const auto stream_params = [](const core::ExperimentSpec& spec,
-                                const core::Ssd& ssd) {
-    // Footprint defaulting duplicated from run_experiment: the duel drives
-    // the drivers directly so chunk boundaries stay under its control.
-    workload::SyntheticParams p = spec.workload;
-    if (p.footprint_sectors == 0) {
-      const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
-      p.footprint_sectors =
-          static_cast<std::uint64_t>(
-              spec.precondition_fraction *
-              static_cast<double>(ssd.logical_sectors())) /
-          subs * subs;
-    }
-    return p;
+  // The duel drives the drivers directly so chunk boundaries stay under
+  // its control; the streams are the ones run_experiment would build.
+  const auto params = [](const core::ExperimentSpec& spec,
+                         const core::Ssd& ssd) {
+    return core::with_default_footprint(spec.workload,
+                                        spec.precondition_fraction,
+                                        ssd.logical_sectors(),
+                                        spec.ssd.geometry.subpages_per_page);
   };
-  workload::SyntheticWorkload sa(stream_params(index_spec, a));
-  workload::SyntheticWorkload sb(stream_params(health_spec, b));
+  workload::SyntheticWorkload sa(params(base_spec, a));
+  workload::SyntheticWorkload sb(params(observed_spec, b));
 
-  if (index_spec.warmup_requests > 0) {
-    a.driver().run(sa, /*verify=*/false, index_spec.warmup_requests);
-    b.driver().run(sb, /*verify=*/false, health_spec.warmup_requests);
+  if (base_spec.warmup_requests > 0) {
+    a.driver().run(sa, /*verify=*/false, base_spec.warmup_requests);
+    b.driver().run(sb, /*verify=*/false, observed_spec.warmup_requests);
   }
-  // The end-of-warmup epoch lands outside the timed chunks.
+  // The end-of-warmup health epoch lands outside the timed chunks.
   b.driver().close_health_epoch();
 
   DuelResult out;
   std::uint64_t failures_a = 0, failures_b = 0;
   SimTime end_a = 0.0, end_b = 0.0;
   std::uint64_t remaining =
-      index_spec.workload.request_count > index_spec.warmup_requests
-          ? index_spec.workload.request_count - index_spec.warmup_requests
+      base_spec.workload.request_count > base_spec.warmup_requests
+          ? base_spec.workload.request_count - base_spec.warmup_requests
           : 0;
   bool flip = false;
   while (remaining > 0) {
@@ -333,162 +322,48 @@ DuelResult run_health_duel(const core::ExperimentSpec& index_spec,
       return m.requests;
     };
     if (flip) {
-      step(b, sb, out.cpu_health, failures_b, end_b);
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
+      step(b, sb, out.cpu_observed, failures_b, end_b);
+      out.requests += step(a, sa, out.cpu_base, failures_a, end_a);
     } else {
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
-      step(b, sb, out.cpu_health, failures_b, end_b);
+      out.requests += step(a, sa, out.cpu_base, failures_a, end_a);
+      step(b, sb, out.cpu_observed, failures_b, end_b);
     }
     flip = !flip;
     remaining -= n;
   }
 
-  // End-of-run snapshot is teardown I/O, outside the timed chunks -- the
-  // same contract run_experiment applies to its wall/CPU window.
+  // The end-of-run health epoch and the stream trailers are teardown I/O,
+  // outside the timed chunks -- the same contract run_experiment applies
+  // to its CPU window.
   b.driver().close_health_epoch();
-  health.finish();
-  out.health_epochs = health.epochs_written();
-  out.health_lines = health.lines_written();
+  observers.finish(out.counters);
 
-  // Both sides must have replayed to the same simulated end state: the
-  // health stream is a passive observer even when polled mid-stream.
-  const ftl::FtlStats stats_a = a.ftl().stats();
-  const ftl::FtlStats stats_b = b.ftl().stats();
   out.same_decisions =
       end_a == end_b && failures_a == 0 && failures_b == 0 &&
-      stats_a.host_write_sectors == stats_b.host_write_sectors &&
-      stats_a.flash_prog_full == stats_b.flash_prog_full &&
-      stats_a.flash_prog_sub == stats_b.flash_prog_sub &&
-      stats_a.gc_copy_sectors == stats_b.gc_copy_sectors &&
-      stats_a.gc_invocations == stats_b.gc_invocations &&
-      stats_a.rmw_ops == stats_b.rmw_ops &&
-      stats_a.retention_evictions == stats_b.retention_evictions &&
-      stats_a.wear_level_relocations == stats_b.wear_level_relocations &&
+      ftl::same_simulated_stats(a.ftl().stats(), b.ftl().stats()) &&
       a.device().counters().erases == b.device().counters().erases;
-
-  tel.set_health(nullptr);
   return out;
 }
 
-/// The forensics gate's measurement: the same one-thread alternating-chunk
-/// duel as run_health_duel, but side B attaches the per-request latency
-/// forensics collector (phase attribution + top-K exemplars). Unlike the
-/// health duel, BOTH sides carry the lean always-on facade run_experiment
-/// would attach anyway: the gate bounds the *marginal* cost of switching
-/// --forensics-out on, which is the decision a user actually makes (the
-/// facade itself is priced by the health gate's bare baseline). Proves the
-/// collector is a passive observer whose per-request tax stays under the
-/// gate.
-DuelResult run_forensics_duel(const core::ExperimentSpec& index_spec,
-                              const core::ExperimentSpec& forensics_spec) {
-  std::ofstream forensics_os(
-      forensics_spec.forensics_path,
-      std::ios::out | std::ios::trunc | std::ios::binary);
-  if (!forensics_os)
-    throw std::runtime_error("duel: cannot open forensics file: " +
-                             forensics_spec.forensics_path);
-  const auto& geo = forensics_spec.ssd.geometry;
-  telemetry::ForensicsHeader hdr;
-  hdr.ftl = core::ftl_kind_name(forensics_spec.ssd.ftl);
-  hdr.chips = geo.total_chips();
-  hdr.blocks_per_chip = geo.blocks_per_chip;
-  hdr.pages_per_block = geo.pages_per_block;
-  hdr.subpages_per_page = geo.subpages_per_page;
-  hdr.page_bytes = geo.page_bytes;
-  hdr.seed = forensics_spec.workload.seed;
-  telemetry::ForensicsCollector::Config fcfg;
-  fcfg.top_k = forensics_spec.forensics_top;
-  fcfg.audit = forensics_spec.audit;
-  telemetry::ForensicsCollector forensics(forensics_os, hdr, fcfg);
-  telemetry::TelemetryConfig cfg;
-  cfg.trace_capacity = 256;
-  cfg.op_detail = false;  // the lean always-on facade run_experiment owns
-  telemetry::Telemetry tel_a(cfg);
-  telemetry::Telemetry tel(cfg);
+/// One observer overhead gate (--health-gate / --forensics-gate): a mode
+/// cell in the parallel grid plus one duel per (geometry, FTL), failing
+/// when the duel overhead averaged over the FTLs exceeds `pct`.
+struct Gate {
+  Mode mode;           ///< the observed cells; mode.name keys tables + JSON
+  bool lean_baseline;  ///< see run_duel
+  double pct = -1.0;   ///< bound in percent; < 0 = gate off
+  /// The two stream counters shown per FTL (column, RunResult field).
+  std::pair<const char*, std::uint64_t core::RunResult::*> counters[2];
+  std::map<std::string, std::map<std::string, DuelResult>> duels;
+  std::map<std::string, double> avg;
+  bool pass = true;
 
-  core::Ssd a(index_spec.ssd);
-  core::Ssd b(forensics_spec.ssd);
-  a.precondition(index_spec.precondition_fraction);
-  b.precondition(forensics_spec.precondition_fraction);
-  a.attach_telemetry(&tel_a);
-  tel.set_forensics(&forensics);
-  b.attach_telemetry(&tel);
-
-  const auto stream_params = [](const core::ExperimentSpec& spec,
-                                const core::Ssd& ssd) {
-    workload::SyntheticParams p = spec.workload;
-    if (p.footprint_sectors == 0) {
-      const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
-      p.footprint_sectors =
-          static_cast<std::uint64_t>(
-              spec.precondition_fraction *
-              static_cast<double>(ssd.logical_sectors())) /
-          subs * subs;
-    }
-    return p;
-  };
-  workload::SyntheticWorkload sa(stream_params(index_spec, a));
-  workload::SyntheticWorkload sb(stream_params(forensics_spec, b));
-
-  if (index_spec.warmup_requests > 0) {
-    a.driver().run(sa, /*verify=*/false, index_spec.warmup_requests);
-    b.driver().run(sb, /*verify=*/false, forensics_spec.warmup_requests);
-  }
-
-  DuelResult out;
-  std::uint64_t failures_a = 0, failures_b = 0;
-  SimTime end_a = 0.0, end_b = 0.0;
-  std::uint64_t remaining =
-      index_spec.workload.request_count > index_spec.warmup_requests
-          ? index_spec.workload.request_count - index_spec.warmup_requests
-          : 0;
-  bool flip = false;
-  while (remaining > 0) {
-    const std::uint64_t n = std::min<std::uint64_t>(1024, remaining);
-    const auto step = [n](core::Ssd& ssd, workload::SyntheticWorkload& stream,
-                          double& cpu, std::uint64_t& failures,
-                          SimTime& end_us) {
-      const double t0 = core::thread_cpu_seconds();
-      const sim::RunMetrics m = ssd.driver().run(stream, /*verify=*/true, n);
-      cpu += core::thread_cpu_seconds() - t0;
-      failures += m.verify_failures;
-      end_us = m.end_us;
-      return m.requests;
-    };
-    if (flip) {
-      step(b, sb, out.cpu_health, failures_b, end_b);
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
-    } else {
-      out.requests += step(a, sa, out.cpu_index, failures_a, end_a);
-      step(b, sb, out.cpu_health, failures_b, end_b);
-    }
-    flip = !flip;
-    remaining -= n;
-  }
-
-  // The trailing exemplar/blame dump is teardown I/O, outside the timed
-  // chunks -- same contract as the health duel's end-of-run snapshot.
-  forensics.finish();
-  out.forensics_requests = forensics.requests();
-  out.forensics_exemplars = forensics.exemplars_retained();
-
-  const ftl::FtlStats stats_a = a.ftl().stats();
-  const ftl::FtlStats stats_b = b.ftl().stats();
-  out.same_decisions =
-      end_a == end_b && failures_a == 0 && failures_b == 0 &&
-      stats_a.host_write_sectors == stats_b.host_write_sectors &&
-      stats_a.flash_prog_full == stats_b.flash_prog_full &&
-      stats_a.flash_prog_sub == stats_b.flash_prog_sub &&
-      stats_a.gc_copy_sectors == stats_b.gc_copy_sectors &&
-      stats_a.gc_invocations == stats_b.gc_invocations &&
-      stats_a.rmw_ops == stats_b.rmw_ops &&
-      stats_a.retention_evictions == stats_b.retention_evictions &&
-      stats_a.wear_level_relocations == stats_b.wear_level_relocations &&
-      a.device().counters().erases == b.device().counters().erases;
-
-  tel.set_forensics(nullptr);
-  return out;
-}
+  Gate(Mode m, bool lean,
+       std::pair<const char*, std::uint64_t core::RunResult::*> c0,
+       std::pair<const char*, std::uint64_t core::RunResult::*> c1)
+      : mode(std::move(m)), lean_baseline(lean), counters{c0, c1} {}
+  bool on() const { return pct >= 0.0; }
+};
 
 }  // namespace
 
@@ -497,18 +372,13 @@ int main(int argc, char** argv) {
   std::string geometry_filter = "both";
   unsigned jobs = 0;
   bool quick = false;
-  double health_gate_pct = -1.0;  // <0 = no health cells
-  std::string health_out = "replay_health.jsonl";
-  // Endpoint epochs by default: the gate bounds the ALWAYS-ON per-op tax
-  // of the health stream. Snapshot cost is a separate, user-chosen knob --
-  // O(blocks) per epoch at whatever cadence --health-interval picks -- and
-  // this bench's deliberately compressed clock (400 us think time) would
-  // make any fixed simulated-seconds cadence absurdly aggressive: 1 sim-s
-  // is ~2500 requests here, vs minutes of real traffic on a device.
-  double health_interval_s = 0.0;
-  double forensics_gate_pct = -1.0;  // <0 = no forensics cells
-  std::string forensics_out = "replay_forensics.jsonl";
-  std::uint32_t forensics_top = 16;
+  StreamOpts opts;
+  Gate health({"health", false, true}, /*lean_baseline=*/false,
+              {"epochs", &core::RunResult::health_epochs},
+              {"lines", &core::RunResult::health_lines});
+  Gate forensics({"forensics", false, false, 1, true}, /*lean_baseline=*/true,
+                 {"requests", &core::RunResult::forensics_requests},
+                 {"exemplars", &core::RunResult::forensics_exemplars});
   std::vector<unsigned> shard_counts;  // --shards 4,8: extra sharded modes
   unsigned shard_jobs = 0;             // 0 = hardware concurrency
   std::uint64_t snapshot_every = 0;    // --snapshot-every N: restart gate
@@ -542,17 +412,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--health-gate" && i + 1 < argc) {
-      health_gate_pct = std::atof(argv[++i]);
+      health.pct = std::atof(argv[++i]);
     } else if (arg == "--health-out" && i + 1 < argc) {
-      health_out = argv[++i];
+      opts.health_out = argv[++i];
     } else if (arg == "--health-interval" && i + 1 < argc) {
-      health_interval_s = std::atof(argv[++i]);
+      opts.health_interval_s = std::atof(argv[++i]);
     } else if (arg == "--forensics-gate" && i + 1 < argc) {
-      forensics_gate_pct = std::atof(argv[++i]);
+      forensics.pct = std::atof(argv[++i]);
     } else if (arg == "--forensics-out" && i + 1 < argc) {
-      forensics_out = argv[++i];
+      opts.forensics_out = argv[++i];
     } else if (arg == "--forensics-top" && i + 1 < argc) {
-      forensics_top =
+      opts.forensics_top =
           static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--snapshot-every" && i + 1 < argc) {
       snapshot_every = std::strtoull(argv[++i], nullptr, 10);
@@ -591,8 +461,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool with_health = health_gate_pct >= 0.0;
-  const bool with_forensics = forensics_gate_pct >= 0.0;
+  Gate* const gates[] = {&health, &forensics};
 
   // --quick (the CI perf-smoke scale): quarter the block count of both
   // profiles and an eighth of the request budget. Shares and speedups keep
@@ -617,21 +486,15 @@ int main(int argc, char** argv) {
   std::vector<Mode> modes = {{"scan", true, false}, {"index", false, false}};
   for (const unsigned n : shard_counts)
     modes.push_back({"shard" + std::to_string(n), false, false, n});
-  if (with_health) modes.push_back({"health", false, true});
-  if (with_forensics) modes.push_back({"forensics", false, false, 1, true});
+  for (const Gate* gate : gates)
+    if (gate->on()) modes.push_back(gate->mode);
   std::vector<core::ExperimentCell> cells;
   for (const auto& [name, geo] : geometries)
     for (const auto kind : kinds)
       for (const auto& mode : modes) {
         cells.push_back(make_cell(name, geo, kind, mode, budget_scale,
-                                  /*measure_scale=*/1.0, health_out,
-                                  health_interval_s));
+                                  /*measure_scale=*/1.0, opts));
         cells.back().spec.shard_jobs = shard_jobs;
-        if (mode.forensics) {
-          cells.back().spec.forensics_path =
-              bench::cell_journal_path(forensics_out, cells.back().key);
-          cells.back().spec.forensics_top = forensics_top;
-        }
       }
 
   core::ParallelRunnerConfig runner_cfg;
@@ -681,24 +544,16 @@ int main(int argc, char** argv) {
                      geom.c_str(), ftl.c_str());
         identical = false;
       }
-      // The health cell must make the same simulated decisions as the
-      // health-off index cell: the stream is a passive observer.
-      if (with_health && !same_decisions(per_mode.at("health").r, index)) {
-        std::fprintf(stderr,
-                     "FATAL: health observation changed decisions for %s/%s\n",
-                     geom.c_str(), ftl.c_str());
-        identical = false;
-      }
-      // Same contract for the forensics collector: per-request phase
-      // attribution must never perturb the simulation it observes.
-      if (with_forensics &&
-          !same_decisions(per_mode.at("forensics").r, index)) {
-        std::fprintf(
-            stderr,
-            "FATAL: forensics observation changed decisions for %s/%s\n",
-            geom.c_str(), ftl.c_str());
-        identical = false;
-      }
+      // An observed cell must make the same simulated decisions as the
+      // unobserved index cell: health and forensics are passive observers.
+      for (const Gate* gate : gates)
+        if (gate->on() &&
+            !same_decisions(per_mode.at(gate->mode.name).r, index)) {
+          std::fprintf(stderr,
+                       "FATAL: %s observation changed decisions for %s/%s\n",
+                       gate->mode.name.c_str(), geom.c_str(), ftl.c_str());
+          identical = false;
+        }
       // Sharded cells are a different (reproducible) model point, so they
       // are not compared against the unsharded decisions; their gate is
       // the merge reconciliation: merged counters == sum of shards.
@@ -731,8 +586,7 @@ int main(int argc, char** argv) {
       const Mode gate_mode{"shard" + std::to_string(n) + "-gate", false,
                            false, n};
       auto gate = make_cell(geom, geo, core::FtlKind::kSub, gate_mode,
-                            budget_scale, /*measure_scale=*/0.25, health_out,
-                            health_interval_s);
+                            budget_scale, /*measure_scale=*/0.25, opts);
       gate.spec.shard_jobs = shard_jobs;
       gate.spec.journal_path =
           "replay_shard_gate_" + geom + "_s" + std::to_string(n) + ".jsonl";
@@ -788,8 +642,7 @@ int main(int argc, char** argv) {
     for (const auto& [geom, geo] : geometries) {
       const Mode gate_mode{"restart-gate", false, false, 1};
       const auto cell = make_cell(geom, geo, core::FtlKind::kSub, gate_mode,
-                                  budget_scale, /*measure_scale=*/0.25,
-                                  health_out, health_interval_s);
+                                  budget_scale, /*measure_scale=*/0.25, opts);
 
       core::ExperimentSpec ref = cell.spec;
       ref.journal_path = "replay_restart_" + geom + "_ref.jsonl";
@@ -929,136 +782,59 @@ int main(int argc, char** argv) {
                   "the speedup comparison at 1 core)\n");
   }
 
-  // Health-observability gate: one paired in-process duel per (geometry,
-  // FTL) -- health-on vs health-off simulators stepped in alternating
-  // 1024-request chunks on this thread (see run_health_duel), compared in
+  // Observer overhead gates: one paired in-process duel per (geometry,
+  // FTL) -- observed vs baseline simulators stepped in alternating
+  // 1024-request chunks on this thread (see run_duel), compared in
   // thread-CPU time so neither other tenants of the machine nor frequency
   // scaling can move the ratio. Overheads are averaged over the four FTLs.
   // The duel gets a 4x measure budget: a 3% ratio needs a few hundred
   // milliseconds of CPU per side to be readable at all.
-  std::map<std::string, double> avg_health_overhead;
-  std::map<std::string, std::map<std::string, DuelResult>> duels;
-  bool health_pass = true;
-  if (with_health) {
-    const Mode index_mode{"index", false, false};
-    const Mode health_mode{"health", false, true};
+  const Mode index_mode{"index", false, false};
+  for (Gate* gate : gates) {
+    if (!gate->on()) continue;
+    const std::string& name = gate->mode.name;
     for (const auto& [geom, geo] : geometries) {
-      std::printf("\n%s geometry -- health-stream overhead (gate %.1f%%)\n\n",
-                  geom.c_str(), health_gate_pct);
-      util::TablePrinter t({"FTL", "index ops/cpu-s", "health ops/cpu-s",
-                            "overhead", "epochs", "lines"});
+      std::printf("\n%s geometry -- %s-stream overhead (gate %.1f%%)\n\n",
+                  geom.c_str(), name.c_str(), gate->pct);
+      util::TablePrinter t({"FTL", "index ops/cpu-s", name + " ops/cpu-s",
+                            "overhead", gate->counters[0].first,
+                            gate->counters[1].first});
       double sum = 0.0;
       for (const auto kind : kinds) {
-        const auto index_cell =
+        const auto base_cell =
             make_cell(geom, geo, kind, index_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        auto health_cell =
-            make_cell(geom, geo, kind, health_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        // Distinct stream path: the parallel health cell above already
-        // owns this key's artifact.
-        health_cell.spec.health_path =
-            bench::cell_journal_path(health_out, health_cell.key + "#duel");
+                      /*measure_scale=*/4.0, opts);
+        const auto observed_cell =
+            make_cell(geom, geo, kind, gate->mode, budget_scale,
+                      /*measure_scale=*/4.0, opts, "#duel");
         const DuelResult d =
-            run_health_duel(index_cell.spec, health_cell.spec);
-        if (!d.same_decisions) {
-          std::fprintf(
-              stderr,
-              "FATAL: health observation changed duel decisions for %s/%s\n",
-              geom.c_str(), core::ftl_kind_name(kind).c_str());
-          return 1;
-        }
-        const double index_ops =
-            d.cpu_index > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_index
-                : 0.0;
-        const double health_ops =
-            d.cpu_health > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_health
-                : 0.0;
-        const double overhead =
-            d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0;
-        sum += overhead;
-        duels[geom][core::ftl_kind_name(kind)] = d;
-        t.add_row({core::ftl_kind_name(kind),
-                   util::TablePrinter::num(index_ops, 0),
-                   util::TablePrinter::num(health_ops, 0),
-                   util::TablePrinter::pct(overhead, 2),
-                   std::to_string(d.health_epochs),
-                   std::to_string(d.health_lines)});
-      }
-      t.print(std::cout);
-      const double avg = sum / 4.0;
-      avg_health_overhead[geom] = avg;
-      const bool ok = avg <= health_gate_pct / 100.0;
-      health_pass &= ok;
-      std::printf("avg health-stream overhead: %.2f%% -- %s\n", avg * 100.0,
-                  ok ? "PASS" : "FAIL");
-    }
-  }
-
-  // Forensics-overhead gate: the same paired-duel design, with the latency
-  // forensics collector (phase attribution, windowed blame, top-K exemplar
-  // heap) as the stream under test.
-  std::map<std::string, double> avg_forensics_overhead;
-  std::map<std::string, std::map<std::string, DuelResult>> forensics_duels;
-  bool forensics_pass = true;
-  if (with_forensics) {
-    const Mode index_mode{"index", false, false};
-    const Mode forensics_mode{"forensics", false, false, 1, true};
-    for (const auto& [geom, geo] : geometries) {
-      std::printf(
-          "\n%s geometry -- forensics-stream overhead (gate %.1f%%)\n\n",
-          geom.c_str(), forensics_gate_pct);
-      util::TablePrinter t({"FTL", "index ops/cpu-s", "forensics ops/cpu-s",
-                            "overhead", "requests", "exemplars"});
-      double sum = 0.0;
-      for (const auto kind : kinds) {
-        const auto index_cell =
-            make_cell(geom, geo, kind, index_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        auto forensics_cell =
-            make_cell(geom, geo, kind, forensics_mode, budget_scale,
-                      /*measure_scale=*/4.0, health_out, health_interval_s);
-        // Distinct stream path: the parallel forensics cell above already
-        // owns this key's artifact.
-        forensics_cell.spec.forensics_path = bench::cell_journal_path(
-            forensics_out, forensics_cell.key + "#duel");
-        forensics_cell.spec.forensics_top = forensics_top;
-        const DuelResult d =
-            run_forensics_duel(index_cell.spec, forensics_cell.spec);
+            run_duel(base_cell.spec, observed_cell.spec, gate->lean_baseline);
         if (!d.same_decisions) {
           std::fprintf(stderr,
-                       "FATAL: forensics observation changed duel decisions "
-                       "for %s/%s\n",
-                       geom.c_str(), core::ftl_kind_name(kind).c_str());
+                       "FATAL: %s observation changed duel decisions for "
+                       "%s/%s\n",
+                       name.c_str(), geom.c_str(),
+                       core::ftl_kind_name(kind).c_str());
           return 1;
         }
-        const double index_ops =
-            d.cpu_index > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_index
-                : 0.0;
-        const double forensics_ops =
-            d.cpu_health > 0.0
-                ? static_cast<double>(d.requests) / d.cpu_health
-                : 0.0;
-        const double overhead =
-            d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0;
-        sum += overhead;
-        forensics_duels[geom][core::ftl_kind_name(kind)] = d;
+        const auto per_cpu_s = [&d](double cpu) {
+          return cpu > 0.0 ? static_cast<double>(d.requests) / cpu : 0.0;
+        };
+        sum += d.overhead();
+        gate->duels[geom][core::ftl_kind_name(kind)] = d;
         t.add_row({core::ftl_kind_name(kind),
-                   util::TablePrinter::num(index_ops, 0),
-                   util::TablePrinter::num(forensics_ops, 0),
-                   util::TablePrinter::pct(overhead, 2),
-                   std::to_string(d.forensics_requests),
-                   std::to_string(d.forensics_exemplars)});
+                   util::TablePrinter::num(per_cpu_s(d.cpu_base), 0),
+                   util::TablePrinter::num(per_cpu_s(d.cpu_observed), 0),
+                   util::TablePrinter::pct(d.overhead(), 2),
+                   std::to_string(d.counters.*gate->counters[0].second),
+                   std::to_string(d.counters.*gate->counters[1].second)});
       }
       t.print(std::cout);
       const double avg = sum / 4.0;
-      avg_forensics_overhead[geom] = avg;
-      const bool ok = avg <= forensics_gate_pct / 100.0;
-      forensics_pass &= ok;
-      std::printf("avg forensics-stream overhead: %.2f%% -- %s\n",
+      gate->avg[geom] = avg;
+      const bool ok = avg <= gate->pct / 100.0;
+      gate->pass &= ok;
+      std::printf("avg %s-stream overhead: %.2f%% -- %s\n", name.c_str(),
                   avg * 100.0, ok ? "PASS" : "FAIL");
     }
   }
@@ -1186,48 +962,25 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_object();
-    if (with_health) {
+    for (const Gate* gate : gates) {
+      if (!gate->on()) continue;
+      const std::string& name = gate->mode.name;
       w.newline();
       // The gate's raw duel measurements (non-deterministic, documentary).
-      w.key("health_gate");
+      w.key(name + "_gate");
       w.begin_object();
-      for (const auto& [name, per_ftl] : duels) {
-        w.key(name);
+      for (const auto& [geom, per_ftl] : gate->duels) {
+        w.key(geom);
         w.begin_object();
         for (const auto& [ftl, d] : per_ftl) {
           w.key(ftl);
           w.begin_object();
-          w.kv("cpu_index_seconds", d.cpu_index);
-          w.kv("cpu_health_seconds", d.cpu_health);
+          w.kv("cpu_index_seconds", d.cpu_base);
+          w.kv("cpu_" + name + "_seconds", d.cpu_observed);
           w.kv("requests", d.requests);
-          w.kv("overhead",
-               d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0);
-          w.kv("health_epochs", d.health_epochs);
-          w.kv("health_lines", d.health_lines);
-          w.end_object();
-        }
-        w.end_object();
-      }
-      w.end_object();
-    }
-    if (with_forensics) {
-      w.newline();
-      // The gate's raw duel measurements (non-deterministic, documentary).
-      w.key("forensics_gate");
-      w.begin_object();
-      for (const auto& [name, per_ftl] : forensics_duels) {
-        w.key(name);
-        w.begin_object();
-        for (const auto& [ftl, d] : per_ftl) {
-          w.key(ftl);
-          w.begin_object();
-          w.kv("cpu_index_seconds", d.cpu_index);
-          w.kv("cpu_forensics_seconds", d.cpu_health);
-          w.kv("requests", d.requests);
-          w.kv("overhead",
-               d.cpu_index > 0.0 ? d.cpu_health / d.cpu_index - 1.0 : 0.0);
-          w.kv("forensics_requests", d.forensics_requests);
-          w.kv("forensics_exemplars", d.forensics_exemplars);
+          w.kv("overhead", d.overhead());
+          for (const auto& [column, field] : gate->counters)
+            w.kv(name + "_" + column, d.counters.*field);
           w.end_object();
         }
         w.end_object();
@@ -1244,37 +997,26 @@ int main(int argc, char** argv) {
         w.kv("avg_speedup_shard" + std::to_string(n) + "_" + name,
              avg_shard_speedup[name][n]);
     }
-    if (with_health) {
-      for (const auto& [name, geo] : geometries) {
+    for (const Gate* gate : gates) {
+      if (!gate->on()) continue;
+      const std::string& name = gate->mode.name;
+      for (const auto& [geom, geo] : geometries) {
         (void)geo;
-        w.kv("avg_health_overhead_" + name, avg_health_overhead[name]);
+        w.kv("avg_" + name + "_overhead_" + geom, gate->avg.at(geom));
       }
-      w.kv("health_gate_pct", health_gate_pct);
-      w.kv("health_gate_pass", health_pass);
-    }
-    if (with_forensics) {
-      for (const auto& [name, geo] : geometries) {
-        (void)geo;
-        w.kv("avg_forensics_overhead_" + name, avg_forensics_overhead[name]);
-      }
-      w.kv("forensics_gate_pct", forensics_gate_pct);
-      w.kv("forensics_gate_pass", forensics_pass);
+      w.kv(name + "_gate_pct", gate->pct);
+      w.kv(name + "_gate_pass", gate->pass);
     }
     w.end_object();
     w.end_object();
     os << "\n";
     std::printf("wrote %s\n", json_out.c_str());
   }
-  if (with_health && !health_pass) {
-    std::fprintf(stderr, "FATAL: health-stream overhead above %.1f%% gate\n",
-                 health_gate_pct);
-    return 1;
-  }
-  if (with_forensics && !forensics_pass) {
-    std::fprintf(stderr,
-                 "FATAL: forensics-stream overhead above %.1f%% gate\n",
-                 forensics_gate_pct);
-    return 1;
-  }
+  for (const Gate* gate : gates)
+    if (gate->on() && !gate->pass) {
+      std::fprintf(stderr, "FATAL: %s-stream overhead above %.1f%% gate\n",
+                   gate->mode.name.c_str(), gate->pct);
+      return 1;
+    }
   return 0;
 }

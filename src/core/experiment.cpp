@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/observers.h"
 #include "core/shard.h"
 #include "core/snapshot.h"
-#include "telemetry/auditor.h"
-#include "telemetry/forensics.h"
-#include "telemetry/health.h"
-#include "telemetry/journal.h"
 
 namespace esp::core {
 
@@ -59,19 +55,18 @@ sim::RunMetrics merge_legs(const sim::RunMetrics& a, const sim::RunMetrics& b) {
   return m;
 }
 
-// Truncates a sidecar back to its checkpoint-time byte offset so the
-// resumed sink appends exactly where the saved run left off.
-void truncate_sidecar(const std::string& path, std::uint64_t offset,
-                      const char* what) {
-  std::error_code ec;
-  std::filesystem::resize_file(path, offset, ec);
-  if (ec)
-    throw std::runtime_error(std::string("run_experiment: cannot truncate ") +
-                             what + " sidecar for resume: " + path + ": " +
-                             ec.message());
-}
-
 }  // namespace
+
+workload::SyntheticParams with_default_footprint(
+    workload::SyntheticParams params, double precondition_fraction,
+    std::uint64_t sectors, std::uint32_t subs) {
+  if (params.footprint_sectors == 0)
+    params.footprint_sectors =
+        static_cast<std::uint64_t>(precondition_fraction *
+                                   static_cast<double>(sectors)) /
+        subs * subs;
+  return params;
+}
 
 RunResult run_experiment(const ExperimentSpec& spec) {
   // Sharded cells take the orchestrated path: N shared-nothing leaf runs
@@ -96,13 +91,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   // Declared before the Ssd: the Ssd destructor materializes the telemetry
   // registry, so every sink it may reach must still be alive then.
   std::optional<telemetry::Telemetry> owned_tel;
-  std::optional<std::ofstream> journal_os;
-  std::optional<telemetry::Journal> journal;
-  std::optional<telemetry::Auditor> auditor;
-  std::optional<std::ofstream> health_os;
-  std::optional<telemetry::HealthMonitor> health;
-  std::optional<std::ofstream> forensics_os;
-  std::optional<telemetry::ForensicsCollector> forensics;
+  std::optional<Observers> observers;
 
   Ssd ssd(spec.ssd);
 
@@ -127,145 +116,23 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   const bool resume_stream =
       restoring && spec.workload.seed == snap_meta.workload_seed;
 
+  // Journal/audit/health/forensics requested without an external facade:
+  // own a lean private one for the duration of the call.
   telemetry::Telemetry* tel = spec.telemetry;
-  const bool want_journal = !spec.journal_path.empty();
-  const bool want_health = !spec.health_path.empty();
-  const bool want_forensics = !spec.forensics_path.empty();
-  if ((want_journal || spec.audit || want_health || want_forensics) &&
-      tel == nullptr) {
-    // Journal/audit/health requested without an external facade: own a
-    // private one. A tiny trace ring keeps memory bounded; the streams do
-    // their own I/O. Per-op latency detail is off — nothing reads the
-    // histograms of a facade that exists only to feed streaming sinks,
-    // and an always-on health stream must not pay for them.
-    telemetry::TelemetryConfig cfg;
-    cfg.trace_capacity = 256;
-    cfg.op_detail = false;
-    owned_tel.emplace(cfg);
-    tel = &*owned_tel;
-  }
-
-  const auto& geo = spec.ssd.geometry;
-  // Resume-mode sinks: the snapshot carried this sink's state and the
-  // restored run continues the saved stream, so the sidecar is truncated
-  // to its checkpoint offset and reopened for append, header suppressed.
-  const bool journal_resume = resume_stream && snap_meta.has_journal &&
-                              snap_meta.journal_offset !=
-                                  SnapshotMeta::kNoSidecar;
-  const bool health_resume = resume_stream && snap_meta.has_health &&
-                             snap_meta.health_offset !=
-                                 SnapshotMeta::kNoSidecar;
-  const bool forensics_resume = resume_stream && snap_meta.has_forensics &&
-                                snap_meta.forensics_offset !=
-                                    SnapshotMeta::kNoSidecar;
-  if (tel && want_journal) {
-    if (journal_resume) {
-      truncate_sidecar(spec.journal_path, snap_meta.journal_offset,
-                       "journal");
-      journal_os.emplace(spec.journal_path,
-                         std::ios::out | std::ios::app | std::ios::binary);
-    } else {
-      journal_os.emplace(spec.journal_path,
-                         std::ios::out | std::ios::trunc | std::ios::binary);
-    }
-    if (!*journal_os)
-      throw std::runtime_error("run_experiment: cannot open journal file: " +
-                               spec.journal_path);
-    telemetry::JournalHeader hdr;
-    hdr.ftl = ftl_kind_name(spec.ssd.ftl);
-    hdr.chips = geo.total_chips();
-    hdr.blocks_per_chip = geo.blocks_per_chip;
-    hdr.pages_per_block = geo.pages_per_block;
-    hdr.subpages_per_page = geo.subpages_per_page;
-    hdr.page_bytes = geo.page_bytes;
-    hdr.seed = spec.workload.seed;
-    hdr.shard = spec.shard_index;
-    hdr.shards = spec.shard_count;
-    journal.emplace(*journal_os, hdr, spec.journal_max_events, journal_resume);
-    tel->set_journal(&*journal);
-  }
-  if (tel && spec.audit) {
-    telemetry::AuditorConfig cfg;
-    cfg.chips = geo.total_chips();
-    cfg.blocks_per_chip = geo.blocks_per_chip;
-    cfg.pages_per_block = geo.pages_per_block;
-    cfg.subpages_per_page = geo.subpages_per_page;
-    auditor.emplace(cfg);
-    tel->set_auditor(&*auditor);
-  }
-  if (tel && want_health) {
-    if (health_resume) {
-      truncate_sidecar(spec.health_path, snap_meta.health_offset, "health");
-      health_os.emplace(spec.health_path,
-                        std::ios::out | std::ios::app | std::ios::binary);
-    } else {
-      health_os.emplace(spec.health_path,
-                        std::ios::out | std::ios::trunc | std::ios::binary);
-    }
-    if (!*health_os)
-      throw std::runtime_error("run_experiment: cannot open health file: " +
-                               spec.health_path);
-    telemetry::HealthHeader hdr;
-    hdr.ftl = ftl_kind_name(spec.ssd.ftl);
-    hdr.chips = geo.total_chips();
-    hdr.blocks_per_chip = geo.blocks_per_chip;
-    hdr.pages_per_block = geo.pages_per_block;
-    hdr.subpages_per_page = geo.subpages_per_page;
-    hdr.seed = spec.workload.seed;
-    hdr.interval_us = spec.health_interval_us;
-    hdr.rated_pe = spec.health_rated_pe;
-    hdr.shard = spec.shard_index;
-    hdr.shards = spec.shard_count;
-    health.emplace(*health_os, hdr, health_resume);
-    tel->set_health(&*health);
-  }
-  if (tel && want_forensics) {
-    if (forensics_resume) {
-      truncate_sidecar(spec.forensics_path, snap_meta.forensics_offset,
-                       "forensics");
-      forensics_os.emplace(spec.forensics_path,
-                           std::ios::out | std::ios::app | std::ios::binary);
-    } else {
-      forensics_os.emplace(spec.forensics_path,
-                           std::ios::out | std::ios::trunc | std::ios::binary);
-    }
-    if (!*forensics_os)
-      throw std::runtime_error(
-          "run_experiment: cannot open forensics file: " +
-          spec.forensics_path);
-    telemetry::ForensicsHeader hdr;
-    hdr.ftl = ftl_kind_name(spec.ssd.ftl);
-    hdr.chips = geo.total_chips();
-    hdr.blocks_per_chip = geo.blocks_per_chip;
-    hdr.pages_per_block = geo.pages_per_block;
-    hdr.subpages_per_page = geo.subpages_per_page;
-    hdr.page_bytes = geo.page_bytes;
-    hdr.seed = spec.workload.seed;
-    hdr.shard = spec.shard_index;
-    hdr.shards = spec.shard_count;
-    telemetry::ForensicsCollector::Config cfg;
-    cfg.top_k = spec.forensics_top;
-    cfg.audit = spec.audit;
-    cfg.tenant_hists = spec.tenants.size() > 1;
-    forensics.emplace(*forensics_os, hdr, cfg, forensics_resume);
-    tel->set_forensics(&*forensics);
-  }
+  if (tel == nullptr && Observers::requested(spec))
+    tel = &owned_tel.emplace(lean_telemetry_config());
+  if (tel) observers.emplace(spec, *tel, resume_stream ? &snap_meta : nullptr);
   // Restoring attaches AFTER load_state below: a fresh attach baselines
   // sampling cursors and the health epoch-0 from the restored (not blank)
   // state, and a resume attach only needs the facade pointer wired.
   if (tel && !restoring) ssd.attach_telemetry(tel);
 
   if (restoring) {
-    SnapshotSinks sinks;
     // The auditor's model mirrors device state, not stream position, so a
     // fresh-seed leg still loads it for full-strictness checking.
-    if (auditor) sinks.auditor = &*auditor;
-    if (resume_stream) {
-      if (snap_meta.has_telemetry) sinks.telemetry = tel;
-      if (journal_resume) sinks.journal = &*journal;
-      if (health_resume) sinks.health = &*health;
-      if (forensics_resume) sinks.forensics = &*forensics;
-    }
+    SnapshotSinks sinks = observers ? observers->restore_sinks()
+                                    : SnapshotSinks{};
+    if (resume_stream && snap_meta.has_telemetry) sinks.telemetry = tel;
     read_snapshot_state(snap_is, snap_meta, ssd, sinks);
     snap_is.close();
     if (tel)
@@ -273,7 +140,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
                                     snap_meta.has_telemetry);
   }
 
-  const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
+  const auto& geo = spec.ssd.geometry;
+  const std::uint32_t subs = geo.subpages_per_page;
 
   // Single-tenant: one stream over the whole logical space. Default the
   // workload footprint to the preconditioned LBA range -- the paper's
@@ -288,15 +156,9 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   std::optional<sim::TenantMux> mux;
   if (spec.tenants.empty()) {
     if (source == nullptr) {
-      workload::SyntheticParams params = spec.workload;
-      if (params.footprint_sectors == 0) {
-        params.footprint_sectors =
-            static_cast<std::uint64_t>(
-                spec.precondition_fraction *
-                static_cast<double>(ssd.logical_sectors())) /
-            subs * subs;
-      }
-      stream.emplace(params);
+      stream.emplace(with_default_footprint(spec.workload,
+                                            spec.precondition_fraction,
+                                            ssd.logical_sectors(), subs));
       source = &*stream;
     }
   } else {
@@ -307,14 +169,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
     lanes.reserve(spec.tenants.size());
     for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
       const TenantSpec& t = spec.tenants[i];
-      workload::SyntheticParams params = t.workload;
-      if (params.footprint_sectors == 0) {
-        params.footprint_sectors =
-            static_cast<std::uint64_t>(
-                spec.precondition_fraction *
-                static_cast<double>(slices[i].sectors)) /
-            subs * subs;
-      }
+      workload::SyntheticParams params = with_default_footprint(
+          t.workload, spec.precondition_fraction, slices[i].sectors, subs);
       params.footprint_sectors =
           std::min(params.footprint_sectors, slices[i].sectors);
       tenant_streams.emplace_back(params);
@@ -372,24 +228,9 @@ RunResult run_experiment(const ExperimentSpec& spec) {
     m.source_consumed = source_consumed;
     m.measured_done = measured_done;
     m.saved_at_us = ssd.driver().now();
-    SnapshotSinks sinks;
+    SnapshotSinks sinks = observers ? observers->checkpoint(m)
+                                    : SnapshotSinks{};
     sinks.telemetry = tel;
-    if (auditor) sinks.auditor = &*auditor;
-    if (journal) {
-      journal_os->flush();
-      m.journal_offset = static_cast<std::uint64_t>(journal_os->tellp());
-      sinks.journal = &*journal;
-    }
-    if (health) {
-      health_os->flush();
-      m.health_offset = static_cast<std::uint64_t>(health_os->tellp());
-      sinks.health = &*health;
-    }
-    if (forensics) {
-      forensics_os->flush();
-      m.forensics_offset = static_cast<std::uint64_t>(forensics_os->tellp());
-      sinks.forensics = &*forensics;
-    }
     save_snapshot_file(spec.snapshot_out, m, ssd, sinks);
   };
   if (checkpointing && spec.snapshot_after_requests == 0) write_checkpoint();
@@ -518,31 +359,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       result.channel_util_min, result.channel_util_mean,
       result.channel_util_max);
   if (tel) result.trace_dropped = tel->trace().dropped();
-  if (journal) {
-    journal->finish();
-    result.journal_events = journal->events_written();
-    result.journal_truncated = journal->truncated();
-  }
-  if (health) {
-    health->finish();
-    result.health_epochs = health->epochs_written();
-    result.health_lines = health->lines_written();
-  }
-  if (forensics) {
-    forensics->finish();
-    result.forensics_requests = forensics->requests();
-    result.forensics_exemplars = forensics->exemplars_retained();
-    result.forensics_truncated = forensics->truncated();
-    result.tenant_blame = forensics->tenant_blame();
-  }
-  // Detach downstream sinks before the optionals above are destroyed:
-  // the Ssd destructor still records registry materialization through tel.
-  if (tel) {
-    tel->set_journal(nullptr);
-    tel->set_auditor(nullptr);
-    tel->set_health(nullptr);
-    tel->set_forensics(nullptr);
-  }
+  if (observers) observers->finish(result);
   result.raw = metrics;
   if (mux) result.tenants = std::move(mux_metrics.tenants);
   return result;

@@ -209,9 +209,16 @@ struct ExperimentSpec {
 /// Builds the SSD, preconditions it, runs the workload, returns metrics.
 RunResult run_experiment(const ExperimentSpec& spec);
 
+/// `params` with footprint_sectors defaulted, when 0, to the
+/// preconditioned share of `sectors` in whole pages of `subs` sectors: the
+/// paper's benchmarks run over the files laid down during preconditioning.
+workload::SyntheticParams with_default_footprint(
+    workload::SyntheticParams params, double precondition_fraction,
+    std::uint64_t sectors, std::uint32_t subs);
+
 /// CPU seconds consumed by the calling thread (0.0 where unsupported).
 /// The clock behind RunResult::measure_cpu_seconds, exported for benches
-/// that time sub-run work (e.g. the replay bench's paired health duel).
+/// that time sub-run work (e.g. the replay bench's paired overhead duel).
 double thread_cpu_seconds();
 
 }  // namespace esp::core

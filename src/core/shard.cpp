@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/observers.h"
 #include "core/parallel_runner.h"
 #include "telemetry/telemetry.h"
 #include "workload/splitter.h"
@@ -15,18 +16,20 @@
 namespace esp::core {
 namespace {
 
-/// Appends every shard's sidecar stream to `dest` in shard-index order.
-/// The sidecars stay on disk: the invariance gates byte-compare them
+/// Appends every shard's sidecar stream at `path` to `dest` in shard-index
+/// order. The sidecars stay on disk: the invariance gates byte-compare them
 /// against standalone re-runs.
 void concat_sidecars(const std::string& dest,
-                     const std::vector<std::string>& sidecars) {
+                     const std::vector<ExperimentSpec>& leaves,
+                     std::string ExperimentSpec::*path) {
   std::ofstream os(dest, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!os)
     throw std::runtime_error("run_sharded_experiment: cannot open " + dest);
-  for (const std::string& path : sidecars) {
-    std::ifstream is(path, std::ios::in | std::ios::binary);
+  for (const ExperimentSpec& leaf : leaves) {
+    std::ifstream is(leaf.*path, std::ios::in | std::ios::binary);
     if (!is)
-      throw std::runtime_error("run_sharded_experiment: cannot read " + path);
+      throw std::runtime_error("run_sharded_experiment: cannot read " +
+                               leaf.*path);
     os << is.rdbuf();
   }
 }
@@ -103,15 +106,9 @@ std::string shard_sidecar_path(const std::string& path, std::uint32_t index) {
 
 workload::SyntheticParams sharded_workload_params(const ExperimentSpec& spec,
                                                   const ShardPlan& plan) {
-  workload::SyntheticParams params = spec.workload;
-  const std::uint32_t subs = spec.ssd.geometry.subpages_per_page;
-  if (params.footprint_sectors == 0) {
-    params.footprint_sectors =
-        static_cast<std::uint64_t>(
-            spec.precondition_fraction *
-            static_cast<double>(plan.usable_sectors)) /
-        subs * subs;
-  }
+  workload::SyntheticParams params = with_default_footprint(
+      spec.workload, spec.precondition_fraction, plan.usable_sectors,
+      spec.ssd.geometry.subpages_per_page);
   // Every global LBA must land inside its shard's addressed slice.
   params.footprint_sectors =
       std::min(params.footprint_sectors, plan.usable_sectors);
@@ -130,12 +127,9 @@ ExperimentSpec make_shard_spec(const ExperimentSpec& spec,
   leaf.workload.footprint_sectors = plan.shard_sectors;
   leaf.shard_index = index;
   leaf.shard_count = plan.shards;
-  if (!spec.journal_path.empty())
-    leaf.journal_path = shard_sidecar_path(spec.journal_path, index);
-  if (!spec.health_path.empty())
-    leaf.health_path = shard_sidecar_path(spec.health_path, index);
-  if (!spec.forensics_path.empty())
-    leaf.forensics_path = shard_sidecar_path(spec.forensics_path, index);
+  for (std::string ExperimentSpec::*path : kSidecarPaths)
+    if (!(spec.*path).empty())
+      leaf.*path = shard_sidecar_path(spec.*path, index);
   return leaf;
 }
 
@@ -192,24 +186,8 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
       shard_tels[i]->registry().materialize();
       spec.telemetry->registry().merge_from(shard_tels[i]->registry());
     }
-  if (!spec.journal_path.empty()) {
-    std::vector<std::string> sidecars;
-    for (const ExperimentSpec& leaf : leaves)
-      sidecars.push_back(leaf.journal_path);
-    concat_sidecars(spec.journal_path, sidecars);
-  }
-  if (!spec.health_path.empty()) {
-    std::vector<std::string> sidecars;
-    for (const ExperimentSpec& leaf : leaves)
-      sidecars.push_back(leaf.health_path);
-    concat_sidecars(spec.health_path, sidecars);
-  }
-  if (!spec.forensics_path.empty()) {
-    std::vector<std::string> sidecars;
-    for (const ExperimentSpec& leaf : leaves)
-      sidecars.push_back(leaf.forensics_path);
-    concat_sidecars(spec.forensics_path, sidecars);
-  }
+  for (std::string ExperimentSpec::*path : kSidecarPaths)
+    if (!(spec.*path).empty()) concat_sidecars(spec.*path, leaves, path);
 
   RunResult merged;
   merged.ftl_name = shard_results.front().ftl_name;

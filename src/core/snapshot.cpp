@@ -62,26 +62,30 @@ SnapshotMeta read_meta(util::StateReader& r) {
 
 // Optional sections are buffered and written behind a byte-length prefix,
 // so a reader without the matching consumer can skip the section whole.
-template <typename SaveFn>
-void write_section(std::ostream& os, util::StateWriter& w, SaveFn&& save) {
+// A null participant writes nothing.
+template <typename Participant>
+void write_section(std::ostream& os, util::StateWriter& w,
+                   const Participant* participant) {
+  if (participant == nullptr) return;
   std::ostringstream buf(std::ios::binary);
   util::StateWriter sw(buf);
-  save(sw);
+  participant->save_state(sw);
   const std::string bytes = buf.str();
   w.u64(bytes.size());
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!os) throw std::runtime_error("write_snapshot: write failed");
 }
 
-// Reads one length-prefixed section: dispatches to `load` when a consumer
-// exists, skips the bytes otherwise. Verifies the consumer ate exactly the
-// recorded length -- a drifted layer fails here instead of corrupting the
-// next section.
-template <typename LoadFn>
+// Reads one length-prefixed section when the file has it (`present`):
+// loads it into `consumer` when there is one, skips the bytes otherwise.
+// Verifies the consumer ate exactly the recorded length -- a drifted layer
+// fails here instead of corrupting the next section.
+template <typename Consumer>
 void read_section(std::istream& is, util::StateReader& r, const char* name,
-                  bool has_consumer, LoadFn&& load) {
+                  bool present, Consumer* consumer) {
+  if (!present) return;
   const std::uint64_t len = r.u64();
-  if (!has_consumer) {
+  if (consumer == nullptr) {
     is.seekg(static_cast<std::streamoff>(len), std::ios::cur);
     if (!is)
       throw std::runtime_error(std::string("read_snapshot_state: cannot "
@@ -90,7 +94,7 @@ void read_section(std::istream& is, util::StateReader& r, const char* name,
     return;
   }
   const std::streampos before = is.tellg();
-  load(r);
+  consumer->load_state(r);
   const std::streampos after = is.tellg();
   if (after - before != static_cast<std::streamoff>(len))
     throw std::runtime_error(
@@ -160,22 +164,11 @@ void write_snapshot(std::ostream& os, const SnapshotMeta& meta,
 
   ssd.save_state(w);
 
-  if (sinks.telemetry)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.telemetry->save_state(sw); });
-  if (sinks.journal)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.journal->save_state(sw); });
-  if (sinks.auditor)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.auditor->save_state(sw); });
-  if (sinks.health)
-    write_section(os, w,
-                  [&](util::StateWriter& sw) { sinks.health->save_state(sw); });
-  if (sinks.forensics)
-    write_section(os, w, [&](util::StateWriter& sw) {
-      sinks.forensics->save_state(sw);
-    });
+  write_section(os, w, sinks.telemetry);
+  write_section(os, w, sinks.journal);
+  write_section(os, w, sinks.auditor);
+  write_section(os, w, sinks.health);
+  write_section(os, w, sinks.forensics);
   os.flush();
   if (!os) throw std::runtime_error("write_snapshot: flush failed");
 }
@@ -207,21 +200,11 @@ void read_snapshot_state(std::istream& is, const SnapshotMeta& meta, Ssd& ssd,
                          const SnapshotSinks& sinks) {
   util::StateReader r(is);
   ssd.load_state(r);
-  if (meta.has_telemetry)
-    read_section(is, r, "TELM", sinks.telemetry != nullptr,
-                 [&](util::StateReader& sr) { sinks.telemetry->load_state(sr); });
-  if (meta.has_journal)
-    read_section(is, r, "JRNL", sinks.journal != nullptr,
-                 [&](util::StateReader& sr) { sinks.journal->load_state(sr); });
-  if (meta.has_auditor)
-    read_section(is, r, "AUDT", sinks.auditor != nullptr,
-                 [&](util::StateReader& sr) { sinks.auditor->load_state(sr); });
-  if (meta.has_health)
-    read_section(is, r, "HLTH", sinks.health != nullptr,
-                 [&](util::StateReader& sr) { sinks.health->load_state(sr); });
-  if (meta.has_forensics)
-    read_section(is, r, "FRNS", sinks.forensics != nullptr,
-                 [&](util::StateReader& sr) { sinks.forensics->load_state(sr); });
+  read_section(is, r, "TELM", meta.has_telemetry, sinks.telemetry);
+  read_section(is, r, "JRNL", meta.has_journal, sinks.journal);
+  read_section(is, r, "AUDT", meta.has_auditor, sinks.auditor);
+  read_section(is, r, "HLTH", meta.has_health, sinks.health);
+  read_section(is, r, "FRNS", meta.has_forensics, sinks.forensics);
 }
 
 void save_snapshot_file(const std::string& path, const SnapshotMeta& meta,

@@ -50,7 +50,7 @@ inline constexpr char kSnapshotMagic[8] = {'E', 'S', 'P', 'S',
 
 /// Bumped on any incompatible change to the archive layout (including any
 /// layer's save_state). Loads of a different version fail loudly.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /// FNV-1a over a canonical field-by-field serialization of the SsdConfig.
 /// Two configs with equal fingerprints build byte-identical simulators, so

@@ -137,6 +137,49 @@ struct FtlStats {
   }
 };
 
+/// One FtlStats counter: its exported name, its member, and whether it is
+/// a measured host-side profile (the maint_* fields) rather than a
+/// simulated count.
+struct StatField {
+  const char* name;
+  std::uint64_t FtlStats::*member;
+  bool measured;
+};
+
+/// Every FtlStats counter, in declaration order -- the one field list that
+/// delta, sum, snapshot archive, registry binding and comparison walk.
+inline constexpr StatField kStatFields[] = {
+    {"host_write_requests", &FtlStats::host_write_requests, false},
+    {"host_read_requests", &FtlStats::host_read_requests, false},
+    {"host_write_sectors", &FtlStats::host_write_sectors, false},
+    {"host_read_sectors", &FtlStats::host_read_sectors, false},
+    {"flash_prog_full", &FtlStats::flash_prog_full, false},
+    {"flash_prog_sub", &FtlStats::flash_prog_sub, false},
+    {"flash_reads", &FtlStats::flash_reads, false},
+    {"flash_erases", &FtlStats::flash_erases, false},
+    {"rmw_ops", &FtlStats::rmw_ops, false},
+    {"gc_invocations", &FtlStats::gc_invocations, false},
+    {"gc_copy_sectors", &FtlStats::gc_copy_sectors, false},
+    {"forward_migrations", &FtlStats::forward_migrations, false},
+    {"cold_evictions", &FtlStats::cold_evictions, false},
+    {"retention_evictions", &FtlStats::retention_evictions, false},
+    {"wear_level_relocations", &FtlStats::wear_level_relocations, false},
+    {"buffer_hits", &FtlStats::buffer_hits, false},
+    {"read_failures", &FtlStats::read_failures, false},
+    {"small_write_requests", &FtlStats::small_write_requests, false},
+    {"small_write_bytes", &FtlStats::small_write_bytes, false},
+    {"small_service_flash_bytes", &FtlStats::small_service_flash_bytes,
+     false},
+    {"small_extra_flash_bytes", &FtlStats::small_extra_flash_bytes, false},
+    {"maint_retention_calls", &FtlStats::maint_retention_calls, true},
+    {"maint_retention_ns", &FtlStats::maint_retention_ns, true},
+    {"maint_wear_level_calls", &FtlStats::maint_wear_level_calls, true},
+    {"maint_wear_level_ns", &FtlStats::maint_wear_level_ns, true},
+    {"maint_release_idle_calls", &FtlStats::maint_release_idle_calls, true},
+    {"maint_release_idle_ns", &FtlStats::maint_release_idle_ns, true},
+    {"maint_gc_ns", &FtlStats::maint_gc_ns, true},
+};
+
 /// Counter-wise difference (after - before): stats for a measured window
 /// of a longer run. Requires `after` to be a later snapshot of the same
 /// FTL than `before`.
@@ -152,6 +195,10 @@ void load_stats(util::StateReader& r, FtlStats& s);
 /// shard-merge reconciliation -- merged counters are BY CONSTRUCTION the
 /// sum of the shards). Field-for-field dual of stats_delta.
 FtlStats stats_sum(const FtlStats& a, const FtlStats& b);
+
+/// True when every simulated counter matches: the decision-equivalence
+/// test between two runs. The measured maint_* profile is ignored.
+bool same_simulated_stats(const FtlStats& a, const FtlStats& b);
 
 /// RAII wall-clock timer for a maintenance entry point. The outermost
 /// timer on a stats struct accumulates elapsed steady-clock nanoseconds
@@ -172,8 +219,9 @@ class MaintenanceTimer {
   bool outer_;
 };
 
-/// Binds every FtlStats field into `registry` as "<scope>/<field>" live
-/// counters (read at export; the hot path keeps incrementing the struct).
+/// Binds every simulated FtlStats field into `registry` as
+/// "<scope>/<field>" live counters (read at export; the hot path keeps
+/// incrementing the struct).
 void bind_stats(telemetry::MetricsRegistry& registry, const std::string& scope,
                 const FtlStats& stats);
 

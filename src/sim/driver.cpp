@@ -216,7 +216,13 @@ RunMetrics Driver::run(workload::RequestSource& source, bool verify,
 void Driver::set_telemetry(telemetry::Telemetry* telemetry, bool resume) {
   tel_ = telemetry;
   if (!tel_) return;
-  if (resume) return;  // clocks + cursors arrive via load_state
+  if (resume) {
+    // Clocks + cursors arrive via load_state. A health stream the snapshot
+    // did not carry (no epoch yet) counts its first window from here.
+    telemetry::HealthMonitor* hm = tel_->health();
+    if (hm && hm->epochs_written() == 0) hm->rebase(health_totals());
+    return;
+  }
   tel_last_stats_ = ftl_.stats();
   tel_last_erases_ = dev_.counters().erases;
   tel_last_requests_ = requests_submitted_;
@@ -225,7 +231,7 @@ void Driver::set_telemetry(telemetry::Telemetry* telemetry, bool resume) {
   if (telemetry::HealthMonitor* hm = tel_->health()) {
     // Epoch 0 at attach: the absolute baseline (preconditioning wear
     // included) every later delta row builds on.
-    hm->start(now_);
+    hm->start(now_, health_totals());
     take_health();
   }
 }
@@ -249,7 +255,22 @@ void Driver::take_health() {
   const std::span<telemetry::BlockHealth> rows = hm->begin_epoch();
   dev_.fill_block_health(rows);
   ftl_.collect_health(rows);
-  hm->commit_epoch(now_, ftl_.free_blocks());
+  hm->commit_epoch(now_, ftl_.free_blocks(), health_totals());
+}
+
+telemetry::HealthTotals Driver::health_totals() const {
+  telemetry::HealthTotals t;
+  for (std::size_t c = 0; c < telemetry::kCauseCount; ++c) {
+    const auto cause = static_cast<telemetry::Cause>(c);
+    t.prog_full[c] = tel_->cause_count(cause, telemetry::OpKind::kProgFull);
+    t.prog_sub[c] = tel_->cause_count(cause, telemetry::OpKind::kProgSub);
+    t.erases[c] = tel_->cause_count(cause, telemetry::OpKind::kErase);
+  }
+  // The driver is Ftl::write's only caller, so host_write_sectors counts
+  // exactly the sectors of the host writes it issued.
+  t.host_sectors = ftl_.stats().host_write_sectors;
+  t.retention_evict_sectors = ftl_.stats().retention_evictions;
+  return t;
 }
 
 void Driver::save_state(util::StateWriter& w) const {

@@ -20,6 +20,7 @@
 
 namespace esp::telemetry {
 class Telemetry;
+struct HealthTotals;
 }
 
 namespace esp::sim {
@@ -190,6 +191,9 @@ class Driver {
   void maybe_health();
   /// Unconditionally snapshots device + FTL state into a health epoch.
   void take_health();
+  /// The cumulative counters health windows are differences of: the
+  /// facade's per-cause programs/erases and the FTL's sector counts.
+  telemetry::HealthTotals health_totals() const;
 
   ftl::Ftl& ftl_;
   nand::NandDevice& dev_;

@@ -63,10 +63,6 @@ ForensicsCollector::ForensicsCollector(std::ostream& os,
   if (config_.window_requests > 0) window_.reserve(window_tail_cap_);
   if (resume) return;  // appending after a restore; hdr already on disk
 
-  char shard_tag[64] = "";
-  if (header.shards > 1)
-    std::snprintf(shard_tag, sizeof shard_tag, ",\"shard\":%u,\"shards\":%u",
-                  header.shard, header.shards);
   char buf[kLineCap];
   std::snprintf(buf, sizeof buf,
                 "{\"v\":%d,\"t\":\"hdr\",\"stream\":\"forensics\","
@@ -78,7 +74,7 @@ ForensicsCollector::ForensicsCollector(std::ostream& os,
                 header.subpages_per_page,
                 static_cast<unsigned long long>(header.page_bytes),
                 static_cast<unsigned long long>(header.seed), config_.top_k,
-                config_.window_requests, shard_tag);
+                config_.window_requests, header.shard_tag().c_str());
   write_line(buf);
 }
 

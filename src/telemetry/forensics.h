@@ -141,18 +141,7 @@ struct TenantBlame {
 };
 
 /// Run-identifying fields written into the forensics hdr line.
-struct ForensicsHeader {
-  std::string ftl;
-  std::uint32_t chips = 0;
-  std::uint32_t blocks_per_chip = 0;
-  std::uint32_t pages_per_block = 0;
-  std::uint32_t subpages_per_page = 0;
-  std::uint64_t page_bytes = 0;
-  std::uint64_t seed = 0;
-  /// Shard identity (core/shard.h); fields emitted only when shards > 1.
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 1;
-};
+using ForensicsHeader = StreamHeader;
 
 class ForensicsCollector {
  public:

@@ -44,10 +44,6 @@ HealthMonitor::HealthMonitor(std::ostream& os, const HealthHeader& header,
   if (resume) return;  // appending after a restore; hdr already on disk
   char interval_s[32];
   fmt_time(interval_s, sizeof interval_s, header_.interval_us);
-  char shard_tag[64] = "";
-  if (header_.shards > 1)
-    std::snprintf(shard_tag, sizeof shard_tag, ",\"shard\":%u,\"shards\":%u",
-                  header_.shard, header_.shards);
   char buf[kLineCap];
   std::snprintf(buf, sizeof buf,
                 "{\"v\":%d,\"t\":\"hdr\",\"kind\":\"health\",\"ftl\":\"%s\","
@@ -58,7 +54,7 @@ HealthMonitor::HealthMonitor(std::ostream& os, const HealthHeader& header,
                 header_.blocks_per_chip, header_.pages_per_block,
                 header_.subpages_per_page,
                 static_cast<unsigned long long>(header_.seed), interval_s,
-                header_.rated_pe, shard_tag);
+                header_.rated_pe, header_.shard_tag().c_str());
   write_line(buf);
 }
 
@@ -67,9 +63,10 @@ void HealthMonitor::write_line(const char* buf) {
   ++lines_;
 }
 
-void HealthMonitor::start(SimTime now) {
+void HealthMonitor::start(SimTime now, const HealthTotals& totals) {
   last_epoch_us_ = now;
   next_due_us_ = now + header_.interval_us;
+  base_ = totals;
 }
 
 std::span<BlockHealth> HealthMonitor::begin_epoch() {
@@ -104,7 +101,8 @@ void HealthMonitor::append_block_row(std::size_t i, const BlockHealth& r) {
   ++lines_;
 }
 
-void HealthMonitor::commit_epoch(SimTime now, std::uint64_t spare_blocks) {
+void HealthMonitor::commit_epoch(SimTime now, std::uint64_t spare_blocks,
+                                 const HealthTotals& totals) {
   if (finished_) return;
 
   char at_s[32];
@@ -134,7 +132,7 @@ void HealthMonitor::commit_epoch(SimTime now, std::uint64_t spare_blocks) {
     append_block_row(i, rows_[i]);
     emitted_[i] = rows_[i];
   }
-  emit_smart(now, spare_blocks, pe_min, pe_max, pe_sum);
+  emit_smart(now, spare_blocks, totals, pe_min, pe_max, pe_sum);
   os_.write(out_buf_.data(),
             static_cast<std::streamsize>(out_buf_.size()));
 
@@ -143,16 +141,11 @@ void HealthMonitor::commit_epoch(SimTime now, std::uint64_t spare_blocks) {
   if (header_.interval_us > 0.0) {
     while (next_due_us_ <= now) next_due_us_ += header_.interval_us;
   }
-  std::fill(std::begin(win_cause_prog_full_), std::end(win_cause_prog_full_),
-            0);
-  std::fill(std::begin(win_cause_prog_sub_), std::end(win_cause_prog_sub_),
-            0);
-  std::fill(std::begin(win_cause_erases_), std::end(win_cause_erases_), 0);
-  win_host_sectors_ = 0;
-  win_retention_evict_sectors_ = 0;
+  base_ = totals;
 }
 
 void HealthMonitor::emit_smart(SimTime now, std::uint64_t spare_blocks,
+                               const HealthTotals& totals,
                                std::uint32_t pe_min, std::uint32_t pe_max,
                                double sum) {
   // Wear distribution over EVERY physical block (pristine ones included:
@@ -204,13 +197,16 @@ void HealthMonitor::emit_smart(SimTime now, std::uint64_t spare_blocks,
   // Windowed per-cause WAF decomposition in sector units (a full-page
   // program carries subpages_per_page sectors, a subpage program one).
   const std::uint64_t subs = header_.subpages_per_page;
+  const auto win_sectors = [&](std::size_t c) {
+    return (totals.prog_full[c] - base_.prog_full[c]) * subs +
+           (totals.prog_sub[c] - base_.prog_sub[c]);
+  };
   char waf[400];
   {
     std::size_t off = 0;
     off += std::snprintf(waf + off, sizeof waf - off, "{");
     for (std::size_t c = 0; c < kCauseCount; ++c) {
-      const std::uint64_t sectors =
-          win_cause_prog_full_[c] * subs + win_cause_prog_sub_[c];
+      const std::uint64_t sectors = win_sectors(c);
       off += std::snprintf(waf + off, sizeof waf - off, "%s\"%s\":%llu",
                            c == 0 ? "" : ",",
                            cause_name(static_cast<Cause>(c)),
@@ -222,20 +218,23 @@ void HealthMonitor::emit_smart(SimTime now, std::uint64_t spare_blocks,
   std::uint64_t win_flash_sectors = 0;
   std::uint64_t win_erases = 0;
   for (std::size_t c = 0; c < kCauseCount; ++c) {
-    win_flash_sectors += win_cause_prog_full_[c] * subs +
-                         win_cause_prog_sub_[c];
-    win_erases += win_cause_erases_[c];
+    win_flash_sectors += win_sectors(c);
+    win_erases += totals.erases[c] - base_.erases[c];
   }
+  const std::uint64_t win_host_sectors =
+      totals.host_sectors - base_.host_sectors;
+  const std::uint64_t win_retention_evict_sectors =
+      totals.retention_evict_sectors - base_.retention_evict_sectors;
   const double overall_waf =
-      win_host_sectors_ > 0
+      win_host_sectors > 0
           ? static_cast<double>(win_flash_sectors) /
-                static_cast<double>(win_host_sectors_)
+                static_cast<double>(win_host_sectors)
           : 1.0;
 
   const double window_s = (now - last_epoch_us_) / 1e6;
   const double retention_rate =
       window_s > 0.0
-          ? static_cast<double>(win_retention_evict_sectors_) / window_s
+          ? static_cast<double>(win_retention_evict_sectors) / window_s
           : 0.0;
 
   // Projected P/E-exhaustion horizon: remaining rated erase budget across
@@ -268,10 +267,10 @@ void HealthMonitor::emit_smart(SimTime now, std::uint64_t spare_blocks,
       "\"pe_horizon_s\":%.10g}",
       static_cast<unsigned long long>(epochs_), at_s, media_wear_pct,
       static_cast<unsigned long long>(spare_blocks), pe_min, pe_max, mean,
-      stddev, cov, gini, static_cast<unsigned long long>(win_host_sectors_),
+      stddev, cov, gini, static_cast<unsigned long long>(win_host_sectors),
       static_cast<unsigned long long>(win_flash_sectors), overall_waf, waf,
       static_cast<unsigned long long>(win_erases),
-      static_cast<unsigned long long>(win_retention_evict_sectors_),
+      static_cast<unsigned long long>(win_retention_evict_sectors),
       retention_rate, horizon_s);
   out_buf_.append(buf);
   out_buf_.push_back('\n');
@@ -298,11 +297,11 @@ void HealthMonitor::save_state(util::StateWriter& w) const {
   w.u64(lines_);
   w.pod_vec(emitted_);
   w.pod_vec(gc_victims_);
-  w.raw(win_cause_prog_full_, sizeof win_cause_prog_full_);
-  w.raw(win_cause_prog_sub_, sizeof win_cause_prog_sub_);
-  w.raw(win_cause_erases_, sizeof win_cause_erases_);
-  w.u64(win_host_sectors_);
-  w.u64(win_retention_evict_sectors_);
+  w.raw(base_.prog_full, sizeof base_.prog_full);
+  w.raw(base_.prog_sub, sizeof base_.prog_sub);
+  w.raw(base_.erases, sizeof base_.erases);
+  w.u64(base_.host_sectors);
+  w.u64(base_.retention_evict_sectors);
 }
 
 void HealthMonitor::load_state(util::StateReader& r) {
@@ -321,11 +320,11 @@ void HealthMonitor::load_state(util::StateReader& r) {
   if (victims.size() != total_blocks_)
     throw std::runtime_error("HealthMonitor::load_state: geometry mismatch");
   gc_victims_ = std::move(victims);
-  r.raw(win_cause_prog_full_, sizeof win_cause_prog_full_);
-  r.raw(win_cause_prog_sub_, sizeof win_cause_prog_sub_);
-  r.raw(win_cause_erases_, sizeof win_cause_erases_);
-  win_host_sectors_ = r.u64();
-  win_retention_evict_sectors_ = r.u64();
+  r.raw(base_.prog_full, sizeof base_.prog_full);
+  r.raw(base_.prog_sub, sizeof base_.prog_sub);
+  r.raw(base_.erases, sizeof base_.erases);
+  base_.host_sectors = r.u64();
+  base_.retention_evict_sectors = r.u64();
 }
 
 }  // namespace esp::telemetry

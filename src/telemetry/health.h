@@ -1,17 +1,21 @@
 // Device-health observability: periodic per-block snapshots plus a
 // SMART-style device attribute line, streamed as schema-versioned JSONL.
 //
-// The HealthMonitor is fed from two sides:
+// The HealthMonitor is fed at each sim-time epoch boundary by the driver:
 //
-//   * an event feed (Telemetry facade, set_health): every op event flows
-//     through on_op(), from which the monitor maintains per-block GC-victim
-//     counts and windowed per-cause program/erase counters -- the same
-//     cause taxonomy the causal-attribution journal uses, so the smart
-//     line's WAF decomposition is consistent with espreport's;
-//   * an epoch snapshot (driver): on each sim-time epoch boundary the
-//     driver fills the monitor's row buffer from the NAND device
-//     (P/E cycles, programmed pages, first-program time) and the FTL
-//     (pool ownership, ESP level, valid counts), then commits the epoch.
+//   * a block snapshot: the driver fills the monitor's row buffer from the
+//     NAND device (P/E cycles, programmed pages, first-program time) and
+//     the FTL (pool ownership, ESP level, valid counts);
+//   * cumulative totals (HealthTotals) of counters the simulator already
+//     keeps: the telemetry facade's per-cause program/erase counts -- the
+//     same cause taxonomy the causal-attribution journal uses, so the smart
+//     line's WAF decomposition is consistent with espreport's -- and the
+//     FTL's host-write and retention-eviction sector counts. Each smart
+//     line's windowed figures are the difference from the previous epoch's
+//     totals, so the monitor does no per-op work.
+//
+// The one per-op input is the facade's erase branch, which bumps a block's
+// GC-victim count when the erase ran under a GC cause (count_gc_victim).
 //
 // Stream layout (one JSON object per line, all lines carry `"t"`):
 //   hdr    schema version, kind:"health", FTL, geometry, seed,
@@ -63,7 +67,8 @@ constexpr const char* health_pool_name(HealthPool pool) {
 
 /// One block's health tuple. The device fills the physical fields, the
 /// owning FTL pool fills ownership/validity, the monitor itself fills
-/// gc_victims from its event feed. Delta encoding compares whole tuples.
+/// gc_victims from the facade's erase branch. Delta encoding compares
+/// whole tuples.
 struct BlockHealth {
   std::uint32_t pe = 0;               ///< P/E cycles
   std::uint32_t programmed_pages = 0; ///< pages with >=1 program this cycle
@@ -77,24 +82,25 @@ struct BlockHealth {
   bool operator==(const BlockHealth&) const = default;
 };
 
-/// Run-identifying fields written into the health stream's hdr line.
-struct HealthHeader {
-  std::string ftl;
-  std::uint32_t chips = 0;
-  std::uint32_t blocks_per_chip = 0;
-  std::uint32_t pages_per_block = 0;
-  std::uint32_t subpages_per_page = 0;
-  std::uint64_t seed = 0;
+/// The health stream's hdr line: the shared run identity plus the epoch
+/// cadence and the endurance its wear attributes are rated against.
+struct HealthHeader : StreamHeader {
   /// Epoch period in simulated microseconds; 0 = endpoint epochs only
   /// (attach + end of each run).
   SimTime interval_us = 0.0;
   /// Rated P/E endurance used for media-wear % and the exhaustion horizon.
   std::uint32_t rated_pe = 3000;
-  /// Shard identity of a sharded run's per-shard stream (core/shard.h):
-  /// emitted in the hdr line only when shards > 1, so unsharded health
-  /// streams keep their legacy bytes.
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 1;
+};
+
+/// Cumulative counters a health window is the difference of. Programs and
+/// erases come from the telemetry facade (cause_count), sectors from the
+/// FTL's stats; only differences between two totals are ever emitted.
+struct HealthTotals {
+  std::uint64_t prog_full[kCauseCount] = {};
+  std::uint64_t prog_sub[kCauseCount] = {};
+  std::uint64_t erases[kCauseCount] = {};
+  std::uint64_t host_sectors = 0;             ///< FtlStats::host_write_sectors
+  std::uint64_t retention_evict_sectors = 0;  ///< FtlStats::retention_evictions
 };
 
 class HealthMonitor {
@@ -107,47 +113,23 @@ class HealthMonitor {
   HealthMonitor(std::ostream& os, const HealthHeader& header,
                 bool resume = false);
 
-  // --- event feed (Telemetry facade) --------------------------------
-  /// Folds one op event into the per-block and windowed counters.
-  /// Defined inline: this runs once per flash op for the lifetime of an
-  /// always-on stream, and every branch is a bare counter increment.
-  void on_op(const OpEvent& event, Cause cause) {
-    const auto c = static_cast<std::size_t>(cause);
-    switch (event.kind) {
-      case OpKind::kProgFull:
-        if (c < kCauseCount) ++win_cause_prog_full_[c];
-        return;
-      case OpKind::kProgSub:
-        if (c < kCauseCount) ++win_cause_prog_sub_[c];
-        return;
-      case OpKind::kErase: {
-        if (c < kCauseCount) ++win_cause_erases_[c];
-        // Per-block GC-victim accounting: an erase attributed to a GC pass
-        // means this block was selected as a victim.
-        if (cause == Cause::kGcCopy && event.chip != kNoChip) {
-          const std::size_t idx =
-              static_cast<std::size_t>(event.chip) * header_.blocks_per_chip +
-              event.block;
-          if (idx < gc_victims_.size()) ++gc_victims_[idx];
-        }
-        return;
-      }
-      case OpKind::kHostWrite:
-        // arg0 = sector count (driver's end_request schema).
-        win_host_sectors_ += event.arg0;
-        return;
-      case OpKind::kRetentionEvict:
-        // arg0 = sectors evicted by the retention scan.
-        win_retention_evict_sectors_ += event.arg0;
-        return;
-      default:
-        return;
-    }
+  // --- GC-victim feed (Telemetry facade) ---------------------------
+  /// Counts one GC-caused erase of (chip, block); a no-op for events
+  /// without a physical address.
+  void count_gc_victim(std::uint32_t chip, std::uint32_t block) {
+    if (chip == kNoChip) return;
+    const std::size_t idx =
+        static_cast<std::size_t>(chip) * header_.blocks_per_chip + block;
+    if (idx < gc_victims_.size()) ++gc_victims_[idx];
   }
 
   // --- epoch cadence (driver) ---------------------------------------
-  /// Anchors the epoch clock at `now` (called once at attach).
-  void start(SimTime now);
+  /// Anchors the epoch clock at `now` and the window counters at `totals`
+  /// (called once at attach).
+  void start(SimTime now, const HealthTotals& totals);
+  /// Re-anchors only the window counters (a fresh monitor attached to a
+  /// resumed run, whose epoch clock is not started).
+  void rebase(const HealthTotals& totals) { base_ = totals; }
   /// True when the current epoch has elapsed (always false when the
   /// interval is 0 -- endpoint epochs are triggered explicitly).
   bool due(SimTime now) const {
@@ -160,8 +142,10 @@ class HealthMonitor {
   /// chip * blocks_per_chip + block) for the device and FTL to fill.
   std::span<BlockHealth> begin_epoch();
   /// Emits the epoch: marker line, changed-block delta rows, smart line.
-  /// `spare_blocks` is the allocator's current free-block count.
-  void commit_epoch(SimTime now, std::uint64_t spare_blocks);
+  /// `spare_blocks` is the allocator's current free-block count; the
+  /// smart line's window is `totals` minus the previous epoch's.
+  void commit_epoch(SimTime now, std::uint64_t spare_blocks,
+                    const HealthTotals& totals);
 
   /// Writes the end trailer (idempotent; later epochs are dropped).
   void finish();
@@ -171,14 +155,15 @@ class HealthMonitor {
 
   /// Snapshot support: epoch cadence cursors, line counters, the
   /// delta-encoding reference tuples, per-block GC-victim counts and the
-  /// open window's per-cause counters.
+  /// totals the open window started from.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 
  private:
   void write_line(const char* buf);
   void emit_smart(SimTime now, std::uint64_t spare_blocks,
-                  std::uint32_t pe_min, std::uint32_t pe_max, double sum);
+                  const HealthTotals& totals, std::uint32_t pe_min,
+                  std::uint32_t pe_max, double sum);
 
   /// Appends one delta row for block `i` to out_buf_ (to_chars fast path:
   /// a prod-geometry epoch can carry thousands of rows, and snprintf's
@@ -203,12 +188,7 @@ class HealthMonitor {
   std::vector<std::uint64_t> counts_;      ///< Gini counting-sort buckets
   std::string out_buf_;  ///< per-epoch line accumulator, one write per epoch
 
-  // Windowed event-feed counters, reset at each commit.
-  std::uint64_t win_cause_prog_full_[kCauseCount] = {};
-  std::uint64_t win_cause_prog_sub_[kCauseCount] = {};
-  std::uint64_t win_cause_erases_[kCauseCount] = {};
-  std::uint64_t win_host_sectors_ = 0;
-  std::uint64_t win_retention_evict_sectors_ = 0;
+  HealthTotals base_;  ///< totals at the previous epoch (window start)
 };
 
 }  // namespace esp::telemetry

@@ -24,10 +24,6 @@ Journal::Journal(std::ostream& os, const JournalHeader& header,
       last_pool_(static_cast<std::size_t>(header.chips) *
                  header.blocks_per_chip) {
   if (resume) return;  // appending after a restore; hdr already on disk
-  char shard_tag[64] = "";
-  if (header.shards > 1)
-    std::snprintf(shard_tag, sizeof shard_tag, ",\"shard\":%u,\"shards\":%u",
-                  header.shard, header.shards);
   char buf[kLineCap];
   std::snprintf(buf, sizeof buf,
                 "{\"v\":%d,\"t\":\"hdr\",\"ftl\":\"%s\",\"chips\":%u,"
@@ -37,7 +33,8 @@ Journal::Journal(std::ostream& os, const JournalHeader& header,
                 header.blocks_per_chip, header.pages_per_block,
                 header.subpages_per_page,
                 static_cast<unsigned long long>(header.page_bytes),
-                static_cast<unsigned long long>(header.seed), shard_tag);
+                static_cast<unsigned long long>(header.seed),
+                header.shard_tag().c_str());
   write_line(buf);
 }
 

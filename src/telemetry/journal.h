@@ -41,20 +41,7 @@
 namespace esp::telemetry {
 
 /// Run-identifying fields written into the journal's hdr line.
-struct JournalHeader {
-  std::string ftl;
-  std::uint32_t chips = 0;
-  std::uint32_t blocks_per_chip = 0;
-  std::uint32_t pages_per_block = 0;
-  std::uint32_t subpages_per_page = 0;
-  std::uint64_t page_bytes = 0;
-  std::uint64_t seed = 0;
-  /// Shard identity of a sharded run's per-shard stream (core/shard.h):
-  /// `"shard"`/`"shards"` fields are emitted in the hdr line only when
-  /// shards > 1, so unsharded journals keep their legacy bytes.
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 1;
-};
+using JournalHeader = StreamHeader;
 
 class Journal {
  public:

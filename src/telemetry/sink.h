@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "telemetry/causes.h"
 #include "util/sim_time.h"
@@ -92,6 +93,30 @@ struct OpEvent {
   std::uint64_t arg1 = 0;
   std::uint32_t chip = kNoChip;
   std::uint32_t block = 0;
+};
+
+/// Run identity written into the hdr line of every sidecar stream
+/// (journal, health, forensics). Each stream keeps its own hdr format and
+/// prints the fields it always printed.
+struct StreamHeader {
+  std::string ftl;
+  std::uint32_t chips = 0;
+  std::uint32_t blocks_per_chip = 0;
+  std::uint32_t pages_per_block = 0;
+  std::uint32_t subpages_per_page = 0;
+  std::uint64_t page_bytes = 0;
+  std::uint64_t seed = 0;
+  /// Shard identity of a sharded run's per-shard stream (core/shard.h).
+  std::uint32_t shard = 0;
+  std::uint32_t shards = 1;
+
+  /// The hdr line's shard fields: empty unless shards > 1, so unsharded
+  /// streams keep their legacy bytes.
+  std::string shard_tag() const {
+    if (shards <= 1) return {};
+    return ",\"shard\":" + std::to_string(shard) +
+           ",\"shards\":" + std::to_string(shards);
+  }
 };
 
 class Sink {

@@ -54,9 +54,10 @@ void Telemetry::recompute_op_mask() {
   // With per-op detail on (trace + latency histograms) or a journal /
   // auditor attached, every kind matters. Otherwise the facade needs only
   // the kinds that feed its per-cause counters (programs, erases — the
-  // cause_count() contract holds regardless of consumers) plus the kinds
-  // the health monitor folds into its window (host writes, retention
-  // evictions). Reads, RMW and copy records can be skipped at the source.
+  // cause_count() contract holds regardless of consumers). The health
+  // monitor adds nothing: its windows are differences of those counters
+  // and of FtlStats. Reads, RMW, copy and host-lane records can be skipped
+  // at the source.
   std::uint32_t mask;
   if (op_detail_ || journal_ != nullptr || auditor_ != nullptr) {
     mask = ~0u;
@@ -66,8 +67,6 @@ void Telemetry::recompute_op_mask() {
     };
     mask = bit(OpKind::kProgFull) | bit(OpKind::kProgSub) |
            bit(OpKind::kErase);
-    if (health_ != nullptr)
-      mask |= bit(OpKind::kHostWrite) | bit(OpKind::kRetentionEvict);
     // The forensics collector sweeps every flash-lane interval, so it is
     // the one lean-facade consumer that also needs device reads.
     if (forensics_ != nullptr) mask |= bit(OpKind::kRead);
@@ -93,12 +92,16 @@ void Telemetry::record_op(const OpEvent& event) {
     case OpKind::kProgSub:
     case OpKind::kErase: {
       const auto c = static_cast<std::size_t>(current_cause());
-      if (event.kind == OpKind::kProgFull)
+      if (event.kind == OpKind::kProgFull) {
         ++cause_progs_full_[c];
-      else if (event.kind == OpKind::kProgSub)
+      } else if (event.kind == OpKind::kProgSub) {
         ++cause_progs_sub_[c];
-      else
+      } else {
         ++cause_erases_[c];
+        // An erase under a GC pass means the block was a GC victim.
+        if (health_ && c == static_cast<std::size_t>(Cause::kGcCopy))
+          health_->count_gc_victim(event.chip, event.block);
+      }
       if (op_detail_) cause_latency_[c]->add(event.end - event.start);
       break;
     }
@@ -109,7 +112,6 @@ void Telemetry::record_op(const OpEvent& event) {
   if (journal_)
     journal_->on_op(event, current_cause(), cause_stack_, current_request_);
   if (auditor_) auditor_->on_op(event, cause_stack_);
-  if (health_) health_->on_op(event, current_cause());
   if (forensics_ && current_request_ != 0)
     forensics_->on_op(event, current_cause(), cause_stack_);
 }

@@ -39,7 +39,7 @@ struct TelemetryConfig {
   SimTime sample_interval_us = 0.0;
   /// Per-op latency detail: the cumulative + window + per-cause latency
   /// histograms and the trace-ring push. Downstream sinks (journal,
-  /// auditor, health) and the per-cause op counters are fed either way.
+  /// auditor, forensics) and the per-cause op counters are fed either way.
   /// Turn off when the facade exists only to feed a streaming sink, so an
   /// always-on stream does not pay for histograms nobody will read.
   bool op_detail = true;
@@ -101,10 +101,9 @@ class Telemetry : public Sink {
     auditor_ = auditor;
     recompute_op_mask();
   }
-  void set_health(HealthMonitor* health) {
-    health_ = health;
-    recompute_op_mask();
-  }
+  /// The health monitor widens no op mask: the facade feeds it only the
+  /// GC-victim erases it already counts.
+  void set_health(HealthMonitor* health) { health_ = health; }
   /// Attaches a latency-forensics collector: the facade feeds it request
   /// begin/end plus every flash-lane op (with cause + chain), and binds
   /// its phase histograms into this registry.

@@ -203,9 +203,9 @@ TEST(SnapshotRoundtrip, FreshSeedLegStartsFromAgedStateDeterministically) {
 }
 
 TEST(SnapshotRoundtrip, RejectsOtherFormatVersion) {
-  // A snapshot stamped with format version 4 (mapping tables in the FTL
-  // sections, not in the pools') must be refused by the version check,
-  // not misread by this build's loaders.
+  // A snapshot stamped with format version 5 (HLTH holding the open
+  // window's counters, not the epoch baseline) must be refused by the
+  // version check, not misread by this build's loaders.
   const core::SsdConfig config = test::tiny_config(FtlKind::kSub);
   const core::Ssd ssd(config);
   std::stringstream current;
@@ -216,16 +216,16 @@ TEST(SnapshotRoundtrip, RejectsOtherFormatVersion) {
   EXPECT_NO_THROW(core::read_snapshot_meta(accepted, config));
 
   // The u32 format version follows the 8-byte magic.
-  const std::uint32_t old_version = 4;
+  const std::uint32_t old_version = 5;
   ASSERT_NE(old_version, core::kSnapshotFormatVersion);
   std::memcpy(&bytes[sizeof core::kSnapshotMagic], &old_version,
               sizeof old_version);
   std::istringstream stale(bytes);
   try {
     core::read_snapshot_meta(stale, config);
-    FAIL() << "a version-4 snapshot was accepted";
+    FAIL() << "a version-5 snapshot was accepted";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("snapshot format version 4,"),
+    EXPECT_NE(std::string(e.what()).find("snapshot format version 5,"),
               std::string::npos)
         << e.what();
   }

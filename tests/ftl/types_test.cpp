@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace esp::ftl {
 namespace {
 
@@ -91,6 +93,44 @@ TEST(StatsDelta, IdenticalSnapshotsGiveZeros) {
   const FtlStats delta = stats_delta(snapshot, snapshot);
   EXPECT_EQ(delta.flash_erases, 0u);
   EXPECT_EQ(delta.rmw_ops, 0u);
+}
+
+// Distinct non-zero values per field, so a field read through the wrong
+// member cannot pass by accident.
+FtlStats numbered_stats(std::uint64_t base) {
+  FtlStats s;
+  std::uint64_t v = base;
+  for (const StatField& f : kStatFields) s.*f.member = v++;
+  return s;
+}
+
+TEST(StatsDelta, SumOfDeltaRestoresEveryField) {
+  const FtlStats before = numbered_stats(1000);
+  FtlStats after = numbered_stats(5000);
+  after.maint_gc_ns += 123;
+  const FtlStats round = stats_sum(stats_delta(after, before), before);
+  for (const StatField& f : kStatFields)
+    EXPECT_EQ(round.*f.member, after.*f.member) << f.name;
+}
+
+TEST(SameSimulatedStats, EverySimulatedFieldCounts) {
+  const FtlStats a = numbered_stats(1);
+  EXPECT_TRUE(same_simulated_stats(a, a));
+  std::size_t simulated = 0;
+  for (const StatField& f : kStatFields) {
+    FtlStats b = a;
+    ++(b.*f.member);
+    EXPECT_EQ(same_simulated_stats(a, b), f.measured) << f.name;
+    if (!f.measured) ++simulated;
+  }
+  // 21 simulated counters; the 7 maint_* profile fields are measured.
+  EXPECT_EQ(simulated, 21u);
+}
+
+TEST(SameSimulatedStats, MeasuredFieldsAreMaintProfile) {
+  for (const StatField& f : kStatFields)
+    EXPECT_EQ(f.measured, std::string(f.name).rfind("maint_", 0) == 0)
+        << f.name;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,79 @@ TEST(HealthObservability, SmartWearAgreesWithJournalRecomputation) {
   EXPECT_NEAR(w.cov, smart_cov, 1e-7);
   EXPECT_NEAR(w.gini, smart_gini, 1e-7);
   EXPECT_GT(w.mean, 0.0);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+// The health stream must not depend on which other observers share the
+// facade. A journal or the auditor widens the facade's op mask to every
+// kind; health alone runs on the lean facade, whose mask carries only
+// programs and erases, so its windows come purely from counters. The
+// compressed maintenance clock (maintenance_differential_test's) makes
+// retention evictions and GC fire inside a few thousand requests.
+TEST(HealthObservability, StreamIndependentOfOtherObservers) {
+  for (const auto kind : {core::FtlKind::kCgm, core::FtlKind::kFgm,
+                          core::FtlKind::kSub, core::FtlKind::kSectorLog}) {
+    const std::string name = core::ftl_kind_name(kind);
+    core::ExperimentSpec spec;
+    spec.ssd = test::tiny_config(kind);
+    spec.ssd.retention_scan_interval = 0.05 * sim_time::kSecond;
+    spec.ssd.retention_evict_age = 0.20 * sim_time::kSecond;
+    spec.ssd.wl_check_interval = 64;
+    spec.ssd.wl_pe_threshold = 4;
+    spec.workload.request_count = 6000;
+    spec.workload.r_small = 0.8;
+    spec.workload.r_synch = 0.7;
+    spec.workload.read_fraction = 0.2;
+    spec.workload.trim_fraction = 0.02;
+    spec.workload.think_us = 200;
+    spec.workload.seed = 11;
+    spec.health_interval_us = 0.1 * sim_time::kSecond;
+
+    core::ExperimentSpec alone = spec;
+    alone.health_path = ::testing::TempDir() + "hi-alone-" + name + ".jsonl";
+    core::run_experiment(alone);
+
+    core::ExperimentSpec all = spec;
+    all.health_path = ::testing::TempDir() + "hi-all-" + name + ".jsonl";
+    all.journal_path = ::testing::TempDir() + "hi-all-j-" + name + ".jsonl";
+    all.forensics_path = ::testing::TempDir() + "hi-all-f-" + name + ".jsonl";
+    all.audit = true;
+    core::run_experiment(all);
+
+    const std::string stream = slurp(alone.health_path);
+    ASSERT_FALSE(stream.empty()) << name;
+    EXPECT_EQ(stream, slurp(all.health_path)) << name;
+
+    if (kind != core::FtlKind::kSub) continue;
+    // Not vacuous: the windows carry retention evictions and the block
+    // rows GC victims. gcv is cumulative per block, so its sum is taken
+    // over each block's last emitted row.
+    std::uint64_t evicted = 0;
+    std::vector<std::uint64_t> gcv;
+    std::istringstream lines(stream);
+    std::string line;
+    while (std::getline(lines, line)) {
+      std::string t;
+      if (!find_str(line, "t", &t)) continue;
+      if (t == "smart") {
+        evicted += get_u64(line, "retention_evict_sectors");
+      } else if (t == "b") {
+        const std::uint64_t i = get_u64(line, "i");
+        if (i >= gcv.size()) gcv.resize(i + 1, 0);
+        gcv[i] = get_u64(line, "gcv");
+      }
+    }
+    std::uint64_t victims = 0;
+    for (const std::uint64_t v : gcv) victims += v;
+    EXPECT_GT(evicted, 0u);
+    EXPECT_GT(victims, 0u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // HealthMonitor unit tests: stream framing (hdr/epoch/b/smart/end), delta
-// encoding of block rows, GC-victim attribution from the event feed,
-// epoch cadence, and trailer idempotence.
+// encoding of block rows, GC-victim attribution from the facade's erase
+// branch, windows as differences of cumulative totals, epoch cadence, and
+// trailer idempotence.
 #include "telemetry/health.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "telemetry/telemetry.h"
 
 namespace esp::telemetry {
 namespace {
@@ -61,7 +64,7 @@ TEST(HealthMonitor, WritesHeaderOnConstruction) {
 TEST(HealthMonitor, DeltaEncodingEmitsOnlyChangedRows) {
   std::ostringstream os;
   HealthMonitor hm(os, tiny_header());
-  hm.start(0.0);
+  hm.start(0.0, {});
 
   // Epoch 0: two blocks differ from the pristine default.
   auto rows = hm.begin_epoch();
@@ -70,7 +73,7 @@ TEST(HealthMonitor, DeltaEncodingEmitsOnlyChangedRows) {
   rows[1].pool = static_cast<std::uint8_t>(HealthPool::kFull);
   rows[4].valid = 3;
   rows[4].valid_cap = 4;
-  hm.commit_epoch(100.0, 5);
+  hm.commit_epoch(100.0, 5, {});
   std::string out = os.str();
   EXPECT_EQ(hm.epochs_written(), 1u);
   EXPECT_NE(out.find("\"t\":\"epoch\",\"i\":0"), std::string::npos);
@@ -97,7 +100,7 @@ TEST(HealthMonitor, DeltaEncodingEmitsOnlyChangedRows) {
   rows[1].pool = static_cast<std::uint8_t>(HealthPool::kFull);
   rows[4].valid = 3;
   rows[4].valid_cap = 4;
-  hm.commit_epoch(200.0, 5);
+  hm.commit_epoch(200.0, 5, {});
   EXPECT_EQ(count_b(), 2u);
 
   rows = hm.begin_epoch();
@@ -105,7 +108,7 @@ TEST(HealthMonitor, DeltaEncodingEmitsOnlyChangedRows) {
   rows[1].pool = static_cast<std::uint8_t>(HealthPool::kFull);
   rows[4].valid = 1;
   rows[4].valid_cap = 4;
-  hm.commit_epoch(300.0, 5);
+  hm.commit_epoch(300.0, 5, {});
   EXPECT_EQ(count_b(), 3u);
   EXPECT_EQ(hm.epochs_written(), 3u);
 }
@@ -113,12 +116,12 @@ TEST(HealthMonitor, DeltaEncodingEmitsOnlyChangedRows) {
 TEST(HealthMonitor, FirstProgramFieldOmittedWhenUnset) {
   std::ostringstream os;
   HealthMonitor hm(os, tiny_header());
-  hm.start(0.0);
+  hm.start(0.0, {});
   auto rows = hm.begin_epoch();
   rows[0].pe = 1;                  // emitted, no first program
   rows[2].pe = 1;
   rows[2].first_program_us = 55.5;  // emitted with fp
-  hm.commit_epoch(100.0, 0);
+  hm.commit_epoch(100.0, 0, {});
   const std::string out = os.str();
   const std::size_t row0 = out.find("\"t\":\"b\",\"i\":0,");
   ASSERT_NE(row0, std::string::npos);
@@ -128,19 +131,33 @@ TEST(HealthMonitor, FirstProgramFieldOmittedWhenUnset) {
   EXPECT_NE(out.find("\"fp\":55.5"), std::string::npos);
 }
 
-TEST(HealthMonitor, GcVictimCountsFromEventFeed) {
+TEST(HealthMonitor, GcVictimCountsFromFacadeErases) {
   std::ostringstream os;
   HealthMonitor hm(os, tiny_header());
-  hm.start(0.0);
+  hm.start(0.0, {});
+  TelemetryConfig cfg;
+  cfg.op_detail = false;
+  Telemetry tel(cfg);
+  tel.set_health(&hm);
+  // Health widens the lean facade's op mask by nothing: host writes and
+  // retention evictions reach it as FtlStats totals at epoch edges.
+  EXPECT_TRUE(tel.wants_op(OpKind::kErase));
+  EXPECT_FALSE(tel.wants_op(OpKind::kHostWrite));
+  EXPECT_FALSE(tel.wants_op(OpKind::kRetentionEvict));
   // Two GC erases of chip 1 block 2 (row index 1*3+2 = 5), one host-cause
   // erase of the same block (not a GC victim), one GC erase elsewhere.
-  hm.on_op(flash_event(OpKind::kErase, 1, 2, 1), Cause::kGcCopy);
-  hm.on_op(flash_event(OpKind::kErase, 1, 2, 2), Cause::kGcCopy);
-  hm.on_op(flash_event(OpKind::kErase, 1, 2, 3), Cause::kHost);
-  hm.on_op(flash_event(OpKind::kErase, 0, 0, 1), Cause::kGcCopy);
+  tel.push_cause(Cause::kGcCopy, 0, 0.0);
+  tel.record_op(flash_event(OpKind::kErase, 1, 2, 1));
+  tel.record_op(flash_event(OpKind::kErase, 1, 2, 2));
+  tel.pop_cause();
+  tel.record_op(flash_event(OpKind::kErase, 1, 2, 3));
+  tel.push_cause(Cause::kGcCopy, 0, 0.0);
+  tel.record_op(flash_event(OpKind::kErase, 0, 0, 1));
+  tel.pop_cause();
+  tel.set_health(nullptr);
   auto rows = hm.begin_epoch();
   rows[5].pe = 3;
-  hm.commit_epoch(100.0, 0);
+  hm.commit_epoch(100.0, 0, {});
   const std::string out = os.str();
   EXPECT_NE(out.find("\"t\":\"b\",\"i\":5,\"pe\":3,"), std::string::npos);
   EXPECT_NE(out.find("\"gcv\":2"), std::string::npos);
@@ -151,28 +168,29 @@ TEST(HealthMonitor, GcVictimCountsFromEventFeed) {
 TEST(HealthMonitor, SmartLineAggregatesWindowAndWear) {
   std::ostringstream os;
   HealthMonitor hm(os, tiny_header());
-  hm.start(0.0);
+  // The run attached with counters already running: the window is the
+  // difference from these totals, never the totals themselves.
+  HealthTotals base;
+  base.host_sectors = 100;
+  base.retention_evict_sectors = 7;
+  base.prog_full[static_cast<std::size_t>(Cause::kHost)] = 20;
+  base.prog_sub[static_cast<std::size_t>(Cause::kHost)] = 30;
+  base.erases[static_cast<std::size_t>(Cause::kGcCopy)] = 5;
+  hm.start(0.0, base);
   // Window: 8 host sectors, 1 full + 2 sub programs under host, 1 full
   // program under GC, 2 erases, 4 retention-evicted sectors.
-  OpEvent host;
-  host.kind = OpKind::kHostWrite;
-  host.arg0 = 8;
-  hm.on_op(host, Cause::kHost);
-  hm.on_op(flash_event(OpKind::kProgFull, 0, 0), Cause::kHost);
-  hm.on_op(flash_event(OpKind::kProgSub, 0, 0), Cause::kHost);
-  hm.on_op(flash_event(OpKind::kProgSub, 0, 0), Cause::kHost);
-  hm.on_op(flash_event(OpKind::kProgFull, 0, 1), Cause::kGcCopy);
-  hm.on_op(flash_event(OpKind::kErase, 0, 0, 1), Cause::kGcCopy);
-  hm.on_op(flash_event(OpKind::kErase, 0, 1, 1), Cause::kGcCopy);
-  OpEvent evict;
-  evict.kind = OpKind::kRetentionEvict;
-  evict.arg0 = 4;
-  hm.on_op(evict, Cause::kRetentionEvict);
+  HealthTotals now = base;
+  now.host_sectors += 8;
+  now.prog_full[static_cast<std::size_t>(Cause::kHost)] += 1;
+  now.prog_sub[static_cast<std::size_t>(Cause::kHost)] += 2;
+  now.prog_full[static_cast<std::size_t>(Cause::kGcCopy)] += 1;
+  now.erases[static_cast<std::size_t>(Cause::kGcCopy)] += 2;
+  now.retention_evict_sectors += 4;
 
   auto rows = hm.begin_epoch();
   rows[0].pe = 1;
   rows[1].pe = 3;
-  hm.commit_epoch(2e6, 10);
+  hm.commit_epoch(2e6, 10, now);
   const std::string out = os.str();
   EXPECT_NE(out.find("\"t\":\"smart\""), std::string::npos);
   EXPECT_NE(out.find("\"spare_blocks\":10"), std::string::npos);
@@ -191,10 +209,10 @@ TEST(HealthMonitor, SmartLineAggregatesWindowAndWear) {
   // media_wear_pct = 100 * mean_pe / rated = 100 * (4/6) / 100.
   EXPECT_NE(out.find("\"media_wear_pct\":0.66"), std::string::npos);
 
-  // The window resets: a second epoch with no events reports zero host
-  // sectors and WAF 1 (the no-traffic convention).
+  // The window resets: a second epoch with unchanged totals reports zero
+  // host sectors and WAF 1 (the no-traffic convention).
   hm.begin_epoch();
-  hm.commit_epoch(4e6, 10);
+  hm.commit_epoch(4e6, 10, now);
   const std::string tail = os.str().substr(out.size());
   EXPECT_NE(tail.find("\"host_sectors\":0"), std::string::npos);
   EXPECT_NE(tail.find("\"overall_waf\":1,"), std::string::npos);
@@ -203,33 +221,33 @@ TEST(HealthMonitor, SmartLineAggregatesWindowAndWear) {
 TEST(HealthMonitor, EpochCadence) {
   std::ostringstream os;
   HealthMonitor hm(os, tiny_header(1000.0));
-  hm.start(500.0);
+  hm.start(500.0, {});
   EXPECT_FALSE(hm.due(600.0));
   EXPECT_TRUE(hm.due(1500.0));
   hm.begin_epoch();
-  hm.commit_epoch(1500.0, 0);
+  hm.commit_epoch(1500.0, 0, {});
   EXPECT_FALSE(hm.due(2400.0));
   EXPECT_TRUE(hm.due(2500.0));
   // A long stall re-arms past `now`, not epoch-by-epoch.
   hm.begin_epoch();
-  hm.commit_epoch(9800.0, 0);
+  hm.commit_epoch(9800.0, 0, {});
   EXPECT_FALSE(hm.due(10000.0));
   EXPECT_TRUE(hm.due(10500.0));
 
   // Interval 0 = endpoint epochs only: never due.
   std::ostringstream os2;
   HealthMonitor endpoint(os2, tiny_header(0.0));
-  endpoint.start(0.0);
+  endpoint.start(0.0, {});
   EXPECT_FALSE(endpoint.due(1e12));
 }
 
 TEST(HealthMonitor, FinishTrailerIsIdempotentAndCountsLines) {
   std::ostringstream os;
   HealthMonitor hm(os, tiny_header());
-  hm.start(0.0);
+  hm.start(0.0, {});
   auto rows = hm.begin_epoch();
   rows[0].pe = 1;
-  hm.commit_epoch(100.0, 0);
+  hm.commit_epoch(100.0, 0, {});
   hm.finish();
   const std::string once = os.str();
   hm.finish();

@@ -5,11 +5,13 @@
 #
 # Each argument is a cmake build directory holding tools/espsim and
 # tools/espreport. The script runs the seed-7 audited 4-FTL Varmail sweep
-# (journal, health and forensics streams) with both builds, cmp's the 12
-# streams pairwise, and diffs each build's per-cause WAF table and p99
-# blame table against the committed goldens in tools/golden/. It exits
-# non-zero on the first difference and names the file that differs. A
-# change that claims simulation byte-identity must pass it.
+# (journal, health and forensics streams) with both builds, plus the same
+# sweep with the health stream alone (no journal or auditor widening the
+# facade's op mask), cmp's the 16 streams pairwise, and diffs each build's
+# per-cause WAF table and p99 blame table against the committed goldens
+# in tools/golden/. It exits non-zero on the first difference and names
+# the file that differs. A change that claims simulation byte-identity
+# must pass it.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -30,6 +32,9 @@ run_sweep() {  # build-dir output-dir
     --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 --audit \
     --journal-out "$2/j.jsonl" --health-out "$2/h.jsonl" \
     --health-interval 0.5 --forensics-out "$2/f.jsonl" > "$2/espsim.log"
+  "$1/tools/espsim" --ftl cgm,fgm,sub,sectorlog --profile varmail \
+    --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 \
+    --health-out "$2/o.jsonl" --health-interval 0.5 > "$2/espsim-o.log"
 }
 
 check_goldens() {  # build-dir output-dir
@@ -52,7 +57,7 @@ check_goldens() {  # build-dir output-dir
 
 run_sweep "$parent" "$work/parent"
 run_sweep "$change" "$work/change"
-for kind in j h f; do
+for kind in j h f o; do
   for ftl in "${ftls[@]}"; do
     name="$kind.espsim-Varmail-$ftl.jsonl"
     if ! cmp "$work/parent/$name" "$work/change/$name"; then
@@ -63,4 +68,4 @@ for kind in j h f; do
 done
 check_goldens "$parent" "$work/parent"
 check_goldens "$change" "$work/change"
-echo "identical: 12 streams cmp-equal, WAF and blame tables match tools/golden/"
+echo "identical: 16 streams cmp-equal, WAF and blame tables match tools/golden/"
