@@ -19,18 +19,15 @@
 
 namespace esp::bench {
 
-/// "j.jsonl" + "fig8/varmail/sub" -> "j.fig8-varmail-sub.jsonl": splices
-/// the cell key (slashes flattened to '-') before the extension so every
-/// cell of a sweep journals to its own file.
-inline std::string cell_journal_path(const std::string& base,
-                                     std::string key) {
-  for (auto& c : key)
-    if (c == '/') c = '-';
-  const std::size_t slash = base.find_last_of('/');
-  const std::size_t dot = base.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return base + "." + key;
-  return base.substr(0, dot) + "." + key + base.substr(dot);
+/// True, after a FATAL line naming `what`, when a run returned wrong data
+/// (a read's tokens did not match the driver's shadow map) or a read
+/// reported an error. The benches exit 1 on it.
+inline bool lost_data(const core::RunResult& r, const std::string& what) {
+  if (r.verify_failures == 0 && r.raw.io_errors == 0) return false;
+  std::fprintf(stderr, "FATAL: %llu verify failures, %llu io errors (%s)\n",
+               static_cast<unsigned long long>(r.verify_failures),
+               static_cast<unsigned long long>(r.raw.io_errors), what.c_str());
+  return true;
 }
 
 /// Paper platform, capacity-scaled: 8ch x 4chip x 16blk x 128pg x 16KB

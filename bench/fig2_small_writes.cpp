@@ -11,6 +11,7 @@
 //     fastest point), GC invocations to FGM at r_small = r_synch = 1 (the
 //     worst point), exactly as in the paper.
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -52,10 +53,9 @@ Cell run_point(core::FtlKind kind, double r_small, double r_synch) {
   spec.workload.large_align_prob = 0.5;
   spec.workload.seed = 20170618;
   const auto result = core::run_experiment(spec);
-  if (result.verify_failures != 0)
-    std::fprintf(stderr, "WARNING: %llu verify failures at %s r_small=%.1f\n",
-                 static_cast<unsigned long long>(result.verify_failures),
-                 result.ftl_name.c_str(), r_small);
+  if (bench::lost_data(result, result.ftl_name + " r_small=" +
+                                   util::TablePrinter::num(r_small, 1)))
+    std::exit(1);
   return Cell{result.host_mb_per_sec, result.gc_invocations};
 }
 

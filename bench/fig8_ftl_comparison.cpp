@@ -138,11 +138,11 @@ int main(int argc, char** argv) {
     for (const auto kind : kinds) {
       auto cell = make_cell(bench, kind, geo);
       if (!journal_out.empty())
-        cell.spec.journal_path = bench::cell_journal_path(journal_out,
-                                                          cell.key);
+        cell.spec.journal_path =
+            core::cell_sidecar_path(journal_out, cell.key);
       if (!forensics_out.empty())
-        cell.spec.forensics_path = bench::cell_journal_path(forensics_out,
-                                                            cell.key);
+        cell.spec.forensics_path =
+            core::cell_sidecar_path(forensics_out, cell.key);
       cell.spec.forensics_top = forensics_top;
       cell.spec.audit = audit;
       // Grid cells are the parallelism unit; a sharded cell runs its
@@ -173,11 +173,7 @@ int main(int argc, char** argv) {
                        cell.key.c_str(), cell.error.c_str());
           return 1;
         }
-        if (cell.result.verify_failures != 0)
-          std::fprintf(stderr, "WARNING: %llu verify failures (%s)\n",
-                       static_cast<unsigned long long>(
-                           cell.result.verify_failures),
-                       cell.key.c_str());
+        if (bench::lost_data(cell.result, cell.key)) return 1;
         grid[{bench, kind}] = Outcome{
             cell.result.host_mb_per_sec, cell.result.gc_invocations,
             cell.result.erases,          cell.result.trace_dropped,

@@ -146,12 +146,12 @@ core::ExperimentCell make_cell(const std::string& geom_name,
              mode.name;
   if (mode.health) {
     cell.spec.health_path =
-        bench::cell_journal_path(opts.health_out, cell.key + path_tag);
+        core::cell_sidecar_path(opts.health_out, cell.key + path_tag);
     cell.spec.health_interval_us = opts.health_interval_s * sim_time::kSecond;
   }
   if (mode.forensics) {
     cell.spec.forensics_path =
-        bench::cell_journal_path(opts.forensics_out, cell.key + path_tag);
+        core::cell_sidecar_path(opts.forensics_out, cell.key + path_tag);
     cell.spec.forensics_top = opts.forensics_top;
   }
   core::SsdConfig& ssd = cell.spec.ssd;
@@ -521,13 +521,7 @@ int main(int argc, char** argv) {
                          cell.key.c_str(), cell.error.c_str());
             return 1;
           }
-          if (cell.result.verify_failures != 0) {
-            std::fprintf(stderr, "FATAL: %llu verify failures (%s)\n",
-                         static_cast<unsigned long long>(
-                             cell.result.verify_failures),
-                         cell.key.c_str());
-            return 1;
-          }
+          if (bench::lost_data(cell.result, cell.key)) return 1;
           grid[name][core::ftl_kind_name(kind)][mode.name] =
               CellOut{cell.result, cell.wall_seconds};
         }

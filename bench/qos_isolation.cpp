@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   if (!forensics_out.empty())
     for (auto& cell : cells) {
       cell.spec.forensics_path =
-          bench::cell_journal_path(forensics_out, cell.key);
+          core::cell_sidecar_path(forensics_out, cell.key);
       cell.spec.forensics_top = forensics_top;
     }
 
@@ -299,13 +299,7 @@ int main(int argc, char** argv) {
                        cell.key.c_str(), cell.error.c_str());
           return 1;
         }
-        if (cell.result.verify_failures != 0) {
-          std::fprintf(stderr, "FATAL: %llu verify failures (%s)\n",
-                       static_cast<unsigned long long>(
-                           cell.result.verify_failures),
-                       cell.key.c_str());
-          return 1;
-        }
+        if (bench::lost_data(cell.result, cell.key)) return 1;
         grid[core::ftl_kind_name(kind)][mode] = cell.result;
       }
     }

@@ -111,11 +111,10 @@ int main(int argc, char** argv) {
   for (const auto bench : workload::all_benchmarks()) {
     auto cell = make_cell(bench, geo);
     if (!journal_out.empty())
-      cell.spec.journal_path = bench::cell_journal_path(journal_out,
-                                                        cell.key);
+      cell.spec.journal_path = core::cell_sidecar_path(journal_out, cell.key);
     if (!forensics_out.empty())
-      cell.spec.forensics_path = bench::cell_journal_path(forensics_out,
-                                                          cell.key);
+      cell.spec.forensics_path =
+          core::cell_sidecar_path(forensics_out, cell.key);
     cell.spec.forensics_top = forensics_top;
     cell.spec.audit = audit;
     // Grid cells are the parallelism unit; a sharded cell runs its shards
@@ -149,6 +148,7 @@ int main(int argc, char** argv) {
                      cell.error.c_str());
         return 1;
       }
+      if (bench::lost_data(cell.result, cell.key)) return 1;
       const auto& stats = cell.result.raw.ftl_stats;
       Row row;
       row.small_pct = stats.host_write_requests
@@ -164,9 +164,6 @@ int main(int argc, char** argv) {
       pct_row.push_back(util::TablePrinter::pct(row.small_pct, 1));
       waf_row.push_back(util::TablePrinter::num(row.request_waf, 3));
       all_near_one &= row.request_waf < 1.25;
-      if (row.verify_failures)
-        std::fprintf(stderr, "WARNING: verify failures on %s\n",
-                     workload::benchmark_name(bench).c_str());
     }
   }
   t.add_row(pct_row);

@@ -45,12 +45,7 @@ sim::RunMetrics merge_legs(const sim::RunMetrics& a, const sim::RunMetrics& b) {
   m.latency_hist.merge(b.latency_hist);
   m.response_hist = a.response_hist;
   m.response_hist.merge(b.response_hist);
-  m.latency_p50_us = m.latency_hist.percentile(0.50);
-  m.latency_p99_us = m.latency_hist.percentile(0.99);
-  m.latency_p999_us = m.latency_hist.percentile(0.999);
-  m.response_p50_us = m.response_hist.percentile(0.50);
-  m.response_p99_us = m.response_hist.percentile(0.99);
-  m.response_p999_us = m.response_hist.percentile(0.999);
+  m.fill_percentiles();
   m.erases_during_run += a.erases_during_run;
   return m;
 }
@@ -66,6 +61,19 @@ workload::SyntheticParams with_default_footprint(
                                    static_cast<double>(sectors)) /
         subs * subs;
   return params;
+}
+
+std::string splice_path_tag(const std::string& path, const std::string& tag) {
+  const std::size_t slash = path.find_last_of('/');
+  const std::size_t dot = path.find_last_of('.');
+  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
+    return path + tag;
+  return path.substr(0, dot) + tag + path.substr(dot);
+}
+
+std::string cell_sidecar_path(const std::string& path, std::string key) {
+  std::replace(key.begin(), key.end(), '/', '-');
+  return splice_path_tag(path, "." + key);
 }
 
 RunResult run_experiment(const ExperimentSpec& spec) {
@@ -269,12 +277,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
         ssd.driver().latency_histogram().delta_since(latency_before);
     metrics.response_hist =
         ssd.driver().response_histogram().delta_since(response_before);
-    metrics.latency_p50_us = metrics.latency_hist.percentile(0.50);
-    metrics.latency_p99_us = metrics.latency_hist.percentile(0.99);
-    metrics.latency_p999_us = metrics.latency_hist.percentile(0.999);
-    metrics.response_p50_us = metrics.response_hist.percentile(0.50);
-    metrics.response_p99_us = metrics.response_hist.percentile(0.99);
-    metrics.response_p999_us = metrics.response_hist.percentile(0.999);
+    metrics.fill_percentiles();
     metrics.verify_failures = ssd.driver().verify_failures() - failures_before;
     metrics.ftl_stats = ssd.ftl().stats();
     metrics.device_erases = ssd.device().counters().erases;

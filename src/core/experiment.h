@@ -216,6 +216,15 @@ workload::SyntheticParams with_default_footprint(
     workload::SyntheticParams params, double precondition_fraction,
     std::uint64_t sectors, std::uint32_t subs);
 
+/// `path` with `tag` spliced in front of the file name's extension
+/// ("j.jsonl" + ".x" -> "j.x.jsonl"), or appended when the name has none.
+/// Every per-cell and per-shard sidecar path is named this way.
+std::string splice_path_tag(const std::string& path, const std::string& tag);
+
+/// Sidecar path of one sweep cell: the cell key, '/' flattened to '-',
+/// spliced in ("j.jsonl" + "fig8/varmail/sub" -> "j.fig8-varmail-sub.jsonl").
+std::string cell_sidecar_path(const std::string& path, std::string key);
+
 /// CPU seconds consumed by the calling thread (0.0 where unsupported).
 /// The clock behind RunResult::measure_cpu_seconds, exported for benches
 /// that time sub-run work (e.g. the replay bench's paired overhead duel).

@@ -163,8 +163,8 @@ class ParallelRunner {
  private:
   ParallelRunnerConfig config_;
   telemetry::MetricsRegistry merged_registry_;
-  util::Histogram merged_latency_{0.0, 200000.0, 2000};
-  util::Histogram merged_response_{0.0, 200000.0, 2000};
+  util::Histogram merged_latency_ = sim::make_latency_histogram();
+  util::Histogram merged_response_ = sim::make_latency_histogram();
   RunManifest manifest_;
 };
 

@@ -96,12 +96,7 @@ std::uint64_t shard_seed(const ExperimentSpec& spec, std::uint32_t index) {
 }
 
 std::string shard_sidecar_path(const std::string& path, std::uint32_t index) {
-  const std::string tag = ".shard" + std::to_string(index);
-  const std::size_t slash = path.find_last_of('/');
-  const std::size_t dot = path.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return path + tag;
-  return path.substr(0, dot) + tag + path.substr(dot);
+  return splice_path_tag(path, ".shard" + std::to_string(index));
 }
 
 workload::SyntheticParams sharded_workload_params(const ExperimentSpec& spec,
@@ -248,12 +243,7 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
   // spans the slowest shard's measured window.
   m.start_us = min_start_us;
   m.end_us = min_start_us + max_elapsed_us;
-  m.latency_p50_us = m.latency_hist.percentile(0.50);
-  m.latency_p99_us = m.latency_hist.percentile(0.99);
-  m.latency_p999_us = m.latency_hist.percentile(0.999);
-  m.response_p50_us = m.response_hist.percentile(0.50);
-  m.response_p99_us = m.response_hist.percentile(0.99);
-  m.response_p999_us = m.response_hist.percentile(0.999);
+  m.fill_percentiles();
 
   merged.iops = m.iops();
   const double secs = sim_time::to_seconds(max_elapsed_us);

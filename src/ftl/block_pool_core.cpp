@@ -81,10 +81,10 @@ std::optional<std::uint32_t> BlockPoolCore::open(std::uint32_t chip,
         0.0);
   active_block_[chip] = *blk;
   ++blocks_in_use_;
-  if (sink_)
-    sink_->record_block({telemetry::BlockEventKind::kAllocated, chip, *blk,
-                         telemetry::health_pool_name(kind_), 0, 0,
-                         dev_.block(chip, *blk).pe_cycles(), now});
+  if (tel_)
+    tel_->record_block({telemetry::BlockEventKind::kAllocated, chip, *blk,
+                        telemetry::health_pool_name(kind_), 0, 0,
+                        dev_.block(chip, *blk).pe_cycles(), now});
   return blk;
 }
 
@@ -160,12 +160,12 @@ void BlockPoolCore::release(std::size_t idx, SimTime done) {
   const std::uint32_t blk = block_of(idx);
   Block& m = meta_[idx];
   const std::uint32_t pe = dev_.block(chip, blk).pe_cycles();
-  if (sink_) {
+  if (tel_) {
     const char* pool = telemetry::health_pool_name(kind_);
-    sink_->record_block({telemetry::BlockEventKind::kErased, chip, blk, pool,
-                         m.level, m.valid_count, pe, done});
-    sink_->record_block({telemetry::BlockEventKind::kRetired, chip, blk, pool,
-                         0, 0, pe, done});
+    tel_->record_block({telemetry::BlockEventKind::kErased, chip, blk, pool,
+                        m.level, m.valid_count, pe, done});
+    tel_->record_block({telemetry::BlockEventKind::kRetired, chip, blk, pool,
+                        0, 0, pe, done});
   }
   m.owned = false;
   m.active = false;

@@ -43,7 +43,7 @@
 #include "nand/address.h"
 #include "nand/device.h"
 #include "telemetry/health.h"
-#include "telemetry/sink.h"
+#include "telemetry/telemetry.h"
 #include "util/huge_pages.h"
 
 namespace esp::ftl {
@@ -235,8 +235,8 @@ class BlockPoolCore {
   /// valid slot count (capacity = slots per block).
   void fill_health(std::span<telemetry::BlockHealth> out) const;
 
-  void set_telemetry(telemetry::Sink* sink) { sink_ = sink; }
-  telemetry::Sink* sink() const { return sink_; }
+  void set_telemetry(telemetry::Telemetry* tel) { tel_ = tel; }
+  telemetry::Telemetry* tel() const { return tel_; }
 
   /// Snapshot support: per-block metadata, the slabs and their free list,
   /// owned-block index, active blocks, round-robin position and the exact
@@ -325,7 +325,7 @@ class BlockPoolCore {
   std::uint32_t rr_chip_ = 0;
   std::uint64_t blocks_in_use_ = 0;
   std::uint64_t valid_slots_ = 0;
-  telemetry::Sink* sink_ = nullptr;
+  telemetry::Telemetry* tel_ = nullptr;
 };
 
 }  // namespace esp::ftl

@@ -27,8 +27,8 @@ SimTime CgmFtl::write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
   // The whole read + merge + program services a small write via RMW; any
   // GC the program triggers nests under this scope (chain host>rmw>gc).
   std::optional<telemetry::CauseScope> rmw_cause;
-  if (is_rmw && sink_)
-    rmw_cause.emplace(sink_, telemetry::Cause::kRmw, lpn, now);
+  if (is_rmw && tel_)
+    rmw_cause.emplace(tel_, telemetry::Cause::kRmw, lpn, now);
   if (is_rmw) {
     // Read-modify-write: fetch the old page to preserve untouched sectors.
     t = pool_.read_for_rmw(lpn, tokens, t);
@@ -43,8 +43,8 @@ SimTime CgmFtl::write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
   const SimTime done = pool_.write_page(lpn, tokens, t);
   if (small_request)
     stats_.small_service_flash_bytes += geo_.page_bytes;
-  if (sink_ && is_rmw && sink_->wants_op(telemetry::OpKind::kRmw))
-    sink_->record_op({telemetry::OpKind::kRmw, now, done, slot_count});
+  if (tel_ && is_rmw)
+    tel_->record_op({telemetry::OpKind::kRmw, now, done, slot_count});
   return done;
 }
 
@@ -100,10 +100,10 @@ std::uint64_t CgmFtl::mapping_memory_bytes() const {
   return pool_.lpns() * sizeof(std::uint32_t);
 }
 
-void CgmFtl::attach(telemetry::Sink* sink) {
-  pool_.set_telemetry(sink);
-  if (sink)
-    gauge(*sink, "fullpage_blocks", [this] { return pool_.blocks_in_use(); });
+void CgmFtl::attach(telemetry::Telemetry* tel) {
+  pool_.set_telemetry(tel);
+  if (tel)
+    gauge(*tel, "fullpage_blocks", [this] { return pool_.blocks_in_use(); });
 }
 
 }  // namespace esp::ftl

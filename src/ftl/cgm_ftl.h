@@ -39,7 +39,7 @@ class CgmFtl final : public FtlBase {
   SimTime write_lpn(std::uint64_t lpn, std::uint32_t first_slot,
                     std::uint32_t slot_count, bool small_request, SimTime now);
   void trim_page(std::uint64_t lpn) override { pool_.drop(lpn); }
-  void attach(telemetry::Sink* sink) override;
+  void attach(telemetry::Telemetry* tel) override;
   void save_body(util::StateWriter& w) const override { pool_.save_state(w); }
   void load_body(util::StateReader& r) override { pool_.load_state(r); }
 

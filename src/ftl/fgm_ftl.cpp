@@ -76,10 +76,10 @@ std::uint64_t FgmFtl::mapping_memory_bytes() const {
   return pool_.sectors() * sizeof(std::uint32_t);
 }
 
-void FgmFtl::attach(telemetry::Sink* sink) {
-  pool_.set_telemetry(sink);
-  if (sink)
-    gauge(*sink, "fine_blocks", [this] { return pool_.blocks_in_use(); });
+void FgmFtl::attach(telemetry::Telemetry* tel) {
+  pool_.set_telemetry(tel);
+  if (tel)
+    gauge(*tel, "fine_blocks", [this] { return pool_.blocks_in_use(); });
 }
 
 void FgmFtl::save_body(util::StateWriter& w) const {

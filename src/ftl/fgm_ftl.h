@@ -38,7 +38,7 @@ class FgmFtl final : public BufferedFtl {
   /// Writes one extracted buffer run to flash as dense page programs.
   SimTime flush_run(std::span<const BufferedSector> run, SimTime now) override;
   void trim_page(std::uint64_t lpn) override;
-  void attach(telemetry::Sink* sink) override;
+  void attach(telemetry::Telemetry* tel) override;
   void save_body(util::StateWriter& w) const override;
   void load_body(util::StateReader& r) override;
 

@@ -86,11 +86,11 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   const std::uint32_t blk = core_.block_of(idx);
   const std::uint32_t subs = geo_.subpages_per_page;
   in_gc_ = true;
-  telemetry::Sink* sink = core_.sink();
+  telemetry::Telemetry* tel = core_.tel();
   // Repacks (or log-cleaning merges into log_target_) and the final erase
   // all attribute to this GC/WL episode.
   const telemetry::CauseScope cause(
-      sink,
+      tel,
       for_wear_leveling ? telemetry::Cause::kWearLevel
                         : telemetry::Cause::kGcCopy,
       idx, now);
@@ -144,11 +144,10 @@ SimTime FinePool::collect_block(std::size_t idx, SimTime now,
   in_gc_ = false;
 
   const SimTime done = core_.erase(idx, t);
-  if (sink) {
+  if (tel) {
     const auto copy_kind = for_wear_leveling ? telemetry::OpKind::kWearLevel
                                              : telemetry::OpKind::kGcCopy;
-    if (sink->wants_op(copy_kind))
-      sink->record_op({copy_kind, now, done, copied, evicted});
+    tel->record_op({copy_kind, now, done, copied, evicted});
   }
   core_.release(idx, done);
   return done;

@@ -21,7 +21,7 @@
 #include "ftl/types.h"
 #include "nand/address.h"
 #include "nand/device.h"
-#include "telemetry/sink.h"
+#include "telemetry/telemetry.h"
 #include "util/huge_pages.h"
 
 namespace esp::ftl {
@@ -64,9 +64,9 @@ class FinePool {
   /// Block ownership: health rows, owned P/E cycles.
   const BlockPoolCore& core() const { return core_; }
 
-  /// Attaches a telemetry sink (nullptr detaches); GC / wear-leveling
+  /// Attaches a telemetry facade (nullptr detaches); GC / wear-leveling
   /// block collections are recorded as mechanism-lane op events.
-  void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
+  void set_telemetry(telemetry::Telemetry* tel) { core_.set_telemetry(tel); }
 
   /// Snapshot support: the core's block state, then the sector map (see
   /// FullPagePool::save_state for the load checks).

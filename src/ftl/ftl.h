@@ -65,11 +65,11 @@ class Ftl {
 
   virtual std::string name() const = 0;
 
-  /// Attaches a telemetry sink (nullptr detaches). Implementations bind
+  /// Attaches a telemetry facade (nullptr detaches). Implementations bind
   /// their FtlStats counters under "<name()>/", register occupancy gauges,
-  /// and forward the sink to their pools so mechanism-level op events
+  /// and forward the facade to their pools so mechanism-level op events
   /// (GC copies, migrations, evictions) get recorded. Default: no-op.
-  virtual void set_telemetry(telemetry::Sink* /*sink*/) {}
+  virtual void set_telemetry(telemetry::Telemetry* /*tel*/) {}
 
   /// Fills the ownership/validity fields (pool, ESP level, valid count and
   /// capacity) of a health snapshot; `out` holds one row per physical

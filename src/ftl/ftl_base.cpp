@@ -81,12 +81,12 @@ void FtlBase::trim(std::uint64_t sector, std::uint32_t count) {
     trim_page(lpn);
 }
 
-void FtlBase::set_telemetry(telemetry::Sink* sink) {
-  sink_ = sink;
-  attach(sink);
-  if (!sink) return;
-  bind_stats(sink->registry(), name_, stats_);
-  gauge(*sink, "mapping_memory_bytes", [this] {
+void FtlBase::set_telemetry(telemetry::Telemetry* tel) {
+  tel_ = tel;
+  attach(tel);
+  if (!tel) return;
+  bind_stats(tel->registry(), name_, stats_);
+  gauge(*tel, "mapping_memory_bytes", [this] {
     return mapping_memory_bytes();
   });
 }
@@ -153,7 +153,7 @@ SimTime BufferedFtl::drain(bool all, SimTime now, SimTime done) {
 IoResult BufferedFtl::flush(SimTime now) {
   // Explicit host flush: programs issued by the drain (and any GC they
   // trigger) attribute to the flush, not to the host write path.
-  const telemetry::CauseScope cause(sink_, telemetry::Cause::kFlush,
+  const telemetry::CauseScope cause(tel_, telemetry::Cause::kFlush,
                                     buffer_.size(), now);
   return IoResult{drain(/*all=*/true, now, now), true};
 }

@@ -2,7 +2,7 @@
 //
 // FtlBase holds what every FTL has: the device, geometry and address codec,
 // the stats, the shared block allocator, the per-sector write versions, the
-// static wear-leveling cadence and the telemetry sink. It runs the host
+// static wear-leveling cadence and the telemetry facade. It runs the host
 // write prologue (range check, maintenance, host counters), the TRIM
 // framing (whole logical pages only, see Ftl::trim), stats binding with the
 // mapping-memory gauge, and the snapshot framing. Each FTL supplies its
@@ -26,7 +26,7 @@
 #include "ftl/fullpage_pool.h"
 #include "ftl/write_buffer.h"
 #include "nand/device.h"
-#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 #include "util/huge_pages.h"
 
 namespace esp::ftl {
@@ -67,7 +67,7 @@ class FtlBase : public Ftl {
   }
   const FtlStats& stats() const final { return stats_; }
   std::string name() const final { return name_; }
-  void set_telemetry(telemetry::Sink* sink) final;
+  void set_telemetry(telemetry::Telemetry* tel) final;
   std::uint64_t free_blocks() const final { return allocator_.total_free(); }
   void save_state(util::StateWriter& w) const final;
   void load_state(util::StateReader& r) final;
@@ -137,8 +137,8 @@ class FtlBase : public Ftl {
   }
   /// Registers the gauge "<name>/<what>", reading value() at export.
   template <typename Value>
-  void gauge(telemetry::Sink& sink, const char* what, Value value) {
-    sink.registry().gauge(name_ + "/" + what).set_provider([value] {
+  void gauge(telemetry::Telemetry& tel, const char* what, Value value) {
+    tel.registry().gauge(name_ + "/" + what).set_provider([value] {
       return static_cast<double>(value());
     });
   }
@@ -155,9 +155,9 @@ class FtlBase : public Ftl {
                                 bool sync, bool small, SimTime now) = 0;
   /// Discards every copy of logical page `lpn` (TRIM).
   virtual void trim_page(std::uint64_t lpn) = 0;
-  /// Hands `sink` (nullptr detaches) to the pools and, when set, registers
+  /// Hands `tel` (nullptr detaches) to the pools and, when set, registers
   /// the FTL's occupancy gauges.
-  virtual void attach(telemetry::Sink* sink) = 0;
+  virtual void attach(telemetry::Telemetry* tel) = 0;
   /// Snapshot sections after the shared framing: pools, write buffer and
   /// FTL-specific clocks.
   virtual void save_body(util::StateWriter& w) const = 0;
@@ -170,7 +170,7 @@ class FtlBase : public Ftl {
   FtlStats stats_;
   BlockAllocator allocator_;
   util::HugeVector<std::uint32_t> version_;  ///< per-sector write counter
-  telemetry::Sink* sink_ = nullptr;
+  telemetry::Telemetry* tel_ = nullptr;
 
  private:
   [[noreturn]] void range_error() const;

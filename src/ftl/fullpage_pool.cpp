@@ -93,10 +93,9 @@ SimTime FullPagePool::merge_page(std::uint64_t lpn,
   if (merges_old_page) t = read_for_rmw(lpn, tokens, t);
   for (const SectorWrite& sw : sectors) tokens[sw.sector % subs] = sw.token;
   const SimTime done = write_page(lpn, tokens, t);
-  telemetry::Sink* sink = core_.sink();
-  if (sink && merges_old_page && sink->wants_op(telemetry::OpKind::kRmw))
-    sink->record_op({telemetry::OpKind::kRmw, now, done,
-                     static_cast<std::uint64_t>(sectors.size())});
+  if (telemetry::Telemetry* tel = core_.tel(); tel && merges_old_page)
+    tel->record_op({telemetry::OpKind::kRmw, now, done,
+                    static_cast<std::uint64_t>(sectors.size())});
   return done;
 }
 
@@ -146,10 +145,10 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
   const SimTime collect_start = now;
   std::uint64_t moved_sectors = 0;
   in_gc_ = true;
-  telemetry::Sink* sink = core_.sink();
+  telemetry::Telemetry* tel = core_.tel();
   // Copies and the final erase all attribute to this GC/WL episode.
   const telemetry::CauseScope cause(
-      sink,
+      tel,
       for_wear_leveling ? telemetry::Cause::kWearLevel
                         : telemetry::Cause::kGcCopy,
       idx, now);
@@ -187,11 +186,10 @@ SimTime FullPagePool::collect_block(std::size_t idx, SimTime now,
   in_gc_ = false;
 
   const SimTime done = core_.erase(idx, now);
-  if (sink) {
+  if (tel) {
     const auto copy_kind = for_wear_leveling ? telemetry::OpKind::kWearLevel
                                              : telemetry::OpKind::kGcCopy;
-    if (sink->wants_op(copy_kind))
-      sink->record_op({copy_kind, collect_start, done, moved_sectors});
+    tel->record_op({copy_kind, collect_start, done, moved_sectors});
   }
   ESP_LOG_DEBUG("%s collected full-page block chip=%u blk=%u moved=%llu",
                 for_wear_leveling ? "wear-level" : "gc",

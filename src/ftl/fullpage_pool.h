@@ -19,7 +19,7 @@
 #include "ftl/types.h"
 #include "nand/address.h"
 #include "nand/device.h"
-#include "telemetry/sink.h"
+#include "telemetry/telemetry.h"
 #include "util/huge_pages.h"
 
 namespace esp::ftl {
@@ -78,9 +78,9 @@ class FullPagePool final : public EvictionTarget {
   /// Block ownership: health rows, owned P/E cycles.
   const BlockPoolCore& core() const { return core_; }
 
-  /// Attaches a telemetry sink (nullptr detaches); GC / wear-leveling
+  /// Attaches a telemetry facade (nullptr detaches); GC / wear-leveling
   /// block collections are recorded as mechanism-lane op events.
-  void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
+  void set_telemetry(telemetry::Telemetry* tel) { core_.set_telemetry(tel); }
 
   /// Snapshot support: the core's block state, then the lpn -> page map.
   /// Load throws when a mapped page is not live or belongs to another lpn,

@@ -118,14 +118,14 @@ std::uint64_t SectorLogFtl::mapping_memory_bytes() const {
          pool_log_.valid_sectors() * 16;
 }
 
-void SectorLogFtl::attach(telemetry::Sink* sink) {
-  pool_data_.set_telemetry(sink);
-  pool_log_.set_telemetry(sink);
-  if (!sink) return;
-  gauge(*sink, "region_blocks", [this] { return pool_log_.blocks_in_use(); });
-  gauge(*sink, "region_valid_sectors",
+void SectorLogFtl::attach(telemetry::Telemetry* tel) {
+  pool_data_.set_telemetry(tel);
+  pool_log_.set_telemetry(tel);
+  if (!tel) return;
+  gauge(*tel, "region_blocks", [this] { return pool_log_.blocks_in_use(); });
+  gauge(*tel, "region_valid_sectors",
         [this] { return pool_log_.valid_sectors(); });
-  gauge(*sink, "fullpage_blocks",
+  gauge(*tel, "fullpage_blocks",
         [this] { return pool_data_.blocks_in_use(); });
 }
 

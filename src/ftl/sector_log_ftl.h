@@ -53,7 +53,7 @@ class SectorLogFtl final : public BufferedFtl {
   /// group, padded -- no ESP).
   SimTime append_to_log(std::span<const BufferedSector> group, SimTime now);
   void trim_page(std::uint64_t lpn) override;
-  void attach(telemetry::Sink* sink) override;
+  void attach(telemetry::Telemetry* tel) override;
   void save_body(util::StateWriter& w) const override;
   void load_body(util::StateReader& r) override;
 

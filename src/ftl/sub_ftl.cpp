@@ -66,7 +66,7 @@ SimTime SubFtl::write_small_sector(const BufferedSector& bs, SimTime now) {
   // failing -- correctness first, the request WAF of this write is 4. The
   // whole read + merge + full-page program attributes to RMW.
   const std::uint64_t lpn = bs.sector / geo_.subpages_per_page;
-  const telemetry::CauseScope cause(sink_, telemetry::Cause::kRmw, lpn, now);
+  const telemetry::CauseScope cause(tel_, telemetry::Cause::kRmw, lpn, now);
   const SectorWrite sw{bs.sector, bs.token};
   const SimTime done = pool_full_.merge_page(lpn, {&sw, 1}, now);
   if (bs.small) stats_.small_service_flash_bytes += geo_.page_bytes;
@@ -162,14 +162,14 @@ std::uint64_t SubFtl::mapping_memory_bytes() const {
          pool_sub_.valid_sectors() * 16;
 }
 
-void SubFtl::attach(telemetry::Sink* sink) {
-  pool_full_.set_telemetry(sink);
-  pool_sub_.set_telemetry(sink);
-  if (!sink) return;
-  gauge(*sink, "region_blocks", [this] { return pool_sub_.blocks_in_use(); });
-  gauge(*sink, "region_valid_sectors",
+void SubFtl::attach(telemetry::Telemetry* tel) {
+  pool_full_.set_telemetry(tel);
+  pool_sub_.set_telemetry(tel);
+  if (!tel) return;
+  gauge(*tel, "region_blocks", [this] { return pool_sub_.blocks_in_use(); });
+  gauge(*tel, "region_valid_sectors",
         [this] { return pool_sub_.valid_sectors(); });
-  gauge(*sink, "fullpage_blocks",
+  gauge(*tel, "fullpage_blocks",
         [this] { return pool_full_.blocks_in_use(); });
 }
 

@@ -71,7 +71,7 @@ class SubFtl final : public BufferedFtl {
                          SimTime now);
   SimTime write_small_sector(const BufferedSector& bs, SimTime now);
   void trim_page(std::uint64_t lpn) override;
-  void attach(telemetry::Sink* sink) override;
+  void attach(telemetry::Telemetry* tel) override;
   void save_body(util::StateWriter& w) const override;
   void load_body(util::StateReader& r) override;
 

@@ -49,9 +49,9 @@ bool SubpagePool::can_alloc_fresh() const {
 SimTime SubpagePool::forward_page(std::uint32_t chip, std::uint32_t blk,
                                   std::uint32_t page, std::uint32_t to_slot,
                                   SimTime now) {
-  telemetry::Sink* sink = core_.sink();
+  telemetry::Telemetry* tel = core_.tel();
   const telemetry::CauseScope cause(
-      sink, telemetry::Cause::kForwardMigration, to_slot, now);
+      tel, telemetry::Cause::kForwardMigration, to_slot, now);
   const std::size_t idx = core_.index(chip, blk);
   const nand::PageAddr pa{chip, blk, page};
   // The live data sits in the page's latest programmed slot.
@@ -70,8 +70,8 @@ SimTime SubpagePool::forward_page(std::uint32_t chip, std::uint32_t blk,
     retention_queue_.push(idx, page, read.done);
   map_[core_.owner(idx, page)] =
       codec_.encode_subpage(nand::SubpageAddr{pa, to_slot});
-  if (sink && sink->wants_op(telemetry::OpKind::kForwardMigration))
-    sink->record_op(
+  if (tel)
+    tel->record_op(
         {telemetry::OpKind::kForwardMigration, now, ack.done, to_slot});
   return ack.done;
 }
@@ -135,10 +135,10 @@ bool SubpagePool::acquire_slot(std::uint32_t chip, SimTime& t,
     m.cursor = 0;
     m.active = true;
     active = *best;
-    if (telemetry::Sink* sink = core_.sink())
-      sink->record_block({telemetry::BlockEventKind::kLevelAdvanced, chip,
-                          *best, "sub", m.level, m.valid_count,
-                          dev_.block(chip, *best).pe_cycles(), t});
+    if (telemetry::Telemetry* tel = core_.tel())
+      tel->record_block({telemetry::BlockEventKind::kLevelAdvanced, chip,
+                         *best, "sub", m.level, m.valid_count,
+                         dev_.block(chip, *best).pe_cycles(), t});
   }
 }
 
@@ -269,11 +269,11 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
 
   const std::uint32_t chip = core_.chip_of(idx);
   const std::uint32_t blk = core_.block_of(idx);
-  telemetry::Sink* sink = core_.sink();
+  telemetry::Telemetry* tel = core_.tel();
   // Everything in this pass -- forwards, hot rewrites, evictions into the
   // full-page region, the final erase -- attributes to this GC episode.
   const telemetry::CauseScope cause(
-      sink,
+      tel,
       for_wear_leveling ? telemetry::Cause::kWearLevel
                         : telemetry::Cause::kGcCopy,
       idx, now);
@@ -324,11 +324,10 @@ SimTime SubpagePool::collect_block(std::size_t idx, SimTime now,
   const SimTime done = core_.erase(idx, t);
   core_.release(idx, done);
   in_gc_ = false;
-  if (sink) {
+  if (tel) {
     const auto copy_kind = for_wear_leveling ? telemetry::OpKind::kWearLevel
                                              : telemetry::OpKind::kGcCopy;
-    if (sink->wants_op(copy_kind))
-      sink->record_op({copy_kind, now, done, kept_sectors, evictions.size()});
+    tel->record_op({copy_kind, now, done, kept_sectors, evictions.size()});
   }
   ESP_LOG_DEBUG("%s collected subpage block chip=%u blk=%u kept=%llu "
                 "evicted=%zu",
@@ -343,7 +342,7 @@ SimTime SubpagePool::release_idle_block(std::size_t idx, SimTime now) {
   // Keep pristine never-programmed blocks? They do not exist here: a
   // block is only owned once it has received writes.
   ++stats_.gc_invocations;  // garbage-only collection, zero copies
-  const telemetry::CauseScope cause(core_.sink(), telemetry::Cause::kGcCopy,
+  const telemetry::CauseScope cause(core_.tel(), telemetry::Cause::kGcCopy,
                                     idx, now);
   const SimTime done = core_.erase(idx, now);
   core_.release(idx, done);
@@ -418,13 +417,13 @@ SimTime SubpagePool::retention_evict_pages(std::size_t idx,
     t = std::max(t, read.done);
   }
   if (!retention_evictions_.empty()) {
-    telemetry::Sink* sink = core_.sink();
-    const telemetry::CauseScope cause(sink, telemetry::Cause::kRetentionEvict,
+    telemetry::Telemetry* tel = core_.tel();
+    const telemetry::CauseScope cause(tel, telemetry::Cause::kRetentionEvict,
                                       idx, block_start);
     t = evict(retention_evictions_, t);
-    if (sink)
-      sink->record_op({telemetry::OpKind::kRetentionEvict, block_start, t,
-                       retention_evictions_.size()});
+    if (tel)
+      tel->record_op({telemetry::OpKind::kRetentionEvict, block_start, t,
+                      retention_evictions_.size()});
   }
   if (m.valid_count == 0 && !m.active) idle_candidates_.push_back(idx);
   return t;

@@ -35,7 +35,7 @@
 #include "ftl/types.h"
 #include "nand/address.h"
 #include "nand/device.h"
-#include "telemetry/sink.h"
+#include "telemetry/telemetry.h"
 
 namespace esp::ftl {
 
@@ -108,9 +108,9 @@ class SubpagePool {
   /// cycles.
   const BlockPoolCore& core() const { return core_; }
 
-  /// Attaches a telemetry sink (nullptr detaches); forward migrations,
+  /// Attaches a telemetry facade (nullptr detaches); forward migrations,
   /// GC collections and retention evictions become mechanism-lane events.
-  void set_telemetry(telemetry::Sink* sink) { core_.set_telemetry(sink); }
+  void set_telemetry(telemetry::Telemetry* tel) { core_.set_telemetry(tel); }
 
   /// Snapshot support: the core's block state (live-subpage program times
   /// included), retention queue, idle candidates, hot bits and the sector

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace esp::nand {
 
@@ -72,9 +72,9 @@ OpAck NandDevice::program_full(const PageAddr& addr,
   ++counters_.progs_full;
   OpAck ack{schedule(addr.chip, timing_.prog_full_us, geo_.page_bytes,
                      /*transfer_first=*/true, now)};
-  if (sink_)
-    sink_->record_op({telemetry::OpKind::kProgFull, now, ack.done, addr.page,
-                      0, addr.chip, addr.block});
+  if (tel_)
+    tel_->record_op({telemetry::OpKind::kProgFull, now, ack.done, addr.page,
+                     0, addr.chip, addr.block});
   return ack;
 }
 
@@ -85,9 +85,9 @@ OpAck NandDevice::program_subpage(const SubpageAddr& addr, std::uint64_t token,
   ++counters_.progs_sub;
   OpAck ack{schedule(addr.page.chip, timing_.prog_sub_us,
                      geo_.subpage_bytes(), /*transfer_first=*/true, now)};
-  if (sink_)
-    sink_->record_op({telemetry::OpKind::kProgSub, now, ack.done, addr.slot,
-                      addr.page.page, addr.page.chip, addr.page.block});
+  if (tel_)
+    tel_->record_op({telemetry::OpKind::kProgSub, now, ack.done, addr.slot,
+                     addr.page.page, addr.page.chip, addr.page.block});
   return ack;
 }
 
@@ -148,9 +148,9 @@ ReadAck NandDevice::read_subpage(const SubpageAddr& addr, SimTime now) {
   ++counters_.reads_sub;
   ack.done = schedule(addr.page.chip, timing_.read_sub_us,
                       geo_.subpage_bytes(), /*transfer_first=*/false, now);
-  if (sink_ && sink_->wants_op(telemetry::OpKind::kRead))
-    sink_->record_op({telemetry::OpKind::kRead, now, ack.done, 1, 0,
-                      addr.page.chip, addr.page.block});
+  if (tel_)
+    tel_->record_op({telemetry::OpKind::kRead, now, ack.done, 1, 0,
+                     addr.page.chip, addr.page.block});
   return ack;
 }
 
@@ -165,9 +165,9 @@ PageReadAck NandDevice::read_page(const PageAddr& addr, SimTime now) {
   ++counters_.reads_full;
   ack.done = schedule(addr.chip, timing_.read_full_us, geo_.page_bytes,
                       /*transfer_first=*/false, now);
-  if (sink_ && sink_->wants_op(telemetry::OpKind::kRead))
-    sink_->record_op({telemetry::OpKind::kRead, now, ack.done,
-                      geo_.subpages_per_page, 0, addr.chip, addr.block});
+  if (tel_)
+    tel_->record_op({telemetry::OpKind::kRead, now, ack.done,
+                     geo_.subpages_per_page, 0, addr.chip, addr.block});
   return ack;
 }
 
@@ -187,9 +187,9 @@ OpAck NandDevice::copyback(const PageAddr& src, const PageAddr& dst,
   // Chip busy for sense + program; only command overhead on the channel.
   OpAck ack{schedule(src.chip, timing_.read_full_us + timing_.prog_full_us,
                      /*xfer_bytes=*/0, /*transfer_first=*/true, now)};
-  if (sink_)
-    sink_->record_op({telemetry::OpKind::kProgFull, now, ack.done, dst.page,
-                      0, dst.chip, dst.block});
+  if (tel_)
+    tel_->record_op({telemetry::OpKind::kProgFull, now, ack.done, dst.page,
+                     0, dst.chip, dst.block});
   return ack;
 }
 
@@ -201,16 +201,16 @@ OpAck NandDevice::erase_block(std::uint32_t chip, std::uint32_t block,
   max_pe_cycles_ = std::max(max_pe_cycles_, blk.pe_cycles());
   OpAck ack{schedule(chip, timing_.erase_us, /*xfer_bytes=*/0,
                      /*transfer_first=*/true, now)};
-  if (sink_)
-    sink_->record_op({telemetry::OpKind::kErase, now, ack.done,
-                      blk.pe_cycles(), 0, chip, block});
+  if (tel_)
+    tel_->record_op({telemetry::OpKind::kErase, now, ack.done,
+                     blk.pe_cycles(), 0, chip, block});
   return ack;
 }
 
-void NandDevice::set_telemetry(telemetry::Sink* sink) {
-  sink_ = sink;
-  if (!sink_) return;
-  telemetry::MetricsRegistry& reg = sink_->registry();
+void NandDevice::set_telemetry(telemetry::Telemetry* tel) {
+  tel_ = tel;
+  if (!tel_) return;
+  telemetry::MetricsRegistry& reg = tel_->registry();
   reg.bind_counter("nand/reads_full", &counters_.reads_full);
   reg.bind_counter("nand/reads_sub", &counters_.reads_sub);
   reg.bind_counter("nand/progs_full", &counters_.progs_full);

@@ -147,9 +147,9 @@ class NandDevice {
     return channel_busy_accum_.at(channel);
   }
 
-  /// Attaches a telemetry sink (nullptr detaches). Binds the device
+  /// Attaches a telemetry facade (nullptr detaches). Binds the device
   /// counters under "nand/" and records one op event per flash command.
-  void set_telemetry(telemetry::Sink* sink);
+  void set_telemetry(telemetry::Telemetry* tel);
 
   /// Fills the physical fields (P/E cycles, programmed pages, first-program
   /// time) of a health snapshot; `out` must hold one row per block, indexed
@@ -202,7 +202,7 @@ class NandDevice {
   util::Xoshiro256 fault_rng_{1};
   ReliabilityMode reliability_mode_ = ReliabilityMode::kDeterministic;
   ecc::EccModel ecc_;
-  telemetry::Sink* sink_ = nullptr;
+  telemetry::Telemetry* tel_ = nullptr;
 };
 
 }  // namespace esp::nand

@@ -199,12 +199,7 @@ RunMetrics Driver::run(workload::RequestSource& source, bool verify,
   metrics.end_us = now_;
   metrics.latency_hist = latency_.delta_since(latency_before);
   metrics.response_hist = response_.delta_since(response_before);
-  metrics.latency_p50_us = metrics.latency_hist.percentile(0.50);
-  metrics.latency_p99_us = metrics.latency_hist.percentile(0.99);
-  metrics.latency_p999_us = metrics.latency_hist.percentile(0.999);
-  metrics.response_p50_us = metrics.response_hist.percentile(0.50);
-  metrics.response_p99_us = metrics.response_hist.percentile(0.99);
-  metrics.response_p999_us = metrics.response_hist.percentile(0.999);
+  metrics.fill_percentiles();
   metrics.verify_failures = verify_failures_ - failures_before;
   metrics.io_errors = io_errors_ - io_errors_before;
   metrics.ftl_stats = ftl_.stats();

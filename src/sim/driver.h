@@ -25,6 +25,22 @@ struct HealthTotals;
 
 namespace esp::sim {
 
+/// Every request-latency histogram: linear 0-200 ms in 100-us buckets,
+/// covering buffered hits through GC stalls. Histogram::merge drops a
+/// histogram of another shape, so every latency histogram that may be
+/// merged is made here.
+inline util::Histogram make_latency_histogram() {
+  return util::Histogram(0.0, 200000.0, 2000);
+}
+
+/// Reads `h`'s p50, p99 and p999 into the three fields.
+inline void set_percentiles(const util::Histogram& h, double& p50, double& p99,
+                            double& p999) {
+  p50 = h.percentile(0.50);
+  p99 = h.percentile(0.99);
+  p999 = h.percentile(0.999);
+}
+
 /// Outcome of one driven run.
 ///
 /// Two latency definitions, both covering THIS run's requests only (the
@@ -54,12 +70,20 @@ struct RunMetrics {
   double response_p999_us = 0.0;
   /// Service-time distribution of this run's requests; mergeable across
   /// cells via Histogram::merge.
-  util::Histogram latency_hist{0.0, 200000.0, 2000};
+  util::Histogram latency_hist = make_latency_histogram();
   /// Response-time (arrival -> completion) distribution of this run.
-  util::Histogram response_hist{0.0, 200000.0, 2000};
+  util::Histogram response_hist = make_latency_histogram();
   ftl::FtlStats ftl_stats;              ///< snapshot at end of run
   std::uint64_t device_erases = 0;      ///< snapshot of device counter
   std::uint64_t erases_during_run = 0;  ///< erases attributable to this run
+
+  /// Sets the six percentile fields from the two histograms.
+  void fill_percentiles() {
+    set_percentiles(latency_hist, latency_p50_us, latency_p99_us,
+                    latency_p999_us);
+    set_percentiles(response_hist, response_p50_us, response_p99_us,
+                    response_p999_us);
+  }
 
   SimTime elapsed_us() const { return end_us - start_us; }
   double iops() const {
@@ -209,10 +233,10 @@ class Driver {
   std::vector<bool> shadow_trimmed_;
   std::uint64_t verify_failures_ = 0;
   std::uint64_t io_errors_ = 0;
-  /// 0..200 ms in 2000 buckets: covers buffered hits through GC stalls.
-  util::Histogram latency_{0.0, 200000.0, 2000};
+  /// Service time (issue -> done) of every request so far.
+  util::Histogram latency_ = make_latency_histogram();
   /// Response time (arrival -> done); same shape as latency_.
-  util::Histogram response_{0.0, 200000.0, 2000};
+  util::Histogram response_ = make_latency_histogram();
   std::vector<std::uint64_t> read_tokens_;  // scratch
   std::uint64_t requests_submitted_ = 0;
 

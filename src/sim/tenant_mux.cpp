@@ -158,17 +158,7 @@ MuxRunMetrics TenantMux::run(bool verify, std::uint64_t max_requests) {
   }
 
   out.end_us = driver_.now();
-  for (TenantMetrics& tm : out.tenants) {
-    tm.service_p50_us = tm.service_hist.percentile(0.50);
-    tm.service_p99_us = tm.service_hist.percentile(0.99);
-    tm.service_p999_us = tm.service_hist.percentile(0.999);
-    tm.response_p50_us = tm.response_hist.percentile(0.50);
-    tm.response_p99_us = tm.response_hist.percentile(0.99);
-    tm.response_p999_us = tm.response_hist.percentile(0.999);
-    tm.wait_p50_us = tm.wait_hist.percentile(0.50);
-    tm.wait_p99_us = tm.wait_hist.percentile(0.99);
-    tm.wait_p999_us = tm.wait_hist.percentile(0.999);
-  }
+  for (TenantMetrics& tm : out.tenants) tm.fill_percentiles();
   return out;
 }
 

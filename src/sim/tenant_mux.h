@@ -78,9 +78,18 @@ struct TenantMetrics {
   double wait_p50_us = 0.0;
   double wait_p99_us = 0.0;
   double wait_p999_us = 0.0;
-  util::Histogram service_hist{0.0, 200000.0, 2000};
-  util::Histogram response_hist{0.0, 200000.0, 2000};
-  util::Histogram wait_hist{0.0, 200000.0, 2000};
+  util::Histogram service_hist = make_latency_histogram();
+  util::Histogram response_hist = make_latency_histogram();
+  util::Histogram wait_hist = make_latency_histogram();
+
+  /// Sets the nine percentile fields from the three histograms.
+  void fill_percentiles() {
+    set_percentiles(service_hist, service_p50_us, service_p99_us,
+                    service_p999_us);
+    set_percentiles(response_hist, response_p50_us, response_p99_us,
+                    response_p999_us);
+    set_percentiles(wait_hist, wait_p50_us, wait_p99_us, wait_p999_us);
+  }
 
   /// This tenant's share of host-written sectors; the experiment layer
   /// multiplies it into the shared FTL's WAF for per-tenant attribution.

@@ -15,7 +15,7 @@
 // sums bit-exactly to the aggregate device counters.
 //
 // Block lifecycle transitions (allocated, frontier level advanced, erased,
-// retired) are reported through the same sink as BlockLifecycleEvents;
+// retired) are reported through the same facade as BlockLifecycleEvents;
 // the Journal derives sub<->full *conversions* from allocation events
 // whose pool differs from the block's previous owner.
 #pragma once

@@ -20,10 +20,6 @@ TimeSeriesSampler::TimeSeriesSampler(SimTime interval_us)
 
 void TimeSeriesSampler::start(SimTime now) { next_due_us_ = now + interval_us_; }
 
-bool TimeSeriesSampler::due(SimTime now) const {
-  return enabled() && now >= next_due_us_;
-}
-
 void TimeSeriesSampler::push(const Sample& sample, SimTime now) {
   samples_.push_back(sample);
   last_sample_us_ = now;

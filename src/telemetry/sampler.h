@@ -57,7 +57,8 @@ class TimeSeriesSampler {
   /// Anchors the first window at `now` (called once at attach).
   void start(SimTime now);
   /// True when the current window has elapsed at simulated time `now`.
-  bool due(SimTime now) const;
+  /// Inline: the driver asks after every request.
+  bool due(SimTime now) const { return enabled() && now >= next_due_us_; }
 
   /// Appends a closed window and re-arms the cadence from `now`.
   void push(const Sample& sample, SimTime now);

@@ -1,13 +1,13 @@
-// Telemetry recording interface seen by the instrumented layers.
+// Event vocabulary of the telemetry facade (telemetry/telemetry.h).
 //
 // The simulator layers (nand::NandDevice, the FTL pools and FTLs, the
-// driver) hold a nullable `Sink*` and report two kinds of facts through it:
+// driver) hold a nullable `Telemetry*` and report through it:
 //
 //   * op events -- one per flash/FTL operation (program, read, erase,
 //     GC copy, RMW, forward migration, retention eviction, ...), carrying
 //     the operation's simulated [start, end) interval and two op-specific
 //     detail arguments;
-//   * named metrics -- registered once at attach time into the sink's
+//   * named metrics -- registered once at attach time into the facade's
 //     MetricsRegistry (counters can be *bound* to existing struct fields,
 //     so the hot-path increment stays a plain `++stats_.field`);
 //   * cause scopes -- RAII windows (CauseScope) around FTL mechanisms
@@ -16,8 +16,10 @@
 //   * block lifecycle events -- allocation / frontier-advance / erase /
 //     retire transitions of physical blocks (see causes.h).
 //
-// With no sink attached, instrumentation compiles to a null-pointer check;
-// layers must guard every call with `if (sink_)` (CauseScope is null-safe).
+// This header holds the types those reports carry, so downstream sinks
+// (journal, auditor, health, forensics) need not see the facade. With no
+// facade attached, instrumentation compiles to a null-pointer check;
+// layers guard every call with `if (tel_)` (CauseScope is null-safe).
 #pragma once
 
 #include <cstdint>
@@ -27,8 +29,6 @@
 #include "util/sim_time.h"
 
 namespace esp::telemetry {
-
-class MetricsRegistry;
 
 /// Operation kinds recorded as op events. Host-level kinds are emitted by
 /// the driver, FTL-level kinds by the FTLs/pools, flash-level kinds by the
@@ -119,64 +119,9 @@ struct StreamHeader {
   }
 };
 
-class Sink {
- public:
-  virtual ~Sink() = default;
-
-  /// Records one completed operation (trace ring + per-op histograms).
-  virtual void record_op(const OpEvent& event) = 0;
-
-  /// Non-virtual per-op interest filter: true when some attached consumer
-  /// wants events of this kind. High-frequency call sites (the device's
-  /// read path, the FTLs' RMW/GC-copy records) may check it first and skip
-  /// constructing + dispatching an OpEvent nobody will read — e.g. an
-  /// always-on health stream consumes programs and erases but not reads.
-  /// Conservative by default (everything); implementations narrow it.
-  bool wants_op(OpKind kind) const {
-    return (op_mask_ & (1u << static_cast<unsigned>(kind))) != 0;
-  }
-
-  /// Registry for attach-time metric registration.
-  virtual MetricsRegistry& registry() = 0;
-
-  /// Opens/closes a cause scope; flash ops recorded while a scope is open
-  /// are attributed to the innermost cause (see causes.h). Base default:
-  /// no-op, so sinks that do not attribute (tests, custom sinks) need not
-  /// override.
-  virtual void push_cause(Cause /*cause*/, std::uint64_t /*detail*/,
-                          SimTime /*at*/) {}
-  virtual void pop_cause() {}
-
-  /// Records one block lifecycle transition. Base default: no-op.
-  virtual void record_block(const BlockLifecycleEvent& /*event*/) {}
-
- protected:
-  /// Narrows (or restores) the wants_op() filter; static_assert keeps the
-  /// kind bits inside the mask word.
-  static_assert(kOpKindCount <= 32);
-  void set_op_mask(std::uint32_t mask) { op_mask_ = mask; }
-
- private:
-  std::uint32_t op_mask_ = ~0u;
-};
-
-/// Null-safe RAII cause scope: pushes on construction, pops on
-/// destruction. Safe to construct with a null sink (does nothing), which
-/// keeps call sites free of `if (sink_)` branches around whole mechanisms.
-class CauseScope {
- public:
-  CauseScope(Sink* sink, Cause cause, std::uint64_t detail, SimTime at)
-      : sink_(sink) {
-    if (sink_) sink_->push_cause(cause, detail, at);
-  }
-  ~CauseScope() {
-    if (sink_) sink_->pop_cause();
-  }
-  CauseScope(const CauseScope&) = delete;
-  CauseScope& operator=(const CauseScope&) = delete;
-
- private:
-  Sink* sink_;
-};
+class Telemetry;
+/// Kept because perfbench's TracingFtl (perfbench/src/tracing_ftl.h)
+/// spells the facade type `telemetry::Sink`.
+using Sink = Telemetry;
 
 }  // namespace esp::telemetry

@@ -23,7 +23,8 @@ constexpr std::size_t kLatBuckets = 4000;
 Telemetry::Telemetry(const TelemetryConfig& config)
     : trace_(config.trace_capacity),
       sampler_(config.sample_interval_us),
-      op_detail_(config.op_detail) {
+      op_detail_(config.op_detail),
+      detail_(config.op_detail) {
   window_.reserve(kOpKindCount);
   for (std::size_t k = 0; k < kOpKindCount; ++k) {
     const std::string name =
@@ -47,34 +48,9 @@ Telemetry::Telemetry(const TelemetryConfig& config)
     cause_latency_[c] = &registry_.histogram(prefix + "/latency_us", kLatLoUs,
                                              kLatHiUs, kLatBuckets);
   }
-  recompute_op_mask();
 }
 
-void Telemetry::recompute_op_mask() {
-  // With per-op detail on (trace + latency histograms) or a journal /
-  // auditor attached, every kind matters. Otherwise the facade needs only
-  // the kinds that feed its per-cause counters (programs, erases — the
-  // cause_count() contract holds regardless of consumers). The health
-  // monitor adds nothing: its windows are differences of those counters
-  // and of FtlStats. Reads, RMW, copy and host-lane records can be skipped
-  // at the source.
-  std::uint32_t mask;
-  if (op_detail_ || journal_ != nullptr || auditor_ != nullptr) {
-    mask = ~0u;
-  } else {
-    const auto bit = [](OpKind k) {
-      return 1u << static_cast<unsigned>(k);
-    };
-    mask = bit(OpKind::kProgFull) | bit(OpKind::kProgSub) |
-           bit(OpKind::kErase);
-    // The forensics collector sweeps every flash-lane interval, so it is
-    // the one lean-facade consumer that also needs device reads.
-    if (forensics_ != nullptr) mask |= bit(OpKind::kRead);
-  }
-  set_op_mask(mask);
-}
-
-void Telemetry::record_op(const OpEvent& event) {
+void Telemetry::record_detail(const OpEvent& event) {
   const auto k = static_cast<std::size_t>(event.kind);
   if (k >= kOpKindCount) return;
   if (op_detail_) {
@@ -83,49 +59,28 @@ void Telemetry::record_op(const OpEvent& event) {
     window_[k].add(dur);
     trace_.push(TraceEvent{event.kind, current_request_, event.start, dur,
                            event.arg0, event.arg1});
+    if (event.kind == OpKind::kProgFull || event.kind == OpKind::kProgSub ||
+        event.kind == OpKind::kErase)
+      cause_latency_[static_cast<std::size_t>(current_cause())]->add(dur);
   }
-
-  // Causal attribution: every flash program/erase lands in exactly one
-  // per-cause bucket (the innermost open scope; host when none).
-  switch (event.kind) {
-    case OpKind::kProgFull:
-    case OpKind::kProgSub:
-    case OpKind::kErase: {
-      const auto c = static_cast<std::size_t>(current_cause());
-      if (event.kind == OpKind::kProgFull) {
-        ++cause_progs_full_[c];
-      } else if (event.kind == OpKind::kProgSub) {
-        ++cause_progs_sub_[c];
-      } else {
-        ++cause_erases_[c];
-        // An erase under a GC pass means the block was a GC victim.
-        if (health_ && c == static_cast<std::size_t>(Cause::kGcCopy))
-          health_->count_gc_victim(event.chip, event.block);
-      }
-      if (op_detail_) cause_latency_[c]->add(event.end - event.start);
-      break;
-    }
-    default:
-      break;
-  }
-
   if (journal_)
     journal_->on_op(event, current_cause(), cause_stack_, current_request_);
   if (auditor_) auditor_->on_op(event, cause_stack_);
-  if (forensics_ && current_request_ != 0)
-    forensics_->on_op(event, current_cause(), cause_stack_);
 }
 
-void Telemetry::push_cause(Cause cause, std::uint64_t detail, SimTime at) {
-  cause_stack_.push_back(CauseFrame{cause, detail, at});
-  if (journal_) journal_->on_scope('B', cause_stack_.back());
+void Telemetry::record_host_detail(const OpEvent& event) {
+  const auto k = static_cast<std::size_t>(event.kind);
+  if (op_detail_ && k < 4) wait_[k]->add(event.start - current_arrival_);
+  record_detail(event);
 }
 
-void Telemetry::pop_cause() {
-  if (cause_stack_.empty()) return;
-  const CauseFrame top = cause_stack_.back();
-  cause_stack_.pop_back();
-  if (journal_) journal_->on_scope('E', top);
+void Telemetry::count_gc_victim(std::uint32_t chip, std::uint32_t block) {
+  // An erase under a GC pass means the block was a GC victim.
+  health_->count_gc_victim(chip, block);
+}
+
+void Telemetry::journal_scope(char phase, const CauseFrame& frame) {
+  journal_->on_scope(phase, frame);
 }
 
 void Telemetry::record_block(const BlockLifecycleEvent& event) {
@@ -144,31 +99,9 @@ std::uint64_t Telemetry::cause_count(Cause cause, OpKind kind) const {
   }
 }
 
-std::uint32_t Telemetry::begin_request(SimTime issue, SimTime arrival,
-                                       std::uint16_t tenant) {
-  current_request_ = next_request_id_++;
-  current_arrival_ = arrival < 0.0 ? issue : arrival;
-  if (forensics_)
-    forensics_->begin_request(current_request_, current_arrival_, issue,
-                              tenant);
-  return current_request_;
-}
-
-void Telemetry::end_request(OpKind kind, SimTime issue, SimTime done,
-                            std::uint64_t arg0, std::uint64_t arg1) {
-  // Forensics closes BEFORE the host-lane record so the exemplar sweep
-  // never sees the request's own span as a flash segment.
-  if (forensics_) forensics_->end_request(kind, done);
-  if (op_detail_ && static_cast<std::size_t>(kind) < 4)
-    wait_[static_cast<std::size_t>(kind)]->add(issue - current_arrival_);
-  if (wants_op(kind)) record_op(OpEvent{kind, issue, done, arg0, arg1});
-  current_request_ = 0;
-}
-
 void Telemetry::set_forensics(ForensicsCollector* forensics) {
   forensics_ = forensics;
   if (forensics_) forensics_->bind_registry(&registry_);
-  recompute_op_mask();
 }
 
 void Telemetry::save_state(util::StateWriter& w) const {

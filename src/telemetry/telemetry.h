@@ -1,7 +1,9 @@
-// Telemetry facade: the one object a simulation run owns.
+// Telemetry facade: the one object a simulation run owns, and the one type
+// the driver, FTLs and NAND device record into (through a nullable
+// `Telemetry*`, so a run without telemetry pays a single pointer test per
+// op).
 //
-// Bundles the three tentpole pieces behind the `Sink` interface that the
-// driver, FTLs and NAND device record into:
+// Bundles three pieces:
 //   * a MetricsRegistry of named counters/gauges/histograms,
 //   * a TraceRing of per-request op spans,
 //   * a TimeSeriesSampler of periodic windowed snapshots.
@@ -11,15 +13,22 @@
 // metrics), and a per-window one harvested into each Sample's percentile
 // columns then reset.
 //
-// Recording is only ever reached through a nullable `Sink*` held by the
-// instrumented components, so a run without telemetry pays a single
-// pointer test per op.
+// The per-op path (record_op, cause scopes, request begin/end) is defined
+// inline below: its inline part is what every attached facade does for
+// every op -- bump the per-cause program/erase counter, hand the op to an
+// attached forensics collector. Everything rarer sits in out-of-line
+// functions: latency detail, trace, journal and auditor behind one
+// branch on a bool derived when they attach; GC-victim counts and journal
+// scope lines behind their own null checks. Keeping the inline body this
+// small is what lets the compiler inline it at every call site (`nm -C`
+// on the instrumented objects shows no out-of-line record_op).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "telemetry/causes.h"
+#include "telemetry/forensics.h"
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
 #include "telemetry/sink.h"
@@ -31,7 +40,6 @@ namespace esp::telemetry {
 class Journal;
 class Auditor;
 class HealthMonitor;
-class ForensicsCollector;
 
 struct TelemetryConfig {
   std::size_t trace_capacity = 1 << 16;
@@ -45,16 +53,50 @@ struct TelemetryConfig {
   bool op_detail = true;
 };
 
-class Telemetry : public Sink {
+class Telemetry final {
  public:
   explicit Telemetry(const TelemetryConfig& config = {});
 
-  // --- Sink ---------------------------------------------------------
-  MetricsRegistry& registry() override { return registry_; }
-  void record_op(const OpEvent& event) override;
-  void push_cause(Cause cause, std::uint64_t detail, SimTime at) override;
-  void pop_cause() override;
-  void record_block(const BlockLifecycleEvent& event) override;
+  // --- Recording (instrumented layers) ------------------------------
+  /// Registry for attach-time metric registration.
+  MetricsRegistry& registry() { return registry_; }
+  /// Records one completed operation: per-cause program/erase counts,
+  /// the forensics collector, and (detail path) latency histograms, trace
+  /// ring, journal and auditor.
+  void record_op(const OpEvent& event) {
+    const auto c = static_cast<std::size_t>(current_cause());
+    switch (event.kind) {
+      case OpKind::kProgFull: ++cause_progs_full_[c]; break;
+      case OpKind::kProgSub: ++cause_progs_sub_[c]; break;
+      case OpKind::kErase:
+        ++cause_erases_[c];
+        if (health_ && c == static_cast<std::size_t>(Cause::kGcCopy))
+          count_gc_victim(event.chip, event.block);
+        break;
+      default: break;
+    }
+    // The detail path gets a copy so `event` never has its address taken:
+    // the compiler then keeps the caller's temporary in registers and
+    // folds the collector's kind checks, instead of storing every event
+    // for a call lean facades never make.
+    if (detail_) record_detail(OpEvent(event));
+    if (forensics_ && current_request_ != 0)
+      forensics_->on_op(event, current_cause(), cause_stack_);
+  }
+  /// Opens/closes a cause scope; flash ops recorded while a scope is open
+  /// are attributed to the innermost cause (see causes.h).
+  void push_cause(Cause cause, std::uint64_t detail, SimTime at) {
+    cause_stack_.push_back(CauseFrame{cause, detail, at});
+    if (journal_) journal_scope('B', cause_stack_.back());
+  }
+  void pop_cause() {
+    if (cause_stack_.empty()) return;
+    const CauseFrame top = cause_stack_.back();
+    cause_stack_.pop_back();
+    if (journal_) journal_scope('E', top);
+  }
+  /// Records one block lifecycle transition (journal and auditor only).
+  void record_block(const BlockLifecycleEvent& event);
 
   const MetricsRegistry& registry() const { return registry_; }
   TraceRing& trace() { return trace_; }
@@ -69,18 +111,32 @@ class Telemetry : public Sink {
   /// arrival clock) and `tenant` the originating namespace -- both feed
   /// the forensics collector and the queue-wait histograms.
   std::uint32_t begin_request(SimTime issue, SimTime arrival = -1.0,
-                              std::uint16_t tenant = 0);
+                              std::uint16_t tenant = 0) {
+    current_request_ = next_request_id_++;
+    current_arrival_ = arrival < 0.0 ? issue : arrival;
+    if (forensics_)
+      forensics_->begin_request(current_request_, current_arrival_, issue,
+                                tenant);
+    return current_request_;
+  }
   /// Closes the current request span, emitting the host-lane trace event
   /// and latency sample. `arg0`/`arg1` follow the op's arg schema
   /// (sectors / start sector for reads and writes).
   void end_request(OpKind kind, SimTime issue, SimTime done,
-                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
+                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
+    // Forensics closes BEFORE the host-lane record so the exemplar sweep
+    // never sees the request's own span as a flash segment. Host-lane ops
+    // feed no cause counter, so only the detail path records them.
+    if (forensics_) forensics_->end_request(kind, done);
+    if (detail_) record_host_detail(OpEvent{kind, issue, done, arg0, arg1});
+    current_request_ = 0;
+  }
 
   std::uint64_t requests_started() const { return next_request_id_ - 1; }
 
   // --- Causal attribution -------------------------------------------
   /// Innermost open cause scope (kHost when none is open). Every flash
-  /// program/erase recorded through this sink increments exactly one
+  /// program/erase recorded through this facade increments exactly one
   /// per-cause bucket, so summing cause_count over all causes reproduces
   /// the device's program/erase counters bit-exactly (since attach).
   Cause current_cause() const {
@@ -95,14 +151,14 @@ class Telemetry : public Sink {
   /// destroying them.
   void set_journal(Journal* journal) {
     journal_ = journal;
-    recompute_op_mask();
+    detail_ = op_detail_ || journal_ || auditor_;
   }
   void set_auditor(Auditor* auditor) {
     auditor_ = auditor;
-    recompute_op_mask();
+    detail_ = op_detail_ || journal_ || auditor_;
   }
-  /// The health monitor widens no op mask: the facade feeds it only the
-  /// GC-victim erases it already counts.
+  /// The facade feeds the health monitor only the GC-victim erases it
+  /// already counts.
   void set_health(HealthMonitor* health) { health_ = health; }
   /// Attaches a latency-forensics collector: the facade feeds it request
   /// begin/end plus every flash-lane op (with cause + chain), and binds
@@ -130,17 +186,21 @@ class Telemetry : public Sink {
   void load_state(util::StateReader& r);
 
  private:
-  util::Histogram& window(OpKind kind) {
-    return window_[static_cast<std::size_t>(kind)];
-  }
-
-  /// Recomputes the Sink op-interest mask from the attached consumers.
-  void recompute_op_mask();
+  /// Out-of-line halves of the per-op path: latency histograms + trace
+  /// (op_detail), journal and auditor; the host-lane record of
+  /// end_request; GC-victim counting; journal scope lines.
+  void record_detail(const OpEvent& event);
+  void record_host_detail(const OpEvent& event);
+  void count_gc_victim(std::uint32_t chip, std::uint32_t block);
+  void journal_scope(char phase, const CauseFrame& frame);
 
   MetricsRegistry registry_;
   TraceRing trace_;
   TimeSeriesSampler sampler_;
   bool op_detail_ = true;
+  /// True when record_op has work beyond the counters and forensics:
+  /// op_detail, or a journal or auditor attached.
+  bool detail_ = true;
   std::uint32_t next_request_id_ = 1;
   std::uint32_t current_request_ = 0;
   SimTime current_arrival_ = 0.0;  ///< arrival of the open request
@@ -164,6 +224,25 @@ class Telemetry : public Sink {
   Auditor* auditor_ = nullptr;
   HealthMonitor* health_ = nullptr;
   ForensicsCollector* forensics_ = nullptr;
+};
+
+/// Null-safe RAII cause scope: pushes on construction, pops on
+/// destruction. Safe to construct with a null facade (does nothing), which
+/// keeps call sites free of `if (tel_)` branches around whole mechanisms.
+class CauseScope {
+ public:
+  CauseScope(Telemetry* tel, Cause cause, std::uint64_t detail, SimTime at)
+      : tel_(tel) {
+    if (tel_) tel_->push_cause(cause, detail, at);
+  }
+  ~CauseScope() {
+    if (tel_) tel_->pop_cause();
+  }
+  CauseScope(const CauseScope&) = delete;
+  CauseScope& operator=(const CauseScope&) = delete;
+
+ private:
+  Telemetry* tel_;
 };
 
 }  // namespace esp::telemetry

@@ -169,10 +169,11 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-// The health stream must not depend on which other observers share the
-// facade. A journal or the auditor widens the facade's op mask to every
-// kind; health alone runs on the lean facade, whose mask carries only
-// programs and erases, so its windows come purely from counters. The
+// The health and forensics streams must not depend on which other
+// observers share the facade. A journal or the auditor sends every op
+// down the facade's detail path; health alone or forensics alone runs on
+// the lean facade (no per-op latency detail), where health windows come
+// purely from counters and the collector sees only the ops it reads. The
 // compressed maintenance clock (maintenance_differential_test's) makes
 // retention evictions and GC fire inside a few thousand requests.
 TEST(HealthObservability, StreamIndependentOfOtherObservers) {
@@ -198,6 +199,12 @@ TEST(HealthObservability, StreamIndependentOfOtherObservers) {
     alone.health_path = ::testing::TempDir() + "hi-alone-" + name + ".jsonl";
     core::run_experiment(alone);
 
+    core::ExperimentSpec forensics_alone = spec;
+    forensics_alone.forensics_path =
+        ::testing::TempDir() + "hi-alone-f-" + name + ".jsonl";
+    const auto forensics_result = core::run_experiment(forensics_alone);
+    EXPECT_GT(forensics_result.forensics_exemplars, 0u) << name;
+
     core::ExperimentSpec all = spec;
     all.health_path = ::testing::TempDir() + "hi-all-" + name + ".jsonl";
     all.journal_path = ::testing::TempDir() + "hi-all-j-" + name + ".jsonl";
@@ -208,6 +215,9 @@ TEST(HealthObservability, StreamIndependentOfOtherObservers) {
     const std::string stream = slurp(alone.health_path);
     ASSERT_FALSE(stream.empty()) << name;
     EXPECT_EQ(stream, slurp(all.health_path)) << name;
+    EXPECT_EQ(slurp(forensics_alone.forensics_path),
+              slurp(all.forensics_path))
+        << name;
 
     if (kind != core::FtlKind::kSub) continue;
     // Not vacuous: the windows carry retention evictions and the block

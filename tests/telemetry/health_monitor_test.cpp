@@ -139,11 +139,6 @@ TEST(HealthMonitor, GcVictimCountsFromFacadeErases) {
   cfg.op_detail = false;
   Telemetry tel(cfg);
   tel.set_health(&hm);
-  // Health widens the lean facade's op mask by nothing: host writes and
-  // retention evictions reach it as FtlStats totals at epoch edges.
-  EXPECT_TRUE(tel.wants_op(OpKind::kErase));
-  EXPECT_FALSE(tel.wants_op(OpKind::kHostWrite));
-  EXPECT_FALSE(tel.wants_op(OpKind::kRetentionEvict));
   // Two GC erases of chip 1 block 2 (row index 1*3+2 = 5), one host-cause
   // erase of the same block (not a GC victim), one GC erase elsewhere.
   tel.push_cause(Cause::kGcCopy, 0, 0.0);

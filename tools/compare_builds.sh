@@ -6,8 +6,9 @@
 # Each argument is a cmake build directory holding tools/espsim and
 # tools/espreport. The script runs the seed-7 audited 4-FTL Varmail sweep
 # (journal, health and forensics streams) with both builds, plus the same
-# sweep with the health stream alone (no journal or auditor widening the
-# facade's op mask), cmp's the 16 streams pairwise, and diffs each build's
+# sweep with the health stream alone and with the forensics stream alone
+# (the lean facade: no journal, auditor or per-op latency detail), cmp's
+# the 20 streams pairwise, and diffs each build's
 # per-cause WAF table and p99 blame table against the committed goldens
 # in tools/golden/. It exits non-zero on the first difference and names
 # the file that differs. A change that claims simulation byte-identity
@@ -35,6 +36,9 @@ run_sweep() {  # build-dir output-dir
   "$1/tools/espsim" --ftl cgm,fgm,sub,sectorlog --profile varmail \
     --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 \
     --health-out "$2/o.jsonl" --health-interval 0.5 > "$2/espsim-o.log"
+  "$1/tools/espsim" --ftl cgm,fgm,sub,sectorlog --profile varmail \
+    --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 \
+    --forensics-out "$2/l.jsonl" > "$2/espsim-l.log"
 }
 
 check_goldens() {  # build-dir output-dir
@@ -57,7 +61,7 @@ check_goldens() {  # build-dir output-dir
 
 run_sweep "$parent" "$work/parent"
 run_sweep "$change" "$work/change"
-for kind in j h f o; do
+for kind in j h f o l; do
   for ftl in "${ftls[@]}"; do
     name="$kind.espsim-Varmail-$ftl.jsonl"
     if ! cmp "$work/parent/$name" "$work/change/$name"; then
@@ -68,4 +72,4 @@ for kind in j h f o; do
 done
 check_goldens "$parent" "$work/parent"
 check_goldens "$change" "$work/change"
-echo "identical: 16 streams cmp-equal, WAF and blame tables match tools/golden/"
+echo "identical: 20 streams cmp-equal, WAF and blame tables match tools/golden/"

@@ -21,10 +21,8 @@
 //   * health-trend projection: linear fit of media wear % over simulated
 //     time, cross-checked against the stream's erase-rate horizon.
 //
-// The parser is the same flat field scanner as espreport: every line is a
-// flat object with known key order and no escaped strings, so `"key":`
-// substring extraction is exact. Unknown line types are counted and
-// skipped (forward compat).
+// The parser is the flat field scanner of jsonl_fields.h, shared with
+// espreport. Unknown line types are counted and skipped (forward compat).
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -37,7 +35,11 @@
 #include <string>
 #include <vector>
 
+#include "jsonl_fields.h"
+
 namespace {
+
+using namespace esp::jsonl;
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -54,41 +56,6 @@ void usage(const char* argv0) {
       "                            (end trailer) and the smart CoV/Gini\n"
       "                            match recomputation from block rows\n",
       argv0);
-}
-
-// ---- flat field extraction (same idiom as espreport) -----------------
-
-bool find_raw(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t start = pos + needle.size();
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(start, end - start);
-  return true;
-}
-
-bool find_str(const std::string& line, const char* key, std::string* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return false;
-  *out = raw.substr(1, raw.size() - 2);
-  return true;
-}
-
-bool find_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  *out = std::strtoull(raw.c_str(), nullptr, 10);
-  return true;
-}
-
-bool find_double(const std::string& line, const char* key, double* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  *out = std::strtod(raw.c_str(), nullptr);
-  return true;
 }
 
 // ---- stream reconstruction ------------------------------------------
@@ -130,19 +97,14 @@ struct Epoch {
 };
 
 struct Analysis {
-  bool have_header = false;
-  std::uint64_t schema = 0;
-  std::string ftl;
-  std::uint64_t chips = 0, blocks_per_chip = 0, pages_per_block = 0;
-  std::uint64_t subs = 1, seed = 0, rated_pe = 0;
+  StreamHdr hdr;
+  std::uint64_t rated_pe = 0;
   double interval_us = 0.0;
 
   std::vector<Epoch> epochs;
   std::uint64_t lines = 0, unknown_lines = 0, orphan_rows = 0;
   bool have_end = false;
   std::uint64_t end_epochs = 0, end_lines = 0;
-
-  std::uint64_t total_blocks() const { return chips * blocks_per_chip; }
 };
 
 char pool_char(const std::string& name) {
@@ -169,17 +131,10 @@ bool analyze(const std::string& path, Analysis* a) {
       continue;
     }
     if (t == "hdr") {
-      a->have_header = true;
-      find_u64(line, "v", &a->schema);
-      find_str(line, "ftl", &a->ftl);
-      find_u64(line, "chips", &a->chips);
-      find_u64(line, "blocks_per_chip", &a->blocks_per_chip);
-      find_u64(line, "pages_per_block", &a->pages_per_block);
-      find_u64(line, "subs", &a->subs);
-      find_u64(line, "seed", &a->seed);
+      a->hdr.read(line);
       find_u64(line, "rated_pe", &a->rated_pe);
       find_double(line, "interval_us", &a->interval_us);
-      state.assign(a->total_blocks(), Blk{});
+      state.assign(a->hdr.total_blocks(), Blk{});
     } else if (t == "epoch") {
       Epoch e;
       find_u64(line, "i", &e.index);
@@ -535,7 +490,7 @@ int main(int argc, char** argv) {
 
   Analysis a;
   if (!analyze(path, &a)) return 1;
-  if (!a.have_header) {
+  if (!a.hdr.present) {
     std::fprintf(stderr, "esphealth: %s has no health header\n", path.c_str());
     return 1;
   }
@@ -547,14 +502,14 @@ int main(int argc, char** argv) {
   std::printf("health stream: %s\n", path.c_str());
   std::printf("  ftl %s, %" PRIu64 " chips x %" PRIu64 " blocks x %" PRIu64
               " pages, %" PRIu64 " subpages, seed %" PRIu64 "\n",
-              a.ftl.c_str(), a.chips, a.blocks_per_chip, a.pages_per_block,
-              a.subs, a.seed);
+              a.hdr.ftl.c_str(), a.hdr.chips, a.hdr.blocks_per_chip,
+              a.hdr.pages_per_block, a.hdr.subs, a.hdr.seed);
   std::printf("  %zu epochs, interval %.6gs, rated P/E %" PRIu64 "\n",
               a.epochs.size(), a.interval_us / 1e6, a.rated_pe);
 
   // Column order: physical, or grouped by final-epoch pool (free, full,
   // sub, fine) with device order inside each group.
-  std::vector<std::uint32_t> order(a.total_blocks());
+  std::vector<std::uint32_t> order(a.hdr.total_blocks());
   std::iota(order.begin(), order.end(), 0u);
   if (order_by_pool) {
     const std::vector<Blk>& last = a.epochs.back().blocks;

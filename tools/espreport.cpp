@@ -18,10 +18,9 @@
 //     (GC, RMW, flush, ...): count, total and max simulated duration.
 //   * journal accounting -- line counts and the end trailer's truncation.
 //
-// The parser is a flat field scanner, not a general JSON parser: every
-// line is a single flat object written by telemetry::Journal with known
-// key order and no escaped strings, so `"key":` substring extraction is
-// exact. Unknown line types are counted and skipped (forward compat).
+// The parser is the flat field scanner of jsonl_fields.h, not a general
+// JSON parser. Unknown line types are counted and skipped (forward
+// compat).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
@@ -33,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "jsonl_fields.h"
 #include "telemetry/causes.h"
 #include "telemetry/forensics.h"
 #include "telemetry/json.h"
@@ -40,6 +40,7 @@
 namespace {
 
 using namespace esp;
+using namespace esp::jsonl;
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -56,41 +57,6 @@ void usage(const char* argv0) {
                "  --chrome-out PATH  export mechanism episodes of the LAST\n"
                "                     journal as a Chrome trace_event file\n",
                argv0, argv0);
-}
-
-// ---- flat field extraction ------------------------------------------
-
-bool find_raw(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t start = pos + needle.size();
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  *out = line.substr(start, end - start);
-  return true;
-}
-
-bool find_str(const std::string& line, const char* key, std::string* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') return false;
-  *out = raw.substr(1, raw.size() - 2);
-  return true;
-}
-
-bool find_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  *out = std::strtoull(raw.c_str(), nullptr, 10);
-  return true;
-}
-
-bool find_double(const std::string& line, const char* key, double* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw)) return false;
-  *out = std::strtod(raw.c_str(), nullptr);
-  return true;
 }
 
 // ---- per-journal analysis -------------------------------------------
@@ -116,12 +82,7 @@ struct EpisodeStats {
 };
 
 struct Analysis {
-  // Header.
-  bool have_header = false;
-  std::uint64_t schema = 0;
-  std::string ftl;
-  std::uint64_t chips = 0, blocks_per_chip = 0, pages_per_block = 0;
-  std::uint64_t subs = 1, page_bytes = 0, seed = 0;
+  StreamHdr hdr;
 
   // Host lane.
   std::uint64_t host_write_requests = 0;
@@ -169,15 +130,7 @@ bool analyze(const std::string& path, Analysis* a) {
       continue;
     }
     if (t == "hdr") {
-      a->have_header = true;
-      find_u64(line, "v", &a->schema);
-      find_str(line, "ftl", &a->ftl);
-      find_u64(line, "chips", &a->chips);
-      find_u64(line, "blocks_per_chip", &a->blocks_per_chip);
-      find_u64(line, "pages_per_block", &a->pages_per_block);
-      find_u64(line, "subs", &a->subs);
-      find_u64(line, "page_bytes", &a->page_bytes);
-      find_u64(line, "seed", &a->seed);
+      a->hdr.read(line);
     } else if (t == "host") {
       std::string op;
       find_str(line, "op", &op);
@@ -272,8 +225,9 @@ void print_waf_table(const Analysis& a, const std::string& path) {
   const std::string base =
       slash == std::string::npos ? path : path.substr(slash + 1);
   std::printf("# %s  ftl=%s  seed=%" PRIu64 "\n", base.c_str(),
-              a.ftl.c_str(), a.seed);
-  const std::uint64_t sub_bytes = a.subs ? a.page_bytes / a.subs : 0;
+              a.hdr.ftl.c_str(), a.hdr.seed);
+  const std::uint64_t sub_bytes =
+      a.hdr.subs ? a.hdr.page_bytes / a.hdr.subs : 0;
   const std::uint64_t host_bytes = a.host_write_sectors * sub_bytes;
   std::printf("host writes: %" PRIu64 " requests, %" PRIu64
               " sectors, %" PRIu64 " bytes\n",
@@ -283,7 +237,7 @@ void print_waf_table(const Analysis& a, const std::string& path) {
   CauseTally total;
   for (const auto& [cause, tally] : a.by_cause) {
     const std::uint64_t bytes =
-        tally.prog_full * a.page_bytes + tally.prog_sub * sub_bytes;
+        tally.prog_full * a.hdr.page_bytes + tally.prog_sub * sub_bytes;
     std::printf("%-18s %10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %14" PRIu64
                 " %10.6f\n",
                 cause.c_str(), tally.prog_full, tally.prog_sub, tally.erase,
@@ -296,7 +250,7 @@ void print_waf_table(const Analysis& a, const std::string& path) {
     total.erase += tally.erase;
   }
   const std::uint64_t total_bytes =
-      total.prog_full * a.page_bytes + total.prog_sub * sub_bytes;
+      total.prog_full * a.hdr.page_bytes + total.prog_sub * sub_bytes;
   std::printf("%-18s %10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %14" PRIu64
               " %10.6f\n",
               "total", total.prog_full, total.prog_sub, total.erase,
@@ -353,9 +307,7 @@ struct BlameExemplar {
 };
 
 struct BlameAnalysis {
-  bool have_header = false;
-  std::string ftl;
-  std::uint64_t seed = 0;
+  StreamHdr hdr;  ///< the first section's
   std::uint64_t top_k = 0;
   std::uint64_t sections = 0;  ///< hdr count (> 1 for shard sidecar concats)
   std::uint64_t windows = 0;
@@ -405,10 +357,8 @@ bool analyze_blame(const std::string& path, BlameAnalysis* a) {
         return false;
       }
       ++a->sections;
-      if (!a->have_header) {
-        a->have_header = true;
-        find_str(line, "ftl", &a->ftl);
-        find_u64(line, "seed", &a->seed);
+      if (!a->hdr.present) {
+        a->hdr.read(line);
         find_u64(line, "top_k", &a->top_k);
       }
     } else if (t == "blame") {
@@ -457,8 +407,8 @@ void print_blame_table(const BlameAnalysis& a, const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string base =
       slash == std::string::npos ? path : path.substr(slash + 1);
-  std::printf("# %s  ftl=%s  seed=%" PRIu64 "\n", base.c_str(), a.ftl.c_str(),
-              a.seed);
+  std::printf("# %s  ftl=%s  seed=%" PRIu64 "\n", base.c_str(),
+              a.hdr.ftl.c_str(), a.hdr.seed);
   std::printf("sections: %" PRIu64 ", windows: %" PRIu64 ", requests: %" PRIu64
               ", tail requests: %" PRIu64 "\n",
               a.sections, a.windows, a.requests, a.tail_requests);
@@ -505,7 +455,7 @@ bool write_chrome(const Analysis& a, const std::string& path) {
     w.kv("tid", std::uint64_t{0});
     w.key("args");
     w.begin_object();
-    w.kv("name", "espreport: " + a.ftl + " mechanism episodes");
+    w.kv("name", "espreport: " + a.hdr.ftl + " mechanism episodes");
     w.end_object();
     w.end_object();
   }
@@ -568,7 +518,7 @@ int main(int argc, char** argv) {
     for (const auto& path : paths) {
       BlameAnalysis a;
       if (!analyze_blame(path, &a)) return 1;
-      if (!a.have_header) {
+      if (!a.hdr.present) {
         std::fprintf(stderr, "espreport: %s has no forensics header\n",
                      path.c_str());
         return 1;
@@ -586,7 +536,7 @@ int main(int argc, char** argv) {
   for (const auto& path : paths) {
     Analysis a;
     if (!analyze(path, &a)) return 1;
-    if (!a.have_header) {
+    if (!a.hdr.present) {
       std::fprintf(stderr, "espreport: %s has no journal header\n",
                    path.c_str());
       return 1;

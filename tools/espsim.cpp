@@ -162,18 +162,6 @@ std::optional<workload::Benchmark> parse_profile(const std::string& name) {
   return std::nullopt;
 }
 
-/// "journal.jsonl" + "espsim/varmail/sub" -> "journal.espsim-varmail-sub.jsonl"
-/// (cell key spliced before the extension, '/' flattened to '-').
-std::string cell_journal_path(const std::string& base, std::string key) {
-  for (auto& c : key)
-    if (c == '/') c = '-';
-  const std::size_t slash = base.find_last_of('/');
-  const std::size_t dot = base.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-    return base + "." + key;
-  return base.substr(0, dot) + "." + key + base.substr(dot);
-}
-
 std::vector<std::string> split_list(const std::string& csv) {
   std::vector<std::string> items;
   std::size_t start = 0;
@@ -548,16 +536,18 @@ int main(int argc, char** argv) {
         cell.spec.ssd.ftl = kind;
         cell.spec.workload = workload_for(bench);
         if (!journal_out.empty())
-          cell.spec.journal_path = cell_journal_path(journal_out, cell.key);
+          cell.spec.journal_path =
+              core::cell_sidecar_path(journal_out, cell.key);
         cell.spec.journal_max_events = journal_max_events;
         cell.spec.audit = audit;
         if (!health_out.empty())
-          cell.spec.health_path = cell_journal_path(health_out, cell.key);
+          cell.spec.health_path =
+              core::cell_sidecar_path(health_out, cell.key);
         cell.spec.health_interval_us = health_interval_s * sim_time::kSecond;
         cell.spec.health_rated_pe = health_rated_pe;
         if (!forensics_out.empty())
           cell.spec.forensics_path =
-              cell_journal_path(forensics_out, cell.key);
+              core::cell_sidecar_path(forensics_out, cell.key);
         cell.spec.forensics_top = forensics_top;
         cells.push_back(std::move(cell));
       }
