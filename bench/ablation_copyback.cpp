@@ -16,12 +16,7 @@ namespace {
 
 using namespace esp;
 
-struct Outcome {
-  double mbps = 0.0;
-  std::uint64_t copies = 0;
-};
-
-Outcome run_one(core::FtlKind kind, bool copyback) {
+core::RunResult run_one(core::FtlKind kind, bool copyback) {
   core::ExperimentSpec spec;
   spec.ssd = bench::scaled_config(kind);
   spec.ssd.use_copyback = copyback;
@@ -32,9 +27,7 @@ Outcome run_one(core::FtlKind kind, bool copyback) {
   spec.workload.small_footprint_fraction = 0.10;  // GC-copy-heavy regime
   spec.workload.small_zipf_theta = 0.8;
   spec.workload.seed = 404;
-  const auto result = core::run_experiment(spec);
-  return Outcome{result.host_mb_per_sec,
-                 result.raw.ftl_stats.gc_copy_sectors};
+  return core::run_experiment(spec);
 }
 
 }  // namespace
@@ -48,11 +41,15 @@ int main() {
        {core::FtlKind::kCgm, core::FtlKind::kSub, core::FtlKind::kSectorLog}) {
     const auto plain = run_one(kind, false);
     const auto fast = run_one(kind, true);
+    if (bench::lost_data(plain, plain.ftl_name) ||
+        bench::lost_data(fast, fast.ftl_name + " copyback"))
+      return 1;
     t.add_row({core::ftl_kind_name(kind),
-               util::TablePrinter::num(plain.mbps, 1),
-               util::TablePrinter::num(fast.mbps, 1),
-               util::TablePrinter::pct(fast.mbps / plain.mbps - 1.0, 1),
-               std::to_string(fast.copies)});
+               util::TablePrinter::num(plain.host_mb_per_sec, 1),
+               util::TablePrinter::num(fast.host_mb_per_sec, 1),
+               util::TablePrinter::pct(
+                   fast.host_mb_per_sec / plain.host_mb_per_sec - 1.0, 1),
+               std::to_string(fast.raw.ftl_stats.gc_copy_sectors)});
   }
   t.print(std::cout);
   std::printf(

@@ -33,6 +33,9 @@ int main() {
     params.request_count = spec.warmup_requests + 80000;
     spec.workload = params;
     const auto result = core::run_experiment(spec);
+    if (bench::lost_data(result,
+                         "region " + util::TablePrinter::pct(fraction, 0)))
+      return 1;
     const auto& stats = result.raw.ftl_stats;
     t.add_row({util::TablePrinter::pct(fraction, 0),
                util::TablePrinter::num(result.host_mb_per_sec, 1),

@@ -54,76 +54,6 @@ inline core::SsdConfig scaled_config(core::FtlKind kind) {
   return cfg;
 }
 
-/// Optional device-shape overrides shared by the bench binaries and espsim:
-/// a named profile (--geometry paper|prod, see nand::geometry_profile) plus
-/// explicit per-dimension flags that win over whatever the profile or the
-/// bench's default set. Zero / empty = "leave alone".
-struct GeometryOverrides {
-  std::string profile;  // "", "paper" or "prod"
-  std::uint32_t channels = 0;
-  std::uint32_t chips_per_channel = 0;
-  std::uint32_t blocks_per_chip = 0;
-  std::uint32_t pages_per_block = 0;
-
-  bool any() const {
-    return !profile.empty() || channels || chips_per_channel ||
-           blocks_per_chip || pages_per_block;
-  }
-
-  /// Profile (when named) replaces `base` wholesale, then explicit
-  /// dimensions are applied on top. Throws std::invalid_argument on an
-  /// unknown profile or an inconsistent result.
-  nand::Geometry apply(const nand::Geometry& base) const {
-    nand::Geometry g =
-        profile.empty() ? base : nand::geometry_profile(profile);
-    if (channels) g.channels = channels;
-    if (chips_per_channel) g.chips_per_channel = chips_per_channel;
-    if (blocks_per_chip) g.blocks_per_chip = blocks_per_chip;
-    if (pages_per_block) g.pages_per_block = pages_per_block;
-    g.validate();
-    return g;
-  }
-
-  /// Consumes one geometry flag from argv (advancing `i` past its value).
-  /// Returns false if argv[i] is not a geometry flag; exits with usage
-  /// error code 2 on a flag with a missing value.
-  bool parse_flag(int argc, char** argv, int& i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto u32 = [&]() {
-      return static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    };
-    if (arg == "--geometry") {
-      profile = next();
-      if (profile != "paper" && profile != "prod") {
-        std::fprintf(stderr, "--geometry must be paper|prod\n");
-        std::exit(2);
-      }
-    } else if (arg == "--channels") {
-      channels = u32();
-    } else if (arg == "--chips-per-channel") {
-      chips_per_channel = u32();
-    } else if (arg == "--blocks-per-chip") {
-      blocks_per_chip = u32();
-    } else if (arg == "--pages-per-block") {
-      pages_per_block = u32();
-    } else {
-      return false;
-    }
-    return true;
-  }
-
-  static constexpr const char* kUsage =
-      "[--geometry paper|prod] [--channels N] [--chips-per-channel N] "
-      "[--blocks-per-chip N] [--pages-per-block N]";
-};
-
 /// Requests that precede every measured window so GC is in steady state
 /// (the preconditioned device still has free blocks; the paper's long
 /// benchmark runs burn through them before the reported numbers matter).

@@ -19,14 +19,15 @@
 // NON-deterministic "run" section (wall times, worker ids) from the
 // bit-stable "benchmarks"/"summary" sections that CI diffs across --jobs.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/cli.h"
 #include "core/parallel_runner.h"
 #include "telemetry/json.h"
 #include "util/table_printer.h"
@@ -37,19 +38,8 @@ using namespace esp;
 
 constexpr std::uint64_t kBaseSeed = 2017;
 
-struct Outcome {
-  double throughput = 0.0;
-  std::uint64_t gc = 0;
-  std::uint64_t erases = 0;
-  std::uint64_t trace_dropped = 0;
-  std::uint64_t journal_events = 0;
-  std::uint64_t journal_truncated = 0;
-  double chip_util = 0.0;     ///< mean per-chip busy/elapsed, measured window
-  double channel_util = 0.0;  ///< mean per-channel transfer occupancy
-};
-
 core::ExperimentCell make_cell(workload::Benchmark bench, core::FtlKind kind,
-                               const bench::GeometryOverrides& geo) {
+                               const core::GeometryOverrides& geo) {
   core::ExperimentCell cell;
   cell.key = "fig8/" + workload::benchmark_name(bench) + "/" +
              core::ftl_kind_name(kind);
@@ -92,44 +82,36 @@ core::ExperimentCell make_cell(workload::Benchmark bench, core::FtlKind kind,
 
 int main(int argc, char** argv) {
   std::string json_out;
-  std::string journal_out;
-  std::string forensics_out;
-  std::uint32_t forensics_top = 16;
-  bool audit = false;
   unsigned jobs = 0;    // 0 = hardware concurrency
   unsigned shards = 1;  // >1 = shared-nothing intra-cell sharding
-  bench::GeometryOverrides geo;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--journal-out" && i + 1 < argc) {
-      journal_out = argv[++i];
-    } else if (arg == "--forensics-out" && i + 1 < argc) {
-      forensics_out = argv[++i];
-    } else if (arg == "--forensics-top" && i + 1 < argc) {
-      forensics_top =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--audit") {
-      audit = true;
-    } else if (geo.parse_flag(argc, argv, i)) {
-      // consumed a geometry override
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json PATH] [--jobs N] [--shards N] "
-                   "[--journal-out PATH] [--forensics-out PATH] "
-                   "[--forensics-top N] [--audit]\n          %s\n",
-                   argv[0], bench::GeometryOverrides::kUsage);
-      return 2;
+  core::ObserveSpec observe;
+  core::GeometryOverrides geo;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        json_out = core::flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = core::number_flag<unsigned>(argc, argv, i);
+      } else if (arg == "--shards") {
+        shards = core::number_flag<unsigned>(argc, argv, i);
+      } else if (!observe.parse_flag(argc, argv, i) &&
+                 !geo.parse_flag(argc, argv, i)) {
+        std::fprintf(stderr,
+                     "usage: %s [--json PATH] [--jobs N] [--shards N]\n"
+                     "          %s\n          %s\n",
+                     argv[0], core::ObserveSpec::kUsage,
+                     core::GeometryOverrides::kUsage);
+        return 2;
+      }
     }
+    bench::print_header(
+        "Fig. 8 -- cgmFTL vs fgmFTL vs subFTL on 5 benchmarks",
+        geo.apply(bench::scaled_geometry()));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
-
-  bench::print_header("Fig. 8 -- cgmFTL vs fgmFTL vs subFTL on 5 benchmarks",
-                      geo.apply(bench::scaled_geometry()));
 
   const auto kinds = {core::FtlKind::kCgm, core::FtlKind::kFgm,
                       core::FtlKind::kSub};
@@ -137,14 +119,7 @@ int main(int argc, char** argv) {
   for (const auto bench : workload::all_benchmarks()) {
     for (const auto kind : kinds) {
       auto cell = make_cell(bench, kind, geo);
-      if (!journal_out.empty())
-        cell.spec.journal_path =
-            core::cell_sidecar_path(journal_out, cell.key);
-      if (!forensics_out.empty())
-        cell.spec.forensics_path =
-            core::cell_sidecar_path(forensics_out, cell.key);
-      cell.spec.forensics_top = forensics_top;
-      cell.spec.audit = audit;
+      cell.spec.observe = observe.for_cell(cell.key);
       // Grid cells are the parallelism unit; a sharded cell runs its
       // shards serially on its own worker (results identical either way).
       cell.spec.shards = shards;
@@ -162,7 +137,8 @@ int main(int argc, char** argv) {
   std::printf("ran %zu cells on %u worker(s) in %.1fs\n", cells.size(),
               runner.manifest().jobs_used, runner.manifest().wall_seconds);
 
-  std::map<std::pair<workload::Benchmark, core::FtlKind>, Outcome> grid;
+  std::map<std::pair<workload::Benchmark, core::FtlKind>, core::RunResult>
+      grid;
   {
     std::size_t i = 0;
     for (const auto bench : workload::all_benchmarks()) {
@@ -174,11 +150,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         if (bench::lost_data(cell.result, cell.key)) return 1;
-        grid[{bench, kind}] = Outcome{
-            cell.result.host_mb_per_sec, cell.result.gc_invocations,
-            cell.result.erases,          cell.result.trace_dropped,
-            cell.result.journal_events,  cell.result.journal_truncated,
-            cell.result.chip_util_mean,  cell.result.channel_util_mean};
+        grid[{bench, kind}] = cell.result;
       }
     }
   }
@@ -189,9 +161,9 @@ int main(int argc, char** argv) {
   double sum_vs_cgm = 0.0, sum_vs_fgm = 0.0;
   double max_vs_cgm = 0.0, max_vs_fgm = 0.0;
   for (const auto bench : workload::all_benchmarks()) {
-    const double cgm = grid[{bench, core::FtlKind::kCgm}].throughput;
-    const double fgm = grid[{bench, core::FtlKind::kFgm}].throughput;
-    const double sub = grid[{bench, core::FtlKind::kSub}].throughput;
+    const double cgm = grid[{bench, core::FtlKind::kCgm}].host_mb_per_sec;
+    const double fgm = grid[{bench, core::FtlKind::kFgm}].host_mb_per_sec;
+    const double sub = grid[{bench, core::FtlKind::kSub}].host_mb_per_sec;
     iops_table.add_row({workload::benchmark_name(bench),
                         util::TablePrinter::num(1.0, 2),
                         util::TablePrinter::num(fgm / cgm, 2),
@@ -220,10 +192,12 @@ int main(int argc, char** argv) {
     const auto& fgm = grid[{bench, core::FtlKind::kFgm}];
     const auto& sub = grid[{bench, core::FtlKind::kSub}];
     const double ratio =
-        sub.gc ? static_cast<double>(fgm.gc) / static_cast<double>(sub.gc)
-               : 0.0;
+        sub.gc_invocations ? static_cast<double>(fgm.gc_invocations) /
+                                 static_cast<double>(sub.gc_invocations)
+                           : 0.0;
     gc_table.add_row({workload::benchmark_name(bench),
-                      std::to_string(fgm.gc), std::to_string(sub.gc),
+                      std::to_string(fgm.gc_invocations),
+                      std::to_string(sub.gc_invocations),
                       util::TablePrinter::num(ratio, 2),
                       std::to_string(fgm.erases), std::to_string(sub.erases)});
   }
@@ -259,22 +233,22 @@ int main(int argc, char** argv) {
       w.newline();
       w.key(workload::benchmark_name(bench));
       w.begin_object();
-      const double cgm = grid[{bench, core::FtlKind::kCgm}].throughput;
+      const double cgm = grid[{bench, core::FtlKind::kCgm}].host_mb_per_sec;
       for (const auto kind : kinds) {
-        const auto& o = grid[{bench, kind}];
+        const core::RunResult& r = grid[{bench, kind}];
         w.key(core::ftl_kind_name(kind));
         w.begin_object();
-        w.kv("host_mb_per_sec", o.throughput);
-        w.kv("normalized_iops", cgm > 0.0 ? o.throughput / cgm : 0.0);
-        w.kv("gc_invocations", o.gc);
-        w.kv("erases", o.erases);
+        w.kv("host_mb_per_sec", r.host_mb_per_sec);
+        w.kv("normalized_iops", cgm > 0.0 ? r.host_mb_per_sec / cgm : 0.0);
+        w.kv("gc_invocations", r.gc_invocations);
+        w.kv("erases", r.erases);
         // Observability health of the measurement itself: nonzero drops or
         // truncation mean the trace/journal under-reports this cell.
-        w.kv("trace_dropped", o.trace_dropped);
-        w.kv("journal_events", o.journal_events);
-        w.kv("journal_truncated", o.journal_truncated);
-        w.kv("chip_util", o.chip_util);
-        w.kv("channel_util", o.channel_util);
+        w.kv("trace_dropped", r.sidecars.trace_dropped);
+        w.kv("journal_events", r.sidecars.journal_events);
+        w.kv("journal_truncated", r.sidecars.journal_truncated);
+        w.kv("chip_util", r.chip_util_mean);
+        w.kv("channel_util", r.channel_util_mean);
         w.end_object();
       }
       w.end_object();

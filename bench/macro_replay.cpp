@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -38,6 +37,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/cli.h"
 #include "core/observers.h"
 #include "core/parallel_runner.h"
 #include "core/shard.h"
@@ -55,26 +55,13 @@ constexpr std::uint64_t kBaseSeed = 2017;
 struct Mode {
   std::string name;
   bool reference_scan = false;
-  bool health = false;
   /// > 1: run the cell as N shared-nothing shard simulations (core/shard.h)
   /// with index maintenance; the merged result is deterministic and the
   /// wall clock is the fork-to-join measure window.
   unsigned shards = 1;
-  bool forensics = false;
-};
-
-/// Sidecar settings of the cells that stream an observer.
-struct StreamOpts {
-  std::string health_out = "replay_health.jsonl";
-  // Endpoint epochs by default: the gate bounds the ALWAYS-ON per-op tax
-  // of the health stream. Snapshot cost is a separate, user-chosen knob --
-  // O(blocks) per epoch at whatever cadence --health-interval picks -- and
-  // this bench's deliberately compressed clock (400 us think time) would
-  // make any fixed simulated-seconds cadence absurdly aggressive: 1 sim-s
-  // is ~2500 requests here, vs minutes of real traffic on a device.
-  double health_interval_s = 0.0;
-  std::string forensics_out = "replay_forensics.jsonl";
-  std::uint32_t forensics_top = 16;
+  /// The observer a gate mode's cells stream (each cell splices its key
+  /// into the paths); empty for the unobserved modes.
+  core::ObserveSpec observe = {};
 };
 
 struct CellOut {
@@ -139,21 +126,12 @@ workload::SyntheticParams mixed_workload(std::uint32_t sectors_per_page,
 core::ExperimentCell make_cell(const std::string& geom_name,
                                const nand::Geometry& geo, core::FtlKind kind,
                                const Mode& mode, double budget_scale,
-                               double measure_scale, const StreamOpts& opts,
+                               double measure_scale,
                                const std::string& path_tag = "") {
   core::ExperimentCell cell;
   cell.key = "replay/" + geom_name + "/" + core::ftl_kind_name(kind) + "/" +
              mode.name;
-  if (mode.health) {
-    cell.spec.health_path =
-        core::cell_sidecar_path(opts.health_out, cell.key + path_tag);
-    cell.spec.health_interval_us = opts.health_interval_s * sim_time::kSecond;
-  }
-  if (mode.forensics) {
-    cell.spec.forensics_path =
-        core::cell_sidecar_path(opts.forensics_out, cell.key + path_tag);
-    cell.spec.forensics_top = opts.forensics_top;
-  }
+  cell.spec.observe = mode.observe.for_cell(cell.key + path_tag);
   core::SsdConfig& ssd = cell.spec.ssd;
   ssd.geometry = geo;
   ssd.ftl = kind;
@@ -239,7 +217,7 @@ struct DuelResult {
   double cpu_base = 0.0;      ///< thread-CPU seconds, baseline side
   double cpu_observed = 0.0;  ///< thread-CPU seconds, observed side
   std::uint64_t requests = 0;
-  core::RunResult counters;   ///< the observer's stream counters
+  core::RunResult observed;   ///< carries the observer's stream counters
   bool same_decisions = true;
 
   double overhead() const {
@@ -336,7 +314,7 @@ DuelResult run_duel(const core::ExperimentSpec& base_spec,
   // outside the timed chunks -- the same contract run_experiment applies
   // to its CPU window.
   b.driver().close_health_epoch();
-  observers.finish(out.counters);
+  observers.finish(out.observed);
 
   out.same_decisions =
       end_a == end_b && failures_a == 0 && failures_b == 0 &&
@@ -352,18 +330,58 @@ struct Gate {
   Mode mode;           ///< the observed cells; mode.name keys tables + JSON
   bool lean_baseline;  ///< see run_duel
   double pct = -1.0;   ///< bound in percent; < 0 = gate off
-  /// The two stream counters shown per FTL (column, RunResult field).
-  std::pair<const char*, std::uint64_t core::RunResult::*> counters[2];
+  /// The two stream counters shown per FTL (column, SidecarCounts field).
+  using Counter = std::pair<const char*, std::uint64_t core::SidecarCounts::*>;
+  Counter counters[2];
   std::map<std::string, std::map<std::string, DuelResult>> duels;
   std::map<std::string, double> avg;
   bool pass = true;
 
-  Gate(Mode m, bool lean,
-       std::pair<const char*, std::uint64_t core::RunResult::*> c0,
-       std::pair<const char*, std::uint64_t core::RunResult::*> c1)
+  Gate(Mode m, bool lean, Counter c0, Counter c1)
       : mode(std::move(m)), lean_baseline(lean), counters{c0, c1} {}
   bool on() const { return pct >= 0.0; }
 };
+
+void usage(const char* argv0) {
+  std::fprintf(
+      stderr,
+      "usage: %s [--json PATH] [--jobs N] [--geometry paper|prod|both] "
+      "[--quick]\n"
+      "          [--shards N[,N...]] [--shard-jobs N] [--snapshot-every N]\n"
+      "          [--health-gate PCT] [--health-out PATH] "
+      "[--health-interval SECONDS]\n"
+      "          [--health-rated-pe N] [--forensics-gate PCT] "
+      "[--forensics-out PATH]\n"
+      "          [--forensics-top N]\n"
+      "--shards adds one sharded mode per listed count (index "
+      "maintenance,\nN shared-nothing shard simulations merged "
+      "deterministically; see\ndocs/PERFORMANCE.md) plus FATAL "
+      "shard-invariance gates: merged counters\nmust equal the "
+      "sum of shards, and a shard re-run alone must write a\n"
+      "byte-identical journal. --shard-jobs caps the shard "
+      "worker pool\n(0 = hardware concurrency). Measure sharded "
+      "speedup with --jobs 1.\n"
+      "--health-gate adds a third per-FTL mode (index "
+      "maintenance + health\nstream enabled) plus, per "
+      "(geometry, FTL), a paired in-process duel:\nhealth-on "
+      "vs health-off simulators stepped in alternating 1024-"
+      "request\nchunks on one thread. Fails if the avg over "
+      "FTLs of the duel's\nCPU-time overhead exceeds PCT%%. "
+      "--health-out/--health-interval/\n--health-rated-pe set "
+      "its stream (default replay_health.jsonl,\nendpoint "
+      "epochs).\n"
+      "--forensics-gate PCT does the same for the latency-"
+      "forensics collector\n(per-request phase attribution + "
+      "top-K exemplars): a forensics mode cell\nplus a paired "
+      "duel per (geometry, FTL). --forensics-out/--forensics-"
+      "top\nset the sidecar path and exemplar count.\n"
+      "--snapshot-every N adds a FATAL restartable-replay "
+      "gate: a subFTL\njournal cell re-run as a chain of "
+      "segments, each restoring the previous\ncheckpoint and "
+      "replaying N more measured requests, must leave a\n"
+      "byte-identical journal to the straight-through run.\n",
+      argv0);
+}
 
 }  // namespace
 
@@ -372,95 +390,77 @@ int main(int argc, char** argv) {
   std::string geometry_filter = "both";
   unsigned jobs = 0;
   bool quick = false;
-  StreamOpts opts;
-  Gate health({"health", false, true}, /*lean_baseline=*/false,
-              {"epochs", &core::RunResult::health_epochs},
-              {"lines", &core::RunResult::health_lines});
-  Gate forensics({"forensics", false, false, 1, true}, /*lean_baseline=*/true,
-                 {"requests", &core::RunResult::forensics_requests},
-                 {"exemplars", &core::RunResult::forensics_exemplars});
+  // The gates' streams. Health epochs default to the endpoints: the gate
+  // bounds the ALWAYS-ON per-op tax of the health stream. Snapshot cost is
+  // a separate, user-chosen knob -- O(blocks) per epoch at whatever cadence
+  // --health-interval picks -- and this bench's deliberately compressed
+  // clock (400 us think time) would make any fixed simulated-seconds
+  // cadence absurdly aggressive: 1 sim-s is ~2500 requests here, vs minutes
+  // of real traffic on a device.
+  core::ObserveSpec observe;
+  observe.health_path = "replay_health.jsonl";
+  observe.forensics_path = "replay_forensics.jsonl";
+  Gate health({"health"}, /*lean_baseline=*/false,
+              {"epochs", &core::SidecarCounts::health_epochs},
+              {"lines", &core::SidecarCounts::health_lines});
+  Gate forensics({"forensics"}, /*lean_baseline=*/true,
+                 {"requests", &core::SidecarCounts::forensics_requests},
+                 {"exemplars", &core::SidecarCounts::forensics_exemplars});
   std::vector<unsigned> shard_counts;  // --shards 4,8: extra sharded modes
   unsigned shard_jobs = 0;             // 0 = hardware concurrency
   std::uint64_t snapshot_every = 0;    // --snapshot-every N: restart gate
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      std::stringstream ss(argv[++i]);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(item.c_str(), nullptr, 10));
-        if (n < 2) {
-          std::fprintf(stderr, "--shards values must be >= 2\n");
-          return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        json_out = core::flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = core::number_flag<unsigned>(argc, argv, i);
+      } else if (arg == "--shards") {
+        std::stringstream ss(core::flag_value(argc, argv, i));
+        std::string item;
+        while (std::getline(ss, item, ',')) {
+          const unsigned n = core::parse_number<unsigned>(arg, item);
+          if (n < 2)
+            throw std::invalid_argument("--shards values must be >= 2");
+          shard_counts.push_back(n);
         }
-        shard_counts.push_back(n);
-      }
-    } else if (arg == "--shard-jobs" && i + 1 < argc) {
-      shard_jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--geometry" && i + 1 < argc) {
-      geometry_filter = argv[++i];
-      if (geometry_filter != "paper" && geometry_filter != "prod" &&
-          geometry_filter != "both") {
-        std::fprintf(stderr, "--geometry must be paper|prod|both\n");
+      } else if (arg == "--shard-jobs") {
+        shard_jobs = core::number_flag<unsigned>(argc, argv, i);
+      } else if (arg == "--geometry") {
+        geometry_filter = core::flag_value(argc, argv, i);
+        if (geometry_filter != "paper" && geometry_filter != "prod" &&
+            geometry_filter != "both")
+          throw std::invalid_argument("--geometry must be paper|prod|both");
+      } else if (arg == "--quick") {
+        quick = true;
+      } else if (arg == "--health-gate") {
+        health.pct = core::number_flag<double>(argc, argv, i);
+      } else if (arg == "--forensics-gate") {
+        forensics.pct = core::number_flag<double>(argc, argv, i);
+      } else if (arg == "--snapshot-every") {
+        snapshot_every = core::number_flag<std::uint64_t>(argc, argv, i);
+      } else if (!observe.parse_flag(argc, argv, i)) {
+        usage(argv[0]);
         return 2;
       }
-    } else if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--health-gate" && i + 1 < argc) {
-      health.pct = std::atof(argv[++i]);
-    } else if (arg == "--health-out" && i + 1 < argc) {
-      opts.health_out = argv[++i];
-    } else if (arg == "--health-interval" && i + 1 < argc) {
-      opts.health_interval_s = std::atof(argv[++i]);
-    } else if (arg == "--forensics-gate" && i + 1 < argc) {
-      forensics.pct = std::atof(argv[++i]);
-    } else if (arg == "--forensics-out" && i + 1 < argc) {
-      opts.forensics_out = argv[++i];
-    } else if (arg == "--forensics-top" && i + 1 < argc) {
-      opts.forensics_top =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--snapshot-every" && i + 1 < argc) {
-      snapshot_every = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json PATH] [--jobs N] "
-                   "[--geometry paper|prod|both] [--quick]\n"
-                   "          [--shards N[,N...]] [--shard-jobs N]\n"
-                   "          [--health-gate PCT] [--health-out PATH] "
-                   "[--health-interval SIM_SECONDS]\n"
-                   "--shards adds one sharded mode per listed count (index "
-                   "maintenance,\nN shared-nothing shard simulations merged "
-                   "deterministically; see\ndocs/PERFORMANCE.md) plus FATAL "
-                   "shard-invariance gates: merged counters\nmust equal the "
-                   "sum of shards, and a shard re-run alone must write a\n"
-                   "byte-identical journal. --shard-jobs caps the shard "
-                   "worker pool\n(0 = hardware concurrency). Measure sharded "
-                   "speedup with --jobs 1.\n"
-                   "--health-gate adds a third per-FTL mode (index "
-                   "maintenance + health\nstream enabled) plus, per "
-                   "(geometry, FTL), a paired in-process duel:\nhealth-on "
-                   "vs health-off simulators stepped in alternating 1024-"
-                   "request\nchunks on one thread. Fails if the avg over "
-                   "FTLs of the duel's\nCPU-time overhead exceeds PCT%%.\n"
-                   "--forensics-gate PCT does the same for the latency-"
-                   "forensics collector\n(per-request phase attribution + "
-                   "top-K exemplars): a forensics mode cell\nplus a paired "
-                   "duel per (geometry, FTL). --forensics-out/--forensics-"
-                   "top\nset the sidecar path and exemplar count.\n"
-                   "--snapshot-every N adds a FATAL restartable-replay "
-                   "gate: a subFTL\njournal cell re-run as a chain of "
-                   "segments, each restoring the previous\ncheckpoint and "
-                   "replaying N more measured requests, must leave a\n"
-                   "byte-identical journal to the straight-through run.\n",
-                   argv[0]);
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
+  // A duel's observed side carries only the observer under test.
+  if (observe.audit || !observe.journal_path.empty() ||
+      observe.journal_max_events != 0) {
+    std::fprintf(stderr,
+                 "--journal-out, --journal-max-events and --audit do not "
+                 "apply: each gate observes health or forensics alone\n");
+    return 2;
+  }
+  health.mode.observe = observe;
+  health.mode.observe.forensics_path.clear();
+  forensics.mode.observe = observe;
+  forensics.mode.observe.health_path.clear();
   Gate* const gates[] = {&health, &forensics};
 
   // --quick (the CI perf-smoke scale): quarter the block count of both
@@ -483,9 +483,9 @@ int main(int argc, char** argv) {
 
   const auto kinds = {core::FtlKind::kCgm, core::FtlKind::kFgm,
                       core::FtlKind::kSub, core::FtlKind::kSectorLog};
-  std::vector<Mode> modes = {{"scan", true, false}, {"index", false, false}};
+  std::vector<Mode> modes = {{"scan", true}, {"index"}};
   for (const unsigned n : shard_counts)
-    modes.push_back({"shard" + std::to_string(n), false, false, n});
+    modes.push_back({"shard" + std::to_string(n), false, n});
   for (const Gate* gate : gates)
     if (gate->on()) modes.push_back(gate->mode);
   std::vector<core::ExperimentCell> cells;
@@ -493,7 +493,7 @@ int main(int argc, char** argv) {
     for (const auto kind : kinds)
       for (const auto& mode : modes) {
         cells.push_back(make_cell(name, geo, kind, mode, budget_scale,
-                                  /*measure_scale=*/1.0, opts));
+                                  /*measure_scale=*/1.0));
         cells.back().spec.shard_jobs = shard_jobs;
       }
 
@@ -577,19 +577,18 @@ int main(int argc, char** argv) {
   // on its siblings or the thread schedule.
   for (const auto& [geom, geo] : geometries)
     for (const unsigned n : shard_counts) {
-      const Mode gate_mode{"shard" + std::to_string(n) + "-gate", false,
-                           false, n};
+      const Mode gate_mode{"shard" + std::to_string(n) + "-gate", false, n};
       auto gate = make_cell(geom, geo, core::FtlKind::kSub, gate_mode,
-                            budget_scale, /*measure_scale=*/0.25, opts);
+                            budget_scale, /*measure_scale=*/0.25);
       gate.spec.shard_jobs = shard_jobs;
-      gate.spec.journal_path =
+      gate.spec.observe.journal_path =
           "replay_shard_gate_" + geom + "_s" + std::to_string(n) + ".jsonl";
-      gate.spec.journal_max_events = 500000;  // per-shard cap, bounds disk
+      gate.spec.observe.journal_max_events = 500000;  // per-shard cap
       const core::RunResult joint = core::run_experiment(gate.spec);
 
       core::ExperimentSpec alone_base = gate.spec;
-      alone_base.journal_path = "replay_shard_gate_" + geom + "_s" +
-                                std::to_string(n) + "_alone.jsonl";
+      alone_base.observe.journal_path = "replay_shard_gate_" + geom + "_s" +
+                                        std::to_string(n) + "_alone.jsonl";
       const core::ShardPlan plan = core::make_shard_plan(alone_base);
       const workload::SyntheticParams params =
           core::sharded_workload_params(alone_base, plan);
@@ -607,8 +606,8 @@ int main(int argc, char** argv) {
       const core::RunResult alone = core::run_experiment(leaf);
 
       const std::string joint_journal =
-          slurp(core::shard_sidecar_path(gate.spec.journal_path, 0));
-      const std::string alone_journal = slurp(leaf.journal_path);
+          slurp(core::shard_sidecar_path(gate.spec.observe.journal_path, 0));
+      const std::string alone_journal = slurp(leaf.observe.journal_path);
       if (joint_journal.empty() || joint_journal != alone_journal ||
           !same_decisions(alone, joint.shard_results.at(0))) {
         std::fprintf(stderr,
@@ -634,13 +633,13 @@ int main(int argc, char** argv) {
   std::map<std::string, unsigned> restart_segments;
   if (snapshot_every > 0)
     for (const auto& [geom, geo] : geometries) {
-      const Mode gate_mode{"restart-gate", false, false, 1};
+      const Mode gate_mode{"restart-gate"};
       const auto cell = make_cell(geom, geo, core::FtlKind::kSub, gate_mode,
-                                  budget_scale, /*measure_scale=*/0.25, opts);
+                                  budget_scale, /*measure_scale=*/0.25);
 
       core::ExperimentSpec ref = cell.spec;
-      ref.journal_path = "replay_restart_" + geom + "_ref.jsonl";
-      ref.journal_max_events = 500000;
+      ref.observe.journal_path = "replay_restart_" + geom + "_ref.jsonl";
+      ref.observe.journal_max_events = 500000;
       const core::RunResult straight = core::run_experiment(ref);
 
       const std::string ckpt = "replay_restart_" + geom + ".snap";
@@ -653,8 +652,8 @@ int main(int argc, char** argv) {
       core::RunResult last;
       while (true) {
         core::ExperimentSpec seg = cell.spec;
-        seg.journal_path = chained_path;
-        seg.journal_max_events = 500000;
+        seg.observe.journal_path = chained_path;
+        seg.observe.journal_max_events = 500000;
         if (done > 0) seg.snapshot_in = ckpt;
         const bool final_segment = measured - done <= snapshot_every;
         if (!final_segment) {
@@ -671,7 +670,7 @@ int main(int argc, char** argv) {
         if (final_segment) break;
       }
 
-      const std::string ref_journal = slurp(ref.journal_path);
+      const std::string ref_journal = slurp(ref.observe.journal_path);
       const std::string chained_journal = slurp(chained_path);
       if (ref_journal.empty() || ref_journal != chained_journal ||
           last.raw.end_us != straight.raw.end_us ||
@@ -783,7 +782,7 @@ int main(int argc, char** argv) {
   // scaling can move the ratio. Overheads are averaged over the four FTLs.
   // The duel gets a 4x measure budget: a 3% ratio needs a few hundred
   // milliseconds of CPU per side to be readable at all.
-  const Mode index_mode{"index", false, false};
+  const Mode index_mode{"index"};
   for (Gate* gate : gates) {
     if (!gate->on()) continue;
     const std::string& name = gate->mode.name;
@@ -797,10 +796,10 @@ int main(int argc, char** argv) {
       for (const auto kind : kinds) {
         const auto base_cell =
             make_cell(geom, geo, kind, index_mode, budget_scale,
-                      /*measure_scale=*/4.0, opts);
+                      /*measure_scale=*/4.0);
         const auto observed_cell =
             make_cell(geom, geo, kind, gate->mode, budget_scale,
-                      /*measure_scale=*/4.0, opts, "#duel");
+                      /*measure_scale=*/4.0, "#duel");
         const DuelResult d =
             run_duel(base_cell.spec, observed_cell.spec, gate->lean_baseline);
         if (!d.same_decisions) {
@@ -816,12 +815,13 @@ int main(int argc, char** argv) {
         };
         sum += d.overhead();
         gate->duels[geom][core::ftl_kind_name(kind)] = d;
+        const core::SidecarCounts& sc = d.observed.sidecars;
         t.add_row({core::ftl_kind_name(kind),
                    util::TablePrinter::num(per_cpu_s(d.cpu_base), 0),
                    util::TablePrinter::num(per_cpu_s(d.cpu_observed), 0),
                    util::TablePrinter::pct(d.overhead(), 2),
-                   std::to_string(d.counters.*gate->counters[0].second),
-                   std::to_string(d.counters.*gate->counters[1].second)});
+                   std::to_string(sc.*gate->counters[0].second),
+                   std::to_string(sc.*gate->counters[1].second)});
       }
       t.print(std::cout);
       const double avg = sum / 4.0;
@@ -931,14 +931,15 @@ int main(int argc, char** argv) {
           w.kv("channel_util", c.r.channel_util_mean);
           if (mode.shards > 1)
             w.kv("shards", static_cast<std::uint64_t>(mode.shards));
-          if (mode.health) {
-            w.kv("health_epochs", c.r.health_epochs);
-            w.kv("health_lines", c.r.health_lines);
+          const core::SidecarCounts& sc = c.r.sidecars;
+          if (!mode.observe.health_path.empty()) {
+            w.kv("health_epochs", sc.health_epochs);
+            w.kv("health_lines", sc.health_lines);
           }
-          if (mode.forensics) {
-            w.kv("forensics_requests", c.r.forensics_requests);
-            w.kv("forensics_exemplars", c.r.forensics_exemplars);
-            w.kv("forensics_truncated", c.r.forensics_truncated);
+          if (!mode.observe.forensics_path.empty()) {
+            w.kv("forensics_requests", sc.forensics_requests);
+            w.kv("forensics_exemplars", sc.forensics_exemplars);
+            w.kv("forensics_truncated", sc.forensics_truncated);
           }
           w.end_object();
         }
@@ -974,7 +975,7 @@ int main(int argc, char** argv) {
           w.kv("requests", d.requests);
           w.kv("overhead", d.overhead());
           for (const auto& [column, field] : gate->counters)
-            w.kv(name + "_" + column, d.counters.*field);
+            w.kv(name + "_" + column, d.observed.sidecars.*field);
           w.end_object();
         }
         w.end_object();

@@ -37,14 +37,15 @@
 // deterministic and --jobs-independent.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/cli.h"
 #include "core/parallel_runner.h"
 #include "sim/qos.h"
 #include "telemetry/json.h"
@@ -223,30 +224,29 @@ const sim::TenantMetrics* find_tenant(const core::RunResult& r,
 
 int main(int argc, char** argv) {
   std::string json_out;
-  std::string forensics_out;
-  std::uint32_t forensics_top = 16;
   unsigned jobs = 0;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--forensics-out" && i + 1 < argc) {
-      forensics_out = argv[++i];
-    } else if (arg == "--forensics-top" && i + 1 < argc) {
-      forensics_top =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json PATH] [--jobs N] [--quick] "
-                   "[--forensics-out PATH] [--forensics-top N]\n",
-                   argv[0]);
-      return 2;
+  core::ObserveSpec observe;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        json_out = core::flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = core::number_flag<unsigned>(argc, argv, i);
+      } else if (arg == "--quick") {
+        quick = true;
+      } else if (!observe.parse_flag(argc, argv, i)) {
+        std::fprintf(stderr,
+                     "usage: %s [--json PATH] [--jobs N] [--quick]\n"
+                     "          %s\n",
+                     argv[0], core::ObserveSpec::kUsage);
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   Budget budget;
@@ -270,12 +270,7 @@ int main(int argc, char** argv) {
     for (const auto policy : policies)
       cells.push_back(make_duet_cell(kind, policy, budget));
   }
-  if (!forensics_out.empty())
-    for (auto& cell : cells) {
-      cell.spec.forensics_path =
-          core::cell_sidecar_path(forensics_out, cell.key);
-      cell.spec.forensics_top = forensics_top;
-    }
+  for (auto& cell : cells) cell.spec.observe = observe.for_cell(cell.key);
 
   core::ParallelRunnerConfig runner_cfg;
   runner_cfg.jobs = jobs;
@@ -353,9 +348,9 @@ int main(int argc, char** argv) {
   // Per-tenant tail blame (forensics runs): which phase each tenant's
   // slowest retained requests spent their time in, per scheduler -- the
   // "who is the reader actually stalled behind" answer next to the p99s.
-  if (!forensics_out.empty()) {
+  if (!observe.forensics_path.empty()) {
     std::printf("\nper-tenant tail blame (slowest %u retained per tenant):\n",
-                forensics_top);
+                observe.forensics_top);
     util::TablePrinter bt({"cell", "tenant", "reqs", "tail", "worst us",
                            "dominant phase", "share"});
     for (const auto kind : kinds) {

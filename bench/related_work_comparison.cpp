@@ -18,7 +18,7 @@ namespace {
 
 using namespace esp;
 
-double run_one(workload::Benchmark bench, core::FtlKind kind) {
+core::RunResult run_one(workload::Benchmark bench, core::FtlKind kind) {
   core::ExperimentSpec spec;
   spec.ssd = bench::scaled_config(kind);
   auto params = workload::benchmark_profile(
@@ -37,11 +37,7 @@ double run_one(workload::Benchmark bench, core::FtlKind kind) {
   spec.warmup_requests = reqs(120000);
   params.request_count = spec.warmup_requests + reqs(60000);
   spec.workload = params;
-  const auto result = core::run_experiment(spec);
-  if (result.verify_failures)
-    std::fprintf(stderr, "WARNING: verify failures (%s)\n",
-                 result.ftl_name.c_str());
-  return result.host_mb_per_sec;
+  return core::run_experiment(spec);
 }
 
 }  // namespace
@@ -58,7 +54,13 @@ int main() {
        {workload::Benchmark::kSysbench, workload::Benchmark::kVarmail,
         workload::Benchmark::kPostmark, workload::Benchmark::kTpcc}) {
     std::map<core::FtlKind, double> mbps;
-    for (const auto kind : kinds) mbps[kind] = run_one(bench, kind);
+    for (const auto kind : kinds) {
+      const core::RunResult r = run_one(bench, kind);
+      if (bench::lost_data(r, workload::benchmark_name(bench) + "/" +
+                                  r.ftl_name))
+        return 1;
+      mbps[kind] = r.host_mb_per_sec;
+    }
     const double base = mbps[core::FtlKind::kCgm];
     t.add_row({workload::benchmark_name(bench),
                util::TablePrinter::num(1.0, 2),

@@ -10,13 +10,14 @@
 // JSON's "benchmarks"/"pass" payload is bit-identical for every job count,
 // only the "run" section (wall times) varies.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/cli.h"
 #include "core/parallel_runner.h"
 #include "telemetry/json.h"
 #include "util/table_printer.h"
@@ -27,17 +28,16 @@ using namespace esp;
 
 constexpr std::uint64_t kBaseSeed = 2017;
 
-struct Row {
-  double small_pct = 0.0;
-  double request_waf = 0.0;
-  std::uint64_t verify_failures = 0;
-  std::uint64_t trace_dropped = 0;
-  std::uint64_t journal_events = 0;
-  std::uint64_t journal_truncated = 0;
-};
+/// Share of host write requests that were small writes.
+double small_write_fraction(const ftl::FtlStats& stats) {
+  return stats.host_write_requests
+             ? static_cast<double>(stats.small_write_requests) /
+                   static_cast<double>(stats.host_write_requests)
+             : 0.0;
+}
 
 core::ExperimentCell make_cell(workload::Benchmark bench,
-                               const bench::GeometryOverrides& geo) {
+                               const core::GeometryOverrides& geo) {
   core::ExperimentCell cell;
   cell.key = "table1/" + workload::benchmark_name(bench);
   cell.spec.ssd = bench::scaled_config(core::FtlKind::kSub);
@@ -68,55 +68,40 @@ core::ExperimentCell make_cell(workload::Benchmark bench,
 
 int main(int argc, char** argv) {
   std::string json_out;
-  std::string journal_out;
-  std::string forensics_out;
-  std::uint32_t forensics_top = 16;
-  bool audit = false;
   unsigned jobs = 0;    // 0 = hardware concurrency
   unsigned shards = 1;  // >1 = shared-nothing intra-cell sharding
-  bench::GeometryOverrides geo;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--journal-out" && i + 1 < argc) {
-      journal_out = argv[++i];
-    } else if (arg == "--forensics-out" && i + 1 < argc) {
-      forensics_out = argv[++i];
-    } else if (arg == "--forensics-top" && i + 1 < argc) {
-      forensics_top =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--audit") {
-      audit = true;
-    } else if (geo.parse_flag(argc, argv, i)) {
-      // consumed a geometry override
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json PATH] [--jobs N] [--shards N] "
-                   "[--journal-out PATH] [--forensics-out PATH] "
-                   "[--forensics-top N] [--audit]\n          %s\n",
-                   argv[0], bench::GeometryOverrides::kUsage);
-      return 2;
+  core::ObserveSpec observe;
+  core::GeometryOverrides geo;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        json_out = core::flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = core::number_flag<unsigned>(argc, argv, i);
+      } else if (arg == "--shards") {
+        shards = core::number_flag<unsigned>(argc, argv, i);
+      } else if (!observe.parse_flag(argc, argv, i) &&
+                 !geo.parse_flag(argc, argv, i)) {
+        std::fprintf(stderr,
+                     "usage: %s [--json PATH] [--jobs N] [--shards N]\n"
+                     "          %s\n          %s\n",
+                     argv[0], core::ObserveSpec::kUsage,
+                     core::GeometryOverrides::kUsage);
+        return 2;
+      }
     }
+    bench::print_header("Table 1 -- Detailed analysis of subFTL",
+                        geo.apply(bench::scaled_geometry()));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
-
-  bench::print_header("Table 1 -- Detailed analysis of subFTL",
-                      geo.apply(bench::scaled_geometry()));
 
   std::vector<core::ExperimentCell> cells;
   for (const auto bench : workload::all_benchmarks()) {
     auto cell = make_cell(bench, geo);
-    if (!journal_out.empty())
-      cell.spec.journal_path = core::cell_sidecar_path(journal_out, cell.key);
-    if (!forensics_out.empty())
-      cell.spec.forensics_path =
-          core::cell_sidecar_path(forensics_out, cell.key);
-    cell.spec.forensics_top = forensics_top;
-    cell.spec.audit = audit;
+    cell.spec.observe = observe.for_cell(cell.key);
     // Grid cells are the parallelism unit; a sharded cell runs its shards
     // serially on its own worker (results identical either way).
     cell.spec.shards = shards;
@@ -137,34 +122,19 @@ int main(int argc, char** argv) {
                         "TPC-C"});
   std::vector<std::string> pct_row = {"% of small write"};
   std::vector<std::string> waf_row = {"average request WAF"};
-  std::vector<std::pair<workload::Benchmark, Row>> rows;
   bool all_near_one = true;
-  {
-    std::size_t i = 0;
-    for (const auto bench : workload::all_benchmarks()) {
-      const auto& cell = results[i++];
-      if (!cell.ok) {
-        std::fprintf(stderr, "FATAL: cell %s failed: %s\n", cell.key.c_str(),
-                     cell.error.c_str());
-        return 1;
-      }
-      if (bench::lost_data(cell.result, cell.key)) return 1;
-      const auto& stats = cell.result.raw.ftl_stats;
-      Row row;
-      row.small_pct = stats.host_write_requests
-                          ? static_cast<double>(stats.small_write_requests) /
-                                static_cast<double>(stats.host_write_requests)
-                          : 0.0;
-      row.request_waf = cell.result.small_request_waf;
-      row.verify_failures = cell.result.verify_failures;
-      row.trace_dropped = cell.result.trace_dropped;
-      row.journal_events = cell.result.journal_events;
-      row.journal_truncated = cell.result.journal_truncated;
-      rows.emplace_back(bench, row);
-      pct_row.push_back(util::TablePrinter::pct(row.small_pct, 1));
-      waf_row.push_back(util::TablePrinter::num(row.request_waf, 3));
-      all_near_one &= row.request_waf < 1.25;
+  for (const auto& cell : results) {
+    if (!cell.ok) {
+      std::fprintf(stderr, "FATAL: cell %s failed: %s\n", cell.key.c_str(),
+                   cell.error.c_str());
+      return 1;
     }
+    if (bench::lost_data(cell.result, cell.key)) return 1;
+    pct_row.push_back(util::TablePrinter::pct(
+        small_write_fraction(cell.result.raw.ftl_stats), 1));
+    waf_row.push_back(
+        util::TablePrinter::num(cell.result.small_request_waf, 3));
+    all_near_one &= cell.result.small_request_waf < 1.25;
   }
   t.add_row(pct_row);
   t.add_row(waf_row);
@@ -192,18 +162,20 @@ int main(int argc, char** argv) {
     w.newline();
     w.key("benchmarks");
     w.begin_object();
-    for (const auto& [bench, row] : rows) {
+    std::size_t i = 0;
+    for (const auto bench : workload::all_benchmarks()) {
+      const core::RunResult& r = results[i++].result;
       w.newline();
       w.key(workload::benchmark_name(bench));
       w.begin_object();
-      w.kv("small_write_fraction", row.small_pct);
-      w.kv("request_waf", row.request_waf);
-      w.kv("verify_failures", row.verify_failures);
+      w.kv("small_write_fraction", small_write_fraction(r.raw.ftl_stats));
+      w.kv("request_waf", r.small_request_waf);
+      w.kv("verify_failures", r.verify_failures);
       // Observability health of the measurement itself: nonzero drops or
       // truncation mean the trace/journal under-reports this cell.
-      w.kv("trace_dropped", row.trace_dropped);
-      w.kv("journal_events", row.journal_events);
-      w.kv("journal_truncated", row.journal_truncated);
+      w.kv("trace_dropped", r.sidecars.trace_dropped);
+      w.kv("journal_events", r.sidecars.journal_events);
+      w.kv("journal_truncated", r.sidecars.journal_truncated);
       w.end_object();
     }
     w.end_object();

@@ -6,12 +6,15 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/observers.h"
 #include "core/shard.h"
 #include "core/snapshot.h"
+#include "telemetry/json.h"
 
 namespace esp::core {
 
@@ -71,9 +74,80 @@ std::string splice_path_tag(const std::string& path, const std::string& tag) {
   return path.substr(0, dot) + tag + path.substr(dot);
 }
 
-std::string cell_sidecar_path(const std::string& path, std::string key) {
+bool ObserveSpec::any() const {
+  return audit || !journal_path.empty() || !health_path.empty() ||
+         !forensics_path.empty();
+}
+
+ObserveSpec ObserveSpec::for_cell(std::string key) const {
   std::replace(key.begin(), key.end(), '/', '-');
-  return splice_path_tag(path, "." + key);
+  ObserveSpec cell = *this;
+  for (std::string ObserveSpec::*path : kStreamPaths)
+    if (!(cell.*path).empty())
+      cell.*path = splice_path_tag(cell.*path, "." + key);
+  return cell;
+}
+
+ObserveSpec ObserveSpec::for_shard(std::uint32_t index) const {
+  ObserveSpec shard = *this;
+  for (std::string ObserveSpec::*path : kStreamPaths)
+    if (!(shard.*path).empty())
+      shard.*path = shard_sidecar_path(shard.*path, index);
+  return shard;
+}
+
+bool ObserveSpec::parse_flag(int argc, char** argv, int& i) {
+  const std::string_view arg = argv[i];
+  if (arg == "--audit")
+    audit = true;
+  else if (arg == "--journal-out")
+    journal_path = flag_value(argc, argv, i);
+  else if (arg == "--journal-max-events")
+    journal_max_events = number_flag<std::uint64_t>(argc, argv, i);
+  else if (arg == "--health-out")
+    health_path = flag_value(argc, argv, i);
+  else if (arg == "--health-interval")
+    health_interval_us =
+        number_flag<double>(argc, argv, i) * sim_time::kSecond;
+  else if (arg == "--health-rated-pe")
+    health_rated_pe = number_flag<std::uint32_t>(argc, argv, i);
+  else if (arg == "--forensics-out")
+    forensics_path = flag_value(argc, argv, i);
+  else if (arg == "--forensics-top")
+    forensics_top = number_flag<std::uint32_t>(argc, argv, i);
+  else
+    return false;
+  return true;
+}
+
+SidecarCounts& SidecarCounts::operator+=(const SidecarCounts& other) {
+  trace_dropped += other.trace_dropped;
+  journal_events += other.journal_events;
+  journal_truncated += other.journal_truncated;
+  health_epochs += other.health_epochs;
+  health_lines += other.health_lines;
+  forensics_requests += other.forensics_requests;
+  forensics_exemplars += other.forensics_exemplars;
+  forensics_truncated += other.forensics_truncated;
+  return *this;
+}
+
+bool SidecarCounts::reported() const {
+  return trace_dropped != 0 || journal_events != 0 || health_lines != 0 ||
+         forensics_requests != 0;
+}
+
+void SidecarCounts::write_json(telemetry::JsonWriter& w) const {
+  w.begin_object();
+  w.kv("trace_dropped", trace_dropped);
+  w.kv("journal_events", journal_events);
+  w.kv("journal_truncated", journal_truncated);
+  w.kv("health_epochs", health_epochs);
+  w.kv("health_lines", health_lines);
+  w.kv("forensics_requests", forensics_requests);
+  w.kv("forensics_exemplars", forensics_exemplars);
+  w.kv("forensics_truncated", forensics_truncated);
+  w.end_object();
 }
 
 RunResult run_experiment(const ExperimentSpec& spec) {
@@ -127,7 +201,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   // Journal/audit/health/forensics requested without an external facade:
   // own a lean private one for the duration of the call.
   telemetry::Telemetry* tel = spec.telemetry;
-  if (tel == nullptr && Observers::requested(spec))
+  if (tel == nullptr && spec.observe.any())
     tel = &owned_tel.emplace(lean_telemetry_config());
   if (tel) observers.emplace(spec, *tel, resume_stream ? &snap_meta : nullptr);
   // Restoring attaches AFTER load_state below: a fresh attach baselines
@@ -361,7 +435,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       [&ssd](std::uint32_t c) { return ssd.device().channel_busy_us(c); },
       result.channel_util_min, result.channel_util_mean,
       result.channel_util_max);
-  if (tel) result.trace_dropped = tel->trace().dropped();
   if (observers) observers->finish(result);
   result.raw = metrics;
   if (mux) result.tenants = std::move(mux_metrics.tenants);

@@ -14,7 +14,122 @@
 #include "telemetry/forensics.h"
 #include "workload/synthetic.h"
 
+namespace esp::telemetry {
+class JsonWriter;
+}
+
 namespace esp::core {
+
+/// The sidecar observers one run attaches (core/observers.h): the one
+/// place their settings live. Every binary parses them with parse_flag,
+/// a sweep gives each cell for_cell(key), and a sharded run gives each
+/// shard for_shard(index). An empty path leaves its stream off.
+struct ObserveSpec {
+  /// Causal-attribution journal (JSONL) of every flash op, cause scope and
+  /// block-lifecycle event (--journal-out).
+  std::string journal_path;
+  /// Journal admission cap (0 = unlimited); excess events are counted as
+  /// truncated rather than written (--journal-max-events).
+  std::uint64_t journal_max_events = 0;
+  /// Runs the online invariant auditor over the post-precondition window;
+  /// violations throw std::logic_error with the offending cause chain.
+  /// With a forensics stream, a request whose phase fold fails to
+  /// reconcile with its response time throws too (--audit).
+  bool audit = false;
+  /// Device-health stream (JSONL): per-block delta rows plus a SMART-style
+  /// attribute line per epoch (--health-out).
+  std::string health_path;
+  /// Health epoch period in simulated microseconds; 0 = endpoint epochs
+  /// only: attach baseline + end of each run (--health-interval, seconds).
+  SimTime health_interval_us = 0.0;
+  /// Rated P/E endurance for the health stream's media-wear % and
+  /// exhaustion-horizon attributes (--health-rated-pe).
+  std::uint32_t health_rated_pe = 3000;
+  /// Tail-latency forensics (JSONL): per-window p99/p999 blame rows plus
+  /// slowest-N exemplars with full phase breakdowns (--forensics-out).
+  std::string forensics_path;
+  /// Slowest-N exemplars retained by the forensics stream (--forensics-top).
+  std::uint32_t forensics_top = 16;
+
+  /// One-line and per-flag help for usage messages.
+  static constexpr const char* kUsage =
+      "[--journal-out PATH] [--journal-max-events N] [--audit]\n"
+      "          [--health-out PATH] [--health-interval SECONDS] "
+      "[--health-rated-pe N]\n"
+      "          [--forensics-out PATH] [--forensics-top N]";
+  static constexpr const char* kHelp =
+      "  --journal-out PATH            stream the causal-attribution journal\n"
+      "                                (JSONL; see docs/TELEMETRY.md); in\n"
+      "                                sweep mode each cell writes\n"
+      "                                PATH with its cell key spliced in\n"
+      "  --journal-max-events N        journal admission cap (0 = unlimited)\n"
+      "  --audit                       run the online invariant auditor;\n"
+      "                                violations abort with the offending\n"
+      "                                cause chain\n"
+      "  --health-out PATH             stream device-health snapshots (JSONL\n"
+      "                                per-block deltas + SMART attributes;\n"
+      "                                see docs/HEALTH.md); in sweep mode\n"
+      "                                each cell writes PATH with its cell\n"
+      "                                key spliced in\n"
+      "  --health-interval SECONDS     health epoch period in simulated\n"
+      "                                seconds (default 0 = endpoint epochs\n"
+      "                                only: attach baseline + run end)\n"
+      "  --health-rated-pe N           rated P/E endurance for media-wear %\n"
+      "                                and the exhaustion horizon (3000)\n"
+      "  --forensics-out PATH          stream tail-latency forensics (JSONL\n"
+      "                                blame windows + slowest-N exemplars;\n"
+      "                                see docs/FORENSICS.md); in sweep mode\n"
+      "                                each cell writes PATH with its cell\n"
+      "                                key spliced in\n"
+      "  --forensics-top N             slowest-N exemplars retained (16)\n";
+
+  /// True when a journal, the auditor, health or forensics is requested.
+  bool any() const;
+  /// The request of sweep cell `key`: the key, '/' flattened to '-', is
+  /// spliced into every stream path ("j.jsonl" + "fig8/varmail/sub" ->
+  /// "j.fig8-varmail-sub.jsonl").
+  ObserveSpec for_cell(std::string key) const;
+  /// The request of shard `index`: shard_sidecar_path of every stream path
+  /// ("j.jsonl" -> "j.shard0.jsonl").
+  ObserveSpec for_shard(std::uint32_t index) const;
+  /// Consumes the observer flag at argv[i] and its value, advancing `i`.
+  /// Returns false, `i` unchanged, when argv[i] is no observer flag.
+  /// Throws std::invalid_argument naming the flag on a missing or
+  /// malformed value.
+  bool parse_flag(int argc, char** argv, int& i);
+};
+
+/// The stream paths of an ObserveSpec, in attach order. Sharded runs
+/// concatenate each shard's streams back at join (core/shard.h).
+inline constexpr std::string ObserveSpec::*kStreamPaths[] = {
+    &ObserveSpec::journal_path, &ObserveSpec::health_path,
+    &ObserveSpec::forensics_path};
+
+/// What one run's sidecars wrote or dropped; all zero without streams.
+/// A sharded run's counts are the sum of its shards'.
+struct SidecarCounts {
+  /// Trace-ring evictions (0 when no telemetry attached).
+  std::uint64_t trace_dropped = 0;
+  /// Journal lines written / admission-capped.
+  std::uint64_t journal_events = 0;
+  std::uint64_t journal_truncated = 0;
+  /// Health-stream epochs / total lines written.
+  std::uint64_t health_epochs = 0;
+  std::uint64_t health_lines = 0;
+  /// Forensics stream: requests decomposed / exemplar lines written /
+  /// requests that produced no exemplar line (the stream's admission-cap
+  /// analogue of journal_truncated).
+  std::uint64_t forensics_requests = 0;
+  std::uint64_t forensics_exemplars = 0;
+  std::uint64_t forensics_truncated = 0;
+
+  SidecarCounts& operator+=(const SidecarCounts& other);
+  /// True when a stream wrote or the trace ring dropped: the run manifest
+  /// reports the counts only then, so stream-less cells keep their bytes.
+  bool reported() const;
+  /// Writes the counts as one JSON object.
+  void write_json(telemetry::JsonWriter& w) const;
+};
 
 struct RunResult {
   std::string ftl_name;
@@ -40,20 +155,8 @@ struct RunResult {
   /// between two cells (e.g. the replay bench's health gate) stay readable
   /// on a loaded machine. 0 when the platform lacks a thread CPU clock.
   double measure_cpu_seconds = 0.0;
-  /// Trace-ring evictions during the run (0 when no telemetry attached).
-  std::uint64_t trace_dropped = 0;
-  /// Journal lines written / admission-capped (0 when no journal).
-  std::uint64_t journal_events = 0;
-  std::uint64_t journal_truncated = 0;
-  /// Health-stream epochs / total lines written (0 when no health stream).
-  std::uint64_t health_epochs = 0;
-  std::uint64_t health_lines = 0;
-  /// Forensics stream: requests decomposed / exemplar lines written /
-  /// requests that produced no exemplar line (the stream's admission-cap
-  /// analogue of journal_truncated). 0 when no forensics stream.
-  std::uint64_t forensics_requests = 0;
-  std::uint64_t forensics_exemplars = 0;
-  std::uint64_t forensics_truncated = 0;
+  /// Stream accounting: what each sidecar wrote or dropped.
+  SidecarCounts sidecars;
   /// Per-tenant phase-blame summaries (empty without a forensics stream;
   /// one entry for tenant 0 on single-tenant runs). Sharded runs keep the
   /// per-shard summaries inside shard_results.
@@ -122,36 +225,10 @@ struct ExperimentSpec {
   /// traces and time-series samples cover warmup + the measured window but
   /// not the sequential fill. Must outlive the call.
   telemetry::Telemetry* telemetry = nullptr;
-  /// When non-empty, streams a causal-attribution journal (JSONL) of every
-  /// flash op, cause scope and block-lifecycle event to this path. Works
-  /// with or without an external `telemetry` facade: if none is supplied,
-  /// the runner owns a private one for the duration of the call.
-  std::string journal_path;
-  /// Journal admission cap (0 = unlimited); excess events are counted as
-  /// truncated rather than written.
-  std::uint64_t journal_max_events = 0;
-  /// Runs the online invariant auditor over the post-precondition window;
-  /// violations throw std::logic_error with the offending cause chain.
-  bool audit = false;
-  /// When non-empty, streams a device-health snapshot stream (JSONL) to
-  /// this path: per-block delta rows plus a SMART-style attribute line per
-  /// epoch. Shares the private-facade fallback with journal_path.
-  std::string health_path;
-  /// Health epoch period in simulated microseconds; 0 = endpoint epochs
-  /// only (attach baseline + end of each run).
-  SimTime health_interval_us = 0.0;
-  /// Rated P/E endurance for the health stream's media-wear % and
-  /// exhaustion-horizon attributes.
-  std::uint32_t health_rated_pe = 3000;
-  /// When non-empty, streams tail-latency forensics (JSONL) to this path:
-  /// per-window p99/p999 blame rows plus slowest-N exemplars with full
-  /// phase breakdowns (see telemetry/forensics.h). Shares the
-  /// private-facade fallback with journal_path; with `audit` set, a
-  /// request whose phase fold fails to reconcile with its response time
-  /// throws.
-  std::string forensics_path;
-  /// Slowest-N exemplars retained by the forensics stream.
-  std::uint32_t forensics_top = 16;
+  /// Sidecar observers (journal, auditor, health, forensics). Any of them
+  /// works with or without an external `telemetry` facade: if none is
+  /// supplied, the runner owns a lean private one for the call.
+  ObserveSpec observe;
 
   // --- Intra-cell sharding (core/shard.h; docs/PERFORMANCE.md) ----------
   /// Shards > 1 partitions this cell into `shards` shared-nothing
@@ -220,10 +297,6 @@ workload::SyntheticParams with_default_footprint(
 /// ("j.jsonl" + ".x" -> "j.x.jsonl"), or appended when the name has none.
 /// Every per-cell and per-shard sidecar path is named this way.
 std::string splice_path_tag(const std::string& path, const std::string& tag);
-
-/// Sidecar path of one sweep cell: the cell key, '/' flattened to '-',
-/// spliced in ("j.jsonl" + "fig8/varmail/sub" -> "j.fig8-varmail-sub.jsonl").
-std::string cell_sidecar_path(const std::string& path, std::string key);
 
 /// CPU seconds consumed by the calling thread (0.0 where unsupported).
 /// The clock behind RunResult::measure_cpu_seconds, exported for benches

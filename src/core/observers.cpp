@@ -59,29 +59,25 @@ telemetry::TelemetryConfig lean_telemetry_config() {
   return cfg;
 }
 
-bool Observers::requested(const ExperimentSpec& spec) {
-  return spec.audit || !spec.journal_path.empty() ||
-         !spec.health_path.empty() || !spec.forensics_path.empty();
-}
-
 Observers::Observers(const ExperimentSpec& spec, telemetry::Telemetry& tel,
                      const SnapshotMeta* resume)
     : tel_(tel) {
+  const ObserveSpec& observe = spec.observe;
   const telemetry::StreamHeader hdr = stream_header(spec);
   const auto offset = [resume](bool SnapshotMeta::*saved,
                                std::uint64_t SnapshotMeta::*at) {
     return resume && resume->*saved ? resume->*at : SnapshotMeta::kNoSidecar;
   };
-  if (!spec.journal_path.empty()) {
+  if (!observe.journal_path.empty()) {
     journal_resumed_ = open_sidecar(
-        journal_os_, spec.journal_path,
+        journal_os_, observe.journal_path,
         offset(&SnapshotMeta::has_journal, &SnapshotMeta::journal_offset),
         "journal");
-    journal_.emplace(journal_os_, hdr, spec.journal_max_events,
+    journal_.emplace(journal_os_, hdr, observe.journal_max_events,
                      journal_resumed_);
     tel_.set_journal(&*journal_);
   }
-  if (spec.audit) {
+  if (observe.audit) {
     telemetry::AuditorConfig cfg;
     cfg.chips = hdr.chips;
     cfg.blocks_per_chip = hdr.blocks_per_chip;
@@ -90,25 +86,25 @@ Observers::Observers(const ExperimentSpec& spec, telemetry::Telemetry& tel,
     auditor_.emplace(cfg);
     tel_.set_auditor(&*auditor_);
   }
-  if (!spec.health_path.empty()) {
+  if (!observe.health_path.empty()) {
     health_resumed_ = open_sidecar(
-        health_os_, spec.health_path,
+        health_os_, observe.health_path,
         offset(&SnapshotMeta::has_health, &SnapshotMeta::health_offset),
         "health");
     health_.emplace(health_os_,
-                    telemetry::HealthHeader{hdr, spec.health_interval_us,
-                                            spec.health_rated_pe},
+                    telemetry::HealthHeader{hdr, observe.health_interval_us,
+                                            observe.health_rated_pe},
                     health_resumed_);
     tel_.set_health(&*health_);
   }
-  if (!spec.forensics_path.empty()) {
+  if (!observe.forensics_path.empty()) {
     forensics_resumed_ = open_sidecar(
-        forensics_os_, spec.forensics_path,
+        forensics_os_, observe.forensics_path,
         offset(&SnapshotMeta::has_forensics, &SnapshotMeta::forensics_offset),
         "forensics");
     telemetry::ForensicsCollector::Config cfg;
-    cfg.top_k = spec.forensics_top;
-    cfg.audit = spec.audit;
+    cfg.top_k = observe.forensics_top;
+    cfg.audit = observe.audit;
     cfg.tenant_hists = spec.tenants.size() > 1;
     forensics_.emplace(forensics_os_, hdr, cfg, forensics_resumed_);
     tel_.set_forensics(&*forensics_);
@@ -152,21 +148,23 @@ SnapshotSinks Observers::checkpoint(SnapshotMeta& meta) {
 }
 
 void Observers::finish(RunResult& result) {
+  SidecarCounts& counts = result.sidecars;
+  counts.trace_dropped = tel_.trace().dropped();
   if (journal_) {
     journal_->finish();
-    result.journal_events = journal_->events_written();
-    result.journal_truncated = journal_->truncated();
+    counts.journal_events = journal_->events_written();
+    counts.journal_truncated = journal_->truncated();
   }
   if (health_) {
     health_->finish();
-    result.health_epochs = health_->epochs_written();
-    result.health_lines = health_->lines_written();
+    counts.health_epochs = health_->epochs_written();
+    counts.health_lines = health_->lines_written();
   }
   if (forensics_) {
     forensics_->finish();
-    result.forensics_requests = forensics_->requests();
-    result.forensics_exemplars = forensics_->exemplars_retained();
-    result.forensics_truncated = forensics_->truncated();
+    counts.forensics_requests = forensics_->requests();
+    counts.forensics_exemplars = forensics_->exemplars_retained();
+    counts.forensics_truncated = forensics_->truncated();
     result.tenant_blame = forensics_->tenant_blame();
   }
   detach();

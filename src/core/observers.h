@@ -21,12 +21,6 @@
 
 namespace esp::core {
 
-/// The spec's sidecar stream paths. Sharded runs splice a shard tag into
-/// each and concatenate the per-shard files back at join (core/shard.h).
-inline constexpr std::string ExperimentSpec::*kSidecarPaths[] = {
-    &ExperimentSpec::journal_path, &ExperimentSpec::health_path,
-    &ExperimentSpec::forensics_path};
-
 /// The facade a run owns when only streaming observers are requested: a
 /// tiny trace ring and no per-op latency detail, so an always-on stream
 /// does not pay for histograms nobody reads.
@@ -34,14 +28,12 @@ telemetry::TelemetryConfig lean_telemetry_config();
 
 class Observers {
  public:
-  /// True when `spec` requests a journal, the auditor, health or forensics.
-  static bool requested(const ExperimentSpec& spec);
-
-  /// Opens the sidecars `spec` requests and attaches their sinks to `tel`
-  /// in registration order: journal, auditor, health, forensics. `resume`
-  /// is the META of a snapshot whose stream this run continues (null
-  /// otherwise): each sidecar it carries is truncated to its checkpoint
-  /// offset and appended to, its sink in resume mode (no hdr line).
+  /// Opens the sidecars `spec.observe` requests and attaches their sinks
+  /// to `tel` in registration order: journal, auditor, health, forensics.
+  /// `resume` is the META of a snapshot whose stream this run continues
+  /// (null otherwise): each sidecar it carries is truncated to its
+  /// checkpoint offset and appended to, its sink in resume mode (no hdr
+  /// line).
   Observers(const ExperimentSpec& spec, telemetry::Telemetry& tel,
             const SnapshotMeta* resume = nullptr);
   /// Detaches every sink from the facade.
@@ -55,8 +47,8 @@ class Observers {
   /// Flushes every sidecar, records its byte offset in `meta` and returns
   /// every sink, for a checkpoint.
   SnapshotSinks checkpoint(SnapshotMeta& meta);
-  /// Writes the stream trailers, copies the sinks' counters into `result`
-  /// and detaches.
+  /// Writes the stream trailers, fills `result.sidecars` (and the
+  /// forensics tenant blame) and detaches.
   void finish(RunResult& result);
 
  private:

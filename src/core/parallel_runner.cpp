@@ -9,7 +9,6 @@
 
 #include "core/build_info.h"
 #include "telemetry/json.h"
-#include "telemetry/telemetry.h"
 #include "util/logger.h"
 #include "util/rng.h"
 
@@ -127,17 +126,12 @@ std::vector<CellResult> ParallelRunner::run(
     const std::vector<ExperimentCell>& cells) {
   using Clock = std::chrono::steady_clock;
 
-  merged_registry_ = telemetry::MetricsRegistry{};
-  merged_latency_.reset();
-  merged_response_.reset();
   manifest_ = RunManifest{};
   manifest_.jobs_requested = config_.jobs;
   manifest_.base_seed = config_.base_seed;
   manifest_.derive_seeds = config_.derive_seeds;
 
   std::vector<CellResult> results(cells.size());
-  std::vector<telemetry::MetricsRegistry> cell_registries(
-      config_.collect_telemetry ? cells.size() : 0);
   if (cells.empty()) return results;
 
   unsigned jobs = config_.jobs;
@@ -164,8 +158,6 @@ std::vector<CellResult> ParallelRunner::run(
     for (std::size_t t = 0; t < spec.tenants.size(); ++t)
       out.stream_seeds.emplace_back("tenant" + std::to_string(t),
                                     spec.tenants[t].workload.seed);
-    telemetry::Telemetry tel;
-    if (config_.collect_telemetry) spec.telemetry = &tel;
     try {
       out.result = run_experiment(spec);
       out.ok = true;
@@ -176,13 +168,6 @@ std::vector<CellResult> ParallelRunner::run(
       out.error = "unknown exception";
       ESP_LOG_ERROR("cell '%s' failed: unknown exception", out.key.c_str());
     }
-    if (config_.collect_telemetry) {
-      // Snapshot now: bound counters reference the (already destroyed by
-      // run_experiment) Ssd internals unless materialized -- run_experiment
-      // materializes via ~Ssd, but materialize() is idempotent, so be safe.
-      tel.registry().materialize();
-      cell_registries[i] = tel.registry();
-    }
     out.wall_seconds =
         std::chrono::duration<double>(Clock::now() - cell_start).count();
   };
@@ -192,38 +177,11 @@ std::vector<CellResult> ParallelRunner::run(
   manifest_.wall_seconds =
       std::chrono::duration<double>(Clock::now() - grid_start).count();
 
-  // Aggregation strictly in INPUT order on this (joining) thread: summed
-  // doubles and merged histograms come out bit-identical for any --jobs.
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& r = results[i];
-    if (r.ok) {
-      merged_latency_.merge(r.result.raw.latency_hist);
-      merged_response_.merge(r.result.raw.response_hist);
-    }
-    if (config_.collect_telemetry)
-      merged_registry_.merge_from(cell_registries[i]);
-    RunManifest::Cell cell;
-    cell.key = r.key;
-    cell.seed = r.seed;
-    cell.ok = r.ok;
-    cell.error = r.error;
-    cell.wall_seconds = r.wall_seconds;
-    cell.worker = r.worker;
-    cell.trace_dropped = r.result.trace_dropped;
-    cell.journal_events = r.result.journal_events;
-    cell.journal_truncated = r.result.journal_truncated;
-    cell.health_epochs = r.result.health_epochs;
-    cell.health_lines = r.result.health_lines;
-    cell.forensics_requests = r.result.forensics_requests;
-    cell.forensics_exemplars = r.result.forensics_exemplars;
-    cell.forensics_truncated = r.result.forensics_truncated;
-    cell.stream_seeds = r.stream_seeds;
-    manifest_.cells.push_back(std::move(cell));
-  }
   return results;
 }
 
 void ParallelRunner::write_manifest_json(const RunManifest& manifest,
+                                         const std::vector<CellResult>& cells,
                                          std::ostream& os) {
   telemetry::JsonWriter w(os);
   w.begin_object();
@@ -239,7 +197,7 @@ void ParallelRunner::write_manifest_json(const RunManifest& manifest,
   w.newline();
   w.key("cells");
   w.begin_array();
-  for (const auto& cell : manifest.cells) {
+  for (const CellResult& cell : cells) {
     w.newline();
     w.begin_object();
     w.kv("key", cell.key);
@@ -264,21 +222,11 @@ void ParallelRunner::write_manifest_json(const RunManifest& manifest,
       }
       w.end_object();
     }
-    // Sidecar accounting appears uniformly whenever the cell ran with any
-    // stream attached; stream-less sweeps keep the legacy cell bytes.
-    if (cell.trace_dropped != 0 || cell.journal_events != 0 ||
-        cell.health_lines != 0 || cell.forensics_requests != 0) {
+    // Sidecar accounting: "did any stream drop data?" without re-reading
+    // the JSONL files.
+    if (cell.result.sidecars.reported()) {
       w.key("sidecars");
-      w.begin_object();
-      w.kv("trace_dropped", cell.trace_dropped);
-      w.kv("journal_events", cell.journal_events);
-      w.kv("journal_truncated", cell.journal_truncated);
-      w.kv("health_epochs", cell.health_epochs);
-      w.kv("health_lines", cell.health_lines);
-      w.kv("forensics_requests", cell.forensics_requests);
-      w.kv("forensics_exemplars", cell.forensics_exemplars);
-      w.kv("forensics_truncated", cell.forensics_truncated);
-      w.end_object();
+      cell.result.sidecars.write_json(w);
     }
     w.end_object();
   }

@@ -10,11 +10,9 @@
 //     completion order), and a simulation shares no mutable state with its
 //     siblings (the one historical global, the logger's sim-time provider,
 //     is thread-local);
-//   * results are returned in input order, and cross-cell aggregation
-//     (metrics-registry reconciliation, latency-histogram merging) happens
-//     on the joining thread in input order, so floating-point accumulation
-//     order is fixed regardless of --jobs;
-//   * a machine-readable RunManifest records what ran where (key, seed,
+//   * results are returned in input order, so any cross-cell aggregation
+//     a caller does over them has a fixed order regardless of --jobs;
+//   * a machine-readable manifest records what ran where (key, seed,
 //     worker, wall time) for provenance and CI determinism diffs.
 //
 // See docs/PARALLEL_RUNNER.md for the full contract.
@@ -28,8 +26,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "telemetry/metrics.h"
-#include "util/histogram.h"
 
 namespace esp::core {
 
@@ -62,9 +58,6 @@ struct ParallelRunnerConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency(). The pool
   /// never spawns more workers than cells.
   unsigned jobs = 0;
-  /// Attach a per-cell telemetry facade and reconcile the materialized
-  /// registries into merged_registry() at join time.
-  bool collect_telemetry = false;
   /// Base seed mixed into every derived per-cell seed; change it to get an
   /// independent but equally deterministic replication of the whole grid.
   std::uint64_t base_seed = 2017;
@@ -98,39 +91,14 @@ std::uint64_t stable_cell_seed(std::string_view key, std::uint64_t base_seed);
 unsigned run_tasks(unsigned jobs, std::size_t count,
                    const std::function<void(std::size_t)>& fn);
 
-/// Provenance record of one run() call.
+/// Provenance record of one run() call; the cells are the CellResults
+/// run() returns.
 struct RunManifest {
   unsigned jobs_requested = 0;
   unsigned jobs_used = 0;
   std::uint64_t base_seed = 0;
   bool derive_seeds = true;
   double wall_seconds = 0.0;  ///< whole-grid wall time (fork to join)
-  struct Cell {
-    std::string key;
-    std::uint64_t seed = 0;
-    bool ok = false;
-    std::string error;
-    double wall_seconds = 0.0;
-    unsigned worker = 0;
-    /// Sidecar-stream write/truncation accounting, copied from the cell's
-    /// RunResult so sweep manifests answer "did any stream drop data?"
-    /// without re-reading the JSONL files. All zero (and omitted from the
-    /// JSON) when the cell ran without streams.
-    std::uint64_t trace_dropped = 0;
-    std::uint64_t journal_events = 0;
-    std::uint64_t journal_truncated = 0;
-    std::uint64_t health_epochs = 0;
-    std::uint64_t health_lines = 0;
-    std::uint64_t forensics_requests = 0;
-    std::uint64_t forensics_exemplars = 0;
-    std::uint64_t forensics_truncated = 0;
-    /// Per-stream RNG provenance: (stream name, seed) for the workload
-    /// stream and every tenant lane. The manifest JSON stamps each with
-    /// the initial Xoshiro256** engine state so an exact replay can be
-    /// asserted against a foreign implementation, not just a seed match.
-    std::vector<std::pair<std::string, std::uint64_t>> stream_seeds;
-  };
-  std::vector<Cell> cells;  ///< input order
 };
 
 class ParallelRunner {
@@ -139,32 +107,22 @@ class ParallelRunner {
 
   /// Runs every cell; returns results in input order. Cells that throw
   /// come back with ok == false instead of aborting the grid. Callable
-  /// repeatedly; merged state and the manifest cover the LAST run only.
+  /// repeatedly; the manifest covers the LAST run only.
   std::vector<CellResult> run(const std::vector<ExperimentCell>& cells);
-
-  /// Reconciled per-cell telemetry registries (input cell order), populated
-  /// when config.collect_telemetry is set.
-  const telemetry::MetricsRegistry& merged_registry() const {
-    return merged_registry_;
-  }
-  /// All cells' request service-time distributions merged in input order.
-  const util::Histogram& merged_latency() const { return merged_latency_; }
-  /// All cells' response-time (arrival -> done) distributions, ditto.
-  const util::Histogram& merged_response() const { return merged_response_; }
 
   const RunManifest& manifest() const { return manifest_; }
 
-  /// Serializes a manifest as a stable, diff-friendly JSON object. Wall
-  /// times are host-side and NOT deterministic; CI determinism checks
-  /// should compare the "cells" seeds/keys and bench payloads, not timings.
+  /// Serializes a manifest and the run's cells as a stable, diff-friendly
+  /// JSON object: per cell its key, seed, outcome, RNG provenance and,
+  /// when it streamed, its SidecarCounts. Wall times and workers are
+  /// host-side and NOT deterministic; CI determinism checks should compare
+  /// the cells without them, and bench payloads, not timings.
   static void write_manifest_json(const RunManifest& manifest,
+                                  const std::vector<CellResult>& cells,
                                   std::ostream& os);
 
  private:
   ParallelRunnerConfig config_;
-  telemetry::MetricsRegistry merged_registry_;
-  util::Histogram merged_latency_ = sim::make_latency_histogram();
-  util::Histogram merged_response_ = sim::make_latency_histogram();
   RunManifest manifest_;
 };
 

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/observers.h"
 #include "core/parallel_runner.h"
 #include "telemetry/telemetry.h"
 #include "workload/splitter.h"
@@ -21,15 +20,15 @@ namespace {
 /// against standalone re-runs.
 void concat_sidecars(const std::string& dest,
                      const std::vector<ExperimentSpec>& leaves,
-                     std::string ExperimentSpec::*path) {
+                     std::string ObserveSpec::*path) {
   std::ofstream os(dest, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!os)
     throw std::runtime_error("run_sharded_experiment: cannot open " + dest);
   for (const ExperimentSpec& leaf : leaves) {
-    std::ifstream is(leaf.*path, std::ios::in | std::ios::binary);
+    const std::string& src = leaf.observe.*path;
+    std::ifstream is(src, std::ios::in | std::ios::binary);
     if (!is)
-      throw std::runtime_error("run_sharded_experiment: cannot read " +
-                               leaf.*path);
+      throw std::runtime_error("run_sharded_experiment: cannot read " + src);
     os << is.rdbuf();
   }
 }
@@ -122,9 +121,7 @@ ExperimentSpec make_shard_spec(const ExperimentSpec& spec,
   leaf.workload.footprint_sectors = plan.shard_sectors;
   leaf.shard_index = index;
   leaf.shard_count = plan.shards;
-  for (std::string ExperimentSpec::*path : kSidecarPaths)
-    if (!(spec.*path).empty())
-      leaf.*path = shard_sidecar_path(spec.*path, index);
+  leaf.observe = spec.observe.for_shard(index);
   return leaf;
 }
 
@@ -181,8 +178,9 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
       shard_tels[i]->registry().materialize();
       spec.telemetry->registry().merge_from(shard_tels[i]->registry());
     }
-  for (std::string ExperimentSpec::*path : kSidecarPaths)
-    if (!(spec.*path).empty()) concat_sidecars(spec.*path, leaves, path);
+  for (std::string ObserveSpec::*path : kStreamPaths)
+    if (!(spec.observe.*path).empty())
+      concat_sidecars(spec.observe.*path, leaves, path);
 
   RunResult merged;
   merged.ftl_name = shard_results.front().ftl_name;
@@ -213,14 +211,7 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
     merged.rmw_ops += r.rmw_ops;
     merged.verify_failures += r.verify_failures;
     merged.mapping_bytes += r.mapping_bytes;
-    merged.trace_dropped += r.trace_dropped;
-    merged.journal_events += r.journal_events;
-    merged.journal_truncated += r.journal_truncated;
-    merged.health_epochs += r.health_epochs;
-    merged.health_lines += r.health_lines;
-    merged.forensics_requests += r.forensics_requests;
-    merged.forensics_exemplars += r.forensics_exemplars;
-    merged.forensics_truncated += r.forensics_truncated;
+    merged.sidecars += r.sidecars;
     merged.measure_cpu_seconds += r.measure_cpu_seconds;
     min_wall_start = std::min(min_wall_start, r.measure_wall_start_s);
     max_wall_end = std::max(max_wall_end, r.measure_wall_end_s);

@@ -48,10 +48,10 @@ std::vector<core::ExperimentCell> make_cells(const std::string& tag) {
     cell.spec.workload.read_fraction = 0.2;
     cell.spec.workload.seed = 5;
     cell.spec.warmup_requests = 0;
-    cell.spec.audit = true;
-    cell.spec.forensics_path = ::testing::TempDir() + "fd-" + tag + "-" +
-                               core::ftl_kind_name(kind) + ".jsonl";
-    cell.spec.forensics_top = 8;
+    cell.spec.observe.audit = true;
+    cell.spec.observe.forensics_path = ::testing::TempDir() + "fd-" + tag +
+        "-" + core::ftl_kind_name(kind) + ".jsonl";
+    cell.spec.observe.forensics_top = 8;
     cells.push_back(std::move(cell));
   }
   return cells;
@@ -77,14 +77,14 @@ TEST(ForensicsDeterminism, StreamsByteIdenticalAcrossJobCounts) {
   for (std::size_t i = 0; i < cells1.size(); ++i) {
     ASSERT_TRUE(r1[i].ok) << r1[i].key << ": " << r1[i].error;
     ASSERT_TRUE(r2[i].ok) << r2[i].key << ": " << r2[i].error;
-    EXPECT_EQ(r1[i].result.forensics_requests, 4000u) << r1[i].key;
-    EXPECT_EQ(r1[i].result.forensics_exemplars, 8u) << r1[i].key;
-    EXPECT_EQ(r1[i].result.forensics_requests,
-              r2[i].result.forensics_requests);
-    EXPECT_EQ(r1[i].result.forensics_truncated,
-              r2[i].result.forensics_truncated);
-    const std::string a = slurp(cells1[i].spec.forensics_path);
-    const std::string b = slurp(cells2[i].spec.forensics_path);
+    EXPECT_EQ(r1[i].result.sidecars.forensics_requests, 4000u) << r1[i].key;
+    EXPECT_EQ(r1[i].result.sidecars.forensics_exemplars, 8u) << r1[i].key;
+    EXPECT_EQ(r1[i].result.sidecars.forensics_requests,
+              r2[i].result.sidecars.forensics_requests);
+    EXPECT_EQ(r1[i].result.sidecars.forensics_truncated,
+              r2[i].result.sidecars.forensics_truncated);
+    const std::string a = slurp(cells1[i].spec.observe.forensics_path);
+    const std::string b = slurp(cells2[i].spec.observe.forensics_path);
     ASSERT_FALSE(a.empty()) << cells1[i].key;
     EXPECT_EQ(a, b) << "forensics stream for " << cells1[i].key
                     << " differs between --jobs 1 and --jobs 2";
@@ -114,11 +114,11 @@ ExperimentSpec make_sharded_spec(unsigned shards, unsigned jobs,
   spec.workload.read_fraction = 0.2;
   spec.workload.seed = 11;
   spec.warmup_requests = 200;
-  spec.audit = true;
+  spec.observe.audit = true;
   spec.shards = shards;
   spec.shard_jobs = jobs;
   spec.shard_stripe_pages = 4;
-  spec.forensics_path =
+  spec.observe.forensics_path =
       ::testing::TempDir() + "fd-shard-" + tag + ".jsonl";
   return spec;
 }
@@ -132,14 +132,15 @@ TEST(ForensicsDeterminism, ShardSidecarsMergeAndMatchStandalone) {
   std::uint64_t requests = 0, exemplars = 0;
   std::string concat;
   for (unsigned i = 0; i < 2; ++i) {
-    requests += joint.shard_results[i].forensics_requests;
-    exemplars += joint.shard_results[i].forensics_exemplars;
-    concat += slurp(core::shard_sidecar_path(joint_spec.forensics_path, i));
+    requests += joint.shard_results[i].sidecars.forensics_requests;
+    exemplars += joint.shard_results[i].sidecars.forensics_exemplars;
+    concat +=
+        slurp(core::shard_sidecar_path(joint_spec.observe.forensics_path, i));
   }
-  EXPECT_EQ(joint.forensics_requests, requests);
-  EXPECT_EQ(joint.forensics_exemplars, exemplars);
+  EXPECT_EQ(joint.sidecars.forensics_requests, requests);
+  EXPECT_EQ(joint.sidecars.forensics_exemplars, exemplars);
   ASSERT_FALSE(concat.empty());
-  EXPECT_EQ(slurp(joint_spec.forensics_path), concat);
+  EXPECT_EQ(slurp(joint_spec.observe.forensics_path), concat);
 
   // Shard 0 re-run STANDALONE (the orchestrator's own leaf construction)
   // must write a byte-identical forensics sidecar.
@@ -162,12 +163,13 @@ TEST(ForensicsDeterminism, ShardSidecarsMergeAndMatchStandalone) {
   const RunResult alone = core::run_experiment(leaf);
 
   const std::string joint_side =
-      slurp(core::shard_sidecar_path(joint_spec.forensics_path, 0));
-  const std::string alone_side = slurp(leaf.forensics_path);
+      slurp(core::shard_sidecar_path(joint_spec.observe.forensics_path, 0));
+  const std::string alone_side = slurp(leaf.observe.forensics_path);
   ASSERT_FALSE(alone_side.empty());
   EXPECT_EQ(alone_side, joint_side)
       << "shard 0 forensics differs between standalone and joint runs";
-  EXPECT_EQ(alone.forensics_requests, joint.shard_results[0].forensics_requests);
+  EXPECT_EQ(alone.sidecars.forensics_requests,
+            joint.shard_results[0].sidecars.forensics_requests);
 }
 
 TEST(ForensicsDeterminism, RandomizedAuditedSweepsReconcileOnEveryFtl) {
@@ -187,8 +189,8 @@ TEST(ForensicsDeterminism, RandomizedAuditedSweepsReconcileOnEveryFtl) {
       spec.workload.read_fraction = frac(rng) * 0.5;
       spec.workload.seed = seed_of(rng);
       spec.warmup_requests = 100;
-      spec.audit = true;
-      spec.forensics_path = ::testing::TempDir() + "fd-rand-" +
+      spec.observe.audit = true;
+      spec.observe.forensics_path = ::testing::TempDir() + "fd-rand-" +
                             std::string(core::ftl_kind_name(kind)) + "-" +
                             std::to_string(round) + ".jsonl";
       const std::string what = std::string(core::ftl_kind_name(kind)) +
@@ -196,8 +198,8 @@ TEST(ForensicsDeterminism, RandomizedAuditedSweepsReconcileOnEveryFtl) {
                                std::to_string(spec.workload.seed);
       RunResult result;
       ASSERT_NO_THROW(result = core::run_experiment(spec)) << what;
-      EXPECT_EQ(result.forensics_requests, 2500u) << what;
-      EXPECT_GT(result.forensics_exemplars, 0u) << what;
+      EXPECT_EQ(result.sidecars.forensics_requests, 2500u) << what;
+      EXPECT_GT(result.sidecars.forensics_exemplars, 0u) << what;
       ASSERT_EQ(result.tenant_blame.size(), 1u) << what;
       // The harvested blame totals cover every request, and its phase sums
       // are finite, non-negative times.

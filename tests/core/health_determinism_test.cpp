@@ -40,12 +40,12 @@ std::vector<core::ExperimentCell> make_cells(const std::string& tag) {
     cell.spec.workload.read_fraction = 0.2;
     cell.spec.workload.seed = 5;
     cell.spec.warmup_requests = 0;
-    cell.spec.audit = true;
-    cell.spec.health_path = ::testing::TempDir() + "hd-" + tag + "-" +
-                            core::ftl_kind_name(kind) + ".jsonl";
+    cell.spec.observe.audit = true;
+    cell.spec.observe.health_path = ::testing::TempDir() + "hd-" + tag +
+        "-" + core::ftl_kind_name(kind) + ".jsonl";
     // A short interval so several mid-run epochs land inside the window,
     // not just the attach + end-of-run endpoints.
-    cell.spec.health_interval_us = 50.0 * sim_time::kMillisecond;
+    cell.spec.observe.health_interval_us = 50.0 * sim_time::kMillisecond;
     cells.push_back(std::move(cell));
   }
   return cells;
@@ -71,12 +71,14 @@ TEST(HealthDeterminism, StreamsByteIdenticalAcrossJobCounts) {
   for (std::size_t i = 0; i < cells1.size(); ++i) {
     ASSERT_TRUE(r1[i].ok) << r1[i].key << ": " << r1[i].error;
     ASSERT_TRUE(r2[i].ok) << r2[i].key << ": " << r2[i].error;
-    EXPECT_EQ(r1[i].result.health_epochs, r2[i].result.health_epochs);
-    EXPECT_EQ(r1[i].result.health_lines, r2[i].result.health_lines);
+    EXPECT_EQ(r1[i].result.sidecars.health_epochs,
+              r2[i].result.sidecars.health_epochs);
+    EXPECT_EQ(r1[i].result.sidecars.health_lines,
+              r2[i].result.sidecars.health_lines);
     // Epoch 0 (attach baseline) + at least the end-of-run flush.
-    EXPECT_GE(r1[i].result.health_epochs, 2u) << r1[i].key;
-    const std::string a = slurp(cells1[i].spec.health_path);
-    const std::string b = slurp(cells2[i].spec.health_path);
+    EXPECT_GE(r1[i].result.sidecars.health_epochs, 2u) << r1[i].key;
+    const std::string a = slurp(cells1[i].spec.observe.health_path);
+    const std::string b = slurp(cells2[i].spec.observe.health_path);
     ASSERT_FALSE(a.empty()) << cells1[i].key;
     EXPECT_EQ(a, b) << "health stream for " << cells1[i].key
                     << " differs between --jobs 1 and --jobs 2";

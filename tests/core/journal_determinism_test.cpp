@@ -40,9 +40,9 @@ std::vector<core::ExperimentCell> make_cells(const std::string& tag) {
     cell.spec.workload.read_fraction = 0.2;
     cell.spec.workload.seed = 5;
     cell.spec.warmup_requests = 0;
-    cell.spec.audit = true;
-    cell.spec.journal_path = ::testing::TempDir() + "jd-" + tag + "-" +
-                             core::ftl_kind_name(kind) + ".jsonl";
+    cell.spec.observe.audit = true;
+    cell.spec.observe.journal_path = ::testing::TempDir() + "jd-" + tag +
+        "-" + core::ftl_kind_name(kind) + ".jsonl";
     cells.push_back(std::move(cell));
   }
   return cells;
@@ -68,11 +68,12 @@ TEST(JournalDeterminism, JournalsByteIdenticalAcrossJobCounts) {
   for (std::size_t i = 0; i < cells1.size(); ++i) {
     ASSERT_TRUE(r1[i].ok) << r1[i].key << ": " << r1[i].error;
     ASSERT_TRUE(r2[i].ok) << r2[i].key << ": " << r2[i].error;
-    // The runs also audited (spec.audit): ok implies no violations threw.
-    EXPECT_EQ(r1[i].result.journal_events, r2[i].result.journal_events);
-    EXPECT_EQ(r1[i].result.journal_truncated, 0u);
-    const std::string a = slurp(cells1[i].spec.journal_path);
-    const std::string b = slurp(cells2[i].spec.journal_path);
+    // The runs also audited (observe.audit): ok implies no violations threw.
+    EXPECT_EQ(r1[i].result.sidecars.journal_events,
+              r2[i].result.sidecars.journal_events);
+    EXPECT_EQ(r1[i].result.sidecars.journal_truncated, 0u);
+    const std::string a = slurp(cells1[i].spec.observe.journal_path);
+    const std::string b = slurp(cells2[i].spec.observe.journal_path);
     ASSERT_FALSE(a.empty()) << cells1[i].key;
     EXPECT_EQ(a, b) << "journal for " << cells1[i].key
                     << " differs between --jobs 1 and --jobs 2";

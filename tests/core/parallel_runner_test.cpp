@@ -1,5 +1,5 @@
 // Parallel experiment runner: determinism across job counts, stable
-// seeding, error isolation, manifest and merge bookkeeping.
+// seeding, error isolation and the manifest.
 #include "core/parallel_runner.h"
 
 #include <gtest/gtest.h>
@@ -84,9 +84,6 @@ TEST(ParallelRunner, ResultsBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(got[i].result.raw.latency_hist.percentile(0.99),
                 baseline[i].result.raw.latency_hist.percentile(0.99));
     }
-    EXPECT_EQ(par.merged_latency().total(), seq.merged_latency().total());
-    for (std::size_t b = 0; b < par.merged_latency().bucket_count(); ++b)
-      ASSERT_EQ(par.merged_latency().bucket(b), seq.merged_latency().bucket(b));
   }
 }
 
@@ -199,42 +196,54 @@ TEST(ParallelRunner, ManifestRecordsCellsInInputOrder) {
   cfg.jobs = 2;
   cfg.base_seed = 7;
   ParallelRunner runner(cfg);
-  runner.run(cells);
+  const auto results = runner.run(cells);
   const auto& m = runner.manifest();
   EXPECT_EQ(m.jobs_requested, 2u);
   EXPECT_EQ(m.jobs_used, 2u);
   EXPECT_EQ(m.base_seed, 7u);
-  ASSERT_EQ(m.cells.size(), cells.size());
+  ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(m.cells[i].key, cells[i].key);
-    EXPECT_EQ(m.cells[i].seed, stable_cell_seed(cells[i].key, 7));
-    EXPECT_TRUE(m.cells[i].ok);
+    EXPECT_EQ(results[i].key, cells[i].key);
+    EXPECT_EQ(results[i].seed, stable_cell_seed(cells[i].key, 7));
+    EXPECT_TRUE(results[i].ok);
   }
   std::ostringstream os;
-  ParallelRunner::write_manifest_json(m, os);
-  EXPECT_NE(os.str().find("\"cells\":"), std::string::npos);
-  EXPECT_NE(os.str().find("grid/sub"), std::string::npos);
+  ParallelRunner::write_manifest_json(m, results, os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"cells\":"), std::string::npos);
+  // Cells appear in input order; stream-less cells carry no sidecars.
+  std::size_t at = 0;
+  for (const auto& cell : cells) {
+    const std::size_t next = json.find("\"" + cell.key + "\"", at);
+    ASSERT_NE(next, std::string::npos) << cell.key;
+    at = next;
+  }
+  EXPECT_EQ(json.find("\"sidecars\""), std::string::npos);
 }
 
-TEST(ParallelRunner, TelemetryRegistriesReconcileAtJoin) {
-  const auto cells = grid();
-  ParallelRunnerConfig cfg;
-  cfg.collect_telemetry = true;
-  cfg.jobs = 1;
-  ParallelRunner seq(cfg);
-  const auto seq_results = seq.run(cells);
-  cfg.jobs = 4;
-  ParallelRunner par(cfg);
-  par.run(cells);
-
-  // Each cell binds its own "nand/erases"; the merged registry must hold
-  // the sum over all cells, independent of job count.
-  std::uint64_t expected = 0;
-  for (const auto& r : seq_results)
-    expected += r.result.raw.device_erases;
-  EXPECT_GT(expected, 0u);
-  EXPECT_EQ(seq.merged_registry().counter_value("nand/erases"), expected);
-  EXPECT_EQ(par.merged_registry().counter_value("nand/erases"), expected);
+TEST(ParallelRunner, ManifestWritesSidecarCountsInKeyOrder) {
+  CellResult cell;
+  cell.key = "grid/sub";
+  cell.seed = 3;
+  cell.ok = true;
+  SidecarCounts& c = cell.result.sidecars;
+  c.trace_dropped = 1;
+  c.journal_events = 2;
+  c.journal_truncated = 3;
+  c.health_epochs = 4;
+  c.health_lines = 5;
+  c.forensics_requests = 6;
+  c.forensics_exemplars = 7;
+  c.forensics_truncated = 8;
+  std::ostringstream os;
+  ParallelRunner::write_manifest_json(RunManifest{}, {cell}, os);
+  EXPECT_NE(os.str().find(
+                "\"sidecars\":{\"trace_dropped\":1,\"journal_events\":2,"
+                "\"journal_truncated\":3,\"health_epochs\":4,"
+                "\"health_lines\":5,\"forensics_requests\":6,"
+                "\"forensics_exemplars\":7,\"forensics_truncated\":8}"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(RunTasks, EveryIndexRunsExactlyOnce) {

@@ -74,12 +74,12 @@ core::ExperimentCell make_cell(const std::string& tag, FtlKind kind) {
   cell.spec.workload.read_fraction = 0.2;
   cell.spec.workload.seed = 11;
   cell.spec.warmup_requests = 500;
-  cell.spec.audit = true;
+  cell.spec.observe.audit = true;
   const Sidecars s = paths_for(tag, kind);
-  cell.spec.journal_path = s.journal;
-  cell.spec.health_path = s.health;
-  cell.spec.health_interval_us = 0.2 * sim_time::kSecond;
-  cell.spec.forensics_path = s.forensics;
+  cell.spec.observe.journal_path = s.journal;
+  cell.spec.observe.health_path = s.health;
+  cell.spec.observe.health_interval_us = 0.2 * sim_time::kSecond;
+  cell.spec.observe.forensics_path = s.forensics;
   return cell;
 }
 
@@ -165,9 +165,9 @@ TEST(SnapshotRoundtrip, FreshSeedLegStartsFromAgedStateDeterministically) {
   // leg over the aged device (fan-out anchor semantics). Two identical
   // fresh legs from the same snapshot must agree bit-exactly.
   auto anchor = make_cell("anchor", FtlKind::kSub);
-  anchor.spec.journal_path.clear();
-  anchor.spec.health_path.clear();
-  anchor.spec.forensics_path.clear();
+  anchor.spec.observe.journal_path.clear();
+  anchor.spec.observe.health_path.clear();
+  anchor.spec.observe.forensics_path.clear();
   anchor.spec.snapshot_out = ::testing::TempDir() + "snap-anchor.snap";
   const auto a = run_with_jobs(1, {anchor});
   ASSERT_TRUE(a[0].ok) << a[0].error;
@@ -175,9 +175,9 @@ TEST(SnapshotRoundtrip, FreshSeedLegStartsFromAgedStateDeterministically) {
   std::vector<core::ExperimentCell> legs;
   for (int l = 0; l < 2; ++l) {
     auto leg = make_cell("leg" + std::to_string(l), FtlKind::kSub);
-    leg.spec.journal_path.clear();
-    leg.spec.health_path.clear();
-    leg.spec.forensics_path.clear();
+    leg.spec.observe.journal_path.clear();
+    leg.spec.observe.health_path.clear();
+    leg.spec.observe.forensics_path.clear();
     leg.spec.snapshot_in = anchor.spec.snapshot_out;
     leg.spec.workload.seed = 99;  // != 11: fresh leg, not a resume
     leg.spec.workload.request_count = 1500;

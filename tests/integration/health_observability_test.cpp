@@ -87,18 +87,18 @@ TEST(HealthObservability, SmartWearAgreesWithJournalRecomputation) {
   spec.workload.r_synch = 0.7;
   spec.workload.read_fraction = 0.1;
   spec.workload.seed = 5;
-  spec.audit = true;
-  spec.journal_path = ::testing::TempDir() + "ho-journal.jsonl";
-  spec.health_path = ::testing::TempDir() + "ho-health.jsonl";
+  spec.observe.audit = true;
+  spec.observe.journal_path = ::testing::TempDir() + "ho-journal.jsonl";
+  spec.observe.health_path = ::testing::TempDir() + "ho-health.jsonl";
   // Endpoint epochs only: epoch 0 = attach baseline, last = run end.
-  spec.health_interval_us = 0.0;
+  spec.observe.health_interval_us = 0.0;
   const auto result = core::run_experiment(spec);
-  ASSERT_GE(result.health_epochs, 2u);
+  ASSERT_GE(result.sidecars.health_epochs, 2u);
   ASSERT_GT(result.erases, 0u)
       << "workload too light to wear blocks; cross-check is vacuous";
 
   // --- reconstruct per-block wear from the HEALTH stream --------------
-  std::ifstream health(spec.health_path);
+  std::ifstream health(spec.observe.health_path);
   ASSERT_TRUE(health.good());
   std::vector<std::uint32_t> baseline, state;
   std::uint64_t blocks_per_chip = 0;
@@ -130,7 +130,7 @@ TEST(HealthObservability, SmartWearAgreesWithJournalRecomputation) {
   ASSERT_GE(epochs_seen, 2u);
 
   // --- replay the JOURNAL's erases over the epoch-0 baseline ----------
-  std::ifstream journal(spec.journal_path);
+  std::ifstream journal(spec.observe.journal_path);
   ASSERT_TRUE(journal.good());
   std::vector<std::uint32_t> replayed = baseline;
   std::uint64_t journal_erases = 0;
@@ -193,30 +193,34 @@ TEST(HealthObservability, StreamIndependentOfOtherObservers) {
     spec.workload.trim_fraction = 0.02;
     spec.workload.think_us = 200;
     spec.workload.seed = 11;
-    spec.health_interval_us = 0.1 * sim_time::kSecond;
+    spec.observe.health_interval_us = 0.1 * sim_time::kSecond;
 
     core::ExperimentSpec alone = spec;
-    alone.health_path = ::testing::TempDir() + "hi-alone-" + name + ".jsonl";
+    alone.observe.health_path =
+        ::testing::TempDir() + "hi-alone-" + name + ".jsonl";
     core::run_experiment(alone);
 
     core::ExperimentSpec forensics_alone = spec;
-    forensics_alone.forensics_path =
+    forensics_alone.observe.forensics_path =
         ::testing::TempDir() + "hi-alone-f-" + name + ".jsonl";
     const auto forensics_result = core::run_experiment(forensics_alone);
-    EXPECT_GT(forensics_result.forensics_exemplars, 0u) << name;
+    EXPECT_GT(forensics_result.sidecars.forensics_exemplars, 0u) << name;
 
     core::ExperimentSpec all = spec;
-    all.health_path = ::testing::TempDir() + "hi-all-" + name + ".jsonl";
-    all.journal_path = ::testing::TempDir() + "hi-all-j-" + name + ".jsonl";
-    all.forensics_path = ::testing::TempDir() + "hi-all-f-" + name + ".jsonl";
-    all.audit = true;
+    all.observe.health_path =
+        ::testing::TempDir() + "hi-all-" + name + ".jsonl";
+    all.observe.journal_path =
+        ::testing::TempDir() + "hi-all-j-" + name + ".jsonl";
+    all.observe.forensics_path =
+        ::testing::TempDir() + "hi-all-f-" + name + ".jsonl";
+    all.observe.audit = true;
     core::run_experiment(all);
 
-    const std::string stream = slurp(alone.health_path);
+    const std::string stream = slurp(alone.observe.health_path);
     ASSERT_FALSE(stream.empty()) << name;
-    EXPECT_EQ(stream, slurp(all.health_path)) << name;
-    EXPECT_EQ(slurp(forensics_alone.forensics_path),
-              slurp(all.forensics_path))
+    EXPECT_EQ(stream, slurp(all.observe.health_path)) << name;
+    EXPECT_EQ(slurp(forensics_alone.observe.forensics_path),
+              slurp(all.observe.forensics_path))
         << name;
 
     if (kind != core::FtlKind::kSub) continue;

@@ -73,9 +73,9 @@ std::vector<core::ExperimentCell> make_cells(const std::string& tag,
     cell.spec.workload.think_us = 200;
     cell.spec.workload.seed = 11;
     cell.spec.warmup_requests = 0;
-    cell.spec.audit = true;
-    cell.spec.journal_path = ::testing::TempDir() + "md-" + tag + "-" +
-                             core::ftl_kind_name(kind) + ".jsonl";
+    cell.spec.observe.audit = true;
+    cell.spec.observe.journal_path = ::testing::TempDir() + "md-" + tag +
+        "-" + core::ftl_kind_name(kind) + ".jsonl";
     cells.push_back(std::move(cell));
   }
   return cells;
@@ -113,8 +113,8 @@ TEST(MaintenanceDifferential, JournalsByteIdenticalScanVsIndex) {
     EXPECT_EQ(a.verify_failures, 0u) << scan[i].key;
     EXPECT_EQ(b.verify_failures, 0u) << index[i].key;
 
-    const std::string ja = slurp(scan_cells[i].spec.journal_path);
-    const std::string jb = slurp(index_cells[i].spec.journal_path);
+    const std::string ja = slurp(scan_cells[i].spec.observe.journal_path);
+    const std::string jb = slurp(index_cells[i].spec.observe.journal_path);
     ASSERT_FALSE(ja.empty()) << scan_cells[i].key;
     EXPECT_EQ(ja, jb) << "journal for " << scan_cells[i].key
                       << " differs between scan and index maintenance";

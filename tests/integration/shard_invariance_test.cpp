@@ -67,12 +67,12 @@ ExperimentSpec make_spec(FtlKind kind, unsigned shards, unsigned jobs,
   spec.workload.read_fraction = 0.2;
   spec.workload.seed = 11;
   spec.warmup_requests = 200;
-  spec.audit = true;
+  spec.observe.audit = true;
   spec.shards = shards;
   spec.shard_jobs = jobs;
   spec.shard_stripe_pages = 4;
-  spec.journal_path = ::testing::TempDir() + "shard-inv-" + tag + "-" +
-                      core::ftl_kind_name(kind) + ".jsonl";
+  spec.observe.journal_path = ::testing::TempDir() + "shard-inv-" + tag +
+      "-" + core::ftl_kind_name(kind) + ".jsonl";
   return spec;
 }
 
@@ -84,7 +84,7 @@ void expect_same_merged(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.erases, b.erases) << what;
   EXPECT_EQ(a.gc_invocations, b.gc_invocations) << what;
   EXPECT_EQ(a.rmw_ops, b.rmw_ops) << what;
-  EXPECT_EQ(a.journal_events, b.journal_events) << what;
+  EXPECT_EQ(a.sidecars.journal_events, b.sidecars.journal_events) << what;
   EXPECT_DOUBLE_EQ(a.overall_waf, b.overall_waf) << what;
   EXPECT_DOUBLE_EQ(a.small_request_waf, b.small_request_waf) << what;
   EXPECT_DOUBLE_EQ(a.raw.latency_p99_us, b.raw.latency_p99_us) << what;
@@ -109,7 +109,7 @@ void expect_merged_is_sum(const RunResult& merged, unsigned shards,
     erases += r.erases;
     gc += r.gc_invocations;
     rmw += r.rmw_ops;
-    journal += r.journal_events;
+    journal += r.sidecars.journal_events;
     host_writes += r.raw.ftl_stats.host_write_sectors;
     flash_writes += r.raw.ftl_stats.flash_prog_sub;
   }
@@ -117,7 +117,7 @@ void expect_merged_is_sum(const RunResult& merged, unsigned shards,
   EXPECT_EQ(merged.erases, erases) << what;
   EXPECT_EQ(merged.gc_invocations, gc) << what;
   EXPECT_EQ(merged.rmw_ops, rmw) << what;
-  EXPECT_EQ(merged.journal_events, journal) << what;
+  EXPECT_EQ(merged.sidecars.journal_events, journal) << what;
   EXPECT_EQ(merged.raw.ftl_stats.host_write_sectors, host_writes) << what;
   EXPECT_EQ(merged.raw.ftl_stats.flash_prog_sub, flash_writes) << what;
 }
@@ -144,15 +144,15 @@ TEST(ShardInvariance, MergedResultsAndJournalsIdenticalAcrossJobCounts) {
       std::string concat;
       for (unsigned i = 0; i < shards; ++i) {
         const std::string a =
-            slurp(core::shard_sidecar_path(spec1.journal_path, i));
+            slurp(core::shard_sidecar_path(spec1.observe.journal_path, i));
         const std::string b =
-            slurp(core::shard_sidecar_path(specN.journal_path, i));
+            slurp(core::shard_sidecar_path(specN.observe.journal_path, i));
         ASSERT_FALSE(a.empty()) << what << " shard " << i;
         ASSERT_EQ(a, b) << what << ": shard " << i
                         << " journal differs between job counts";
         concat += a;
       }
-      EXPECT_EQ(slurp(spec1.journal_path), concat) << what;
+      EXPECT_EQ(slurp(spec1.observe.journal_path), concat) << what;
     }
   }
 }
@@ -166,7 +166,8 @@ TEST(ShardInvariance, ShardAloneMatchesShardAmongSiblings) {
   ASSERT_EQ(joint.shard_results.size(), 2u);
 
   ExperimentSpec plan_spec = joint_spec;  // same identity, fresh sidecars
-  plan_spec.journal_path = ::testing::TempDir() + "shard-inv-alone.jsonl";
+  plan_spec.observe.journal_path =
+      ::testing::TempDir() + "shard-inv-alone.jsonl";
   const core::ShardPlan plan = core::make_shard_plan(plan_spec);
   const workload::SyntheticParams params =
       core::sharded_workload_params(plan_spec, plan);
@@ -186,8 +187,8 @@ TEST(ShardInvariance, ShardAloneMatchesShardAmongSiblings) {
   const RunResult alone = core::run_experiment(leaf);
 
   const std::string joint_journal =
-      slurp(core::shard_sidecar_path(joint_spec.journal_path, 0));
-  const std::string alone_journal = slurp(leaf.journal_path);
+      slurp(core::shard_sidecar_path(joint_spec.observe.journal_path, 0));
+  const std::string alone_journal = slurp(leaf.observe.journal_path);
   ASSERT_FALSE(alone_journal.empty());
   EXPECT_EQ(alone_journal, joint_journal)
       << "shard 0 journal differs between standalone and joint runs";

@@ -8,9 +8,10 @@
 # (journal, health and forensics streams) with both builds, plus the same
 # sweep with the health stream alone and with the forensics stream alone
 # (the lean facade: no journal, auditor or per-op latency detail), cmp's
-# the 20 streams pairwise, and diffs each build's
-# per-cause WAF table and p99 blame table against the committed goldens
-# in tools/golden/. It exits non-zero on the first difference and names
+# the 20 streams pairwise, compares the audited sweep's run-manifest cells
+# (seeds, RNG state and sidecar counts; wall time and worker dropped), and
+# diffs each build's per-cause WAF table and p99 blame table against the
+# committed goldens in tools/golden/. It exits non-zero on the first difference and names
 # the file that differs. A change that claims simulation byte-identity
 # must pass it.
 set -euo pipefail
@@ -32,13 +33,22 @@ run_sweep() {  # build-dir output-dir
   "$1/tools/espsim" --ftl cgm,fgm,sub,sectorlog --profile varmail \
     --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 --audit \
     --journal-out "$2/j.jsonl" --health-out "$2/h.jsonl" \
-    --health-interval 0.5 --forensics-out "$2/f.jsonl" > "$2/espsim.log"
+    --health-interval 0.5 --forensics-out "$2/f.jsonl" \
+    --manifest-out "$2/manifest.json" > "$2/espsim.log"
   "$1/tools/espsim" --ftl cgm,fgm,sub,sectorlog --profile varmail \
     --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 \
     --health-out "$2/o.jsonl" --health-interval 0.5 > "$2/espsim-o.log"
   "$1/tools/espsim" --ftl cgm,fgm,sub,sectorlog --profile varmail \
     --requests 20000 --warmup 5000 --capacity-gib 0.5 --seed 7 \
     --forensics-out "$2/l.jsonl" > "$2/espsim-l.log"
+}
+
+manifest_cells() {  # manifest.json -> its cells minus host-side fields
+  python3 -c 'import json, sys
+cells = json.load(open(sys.argv[1]))["cells"]
+for cell in cells:
+    del cell["wall_seconds"], cell["worker"]
+print(json.dumps(cells))' "$1"
 }
 
 check_goldens() {  # build-dir output-dir
@@ -70,6 +80,12 @@ for kind in j h f o l; do
     fi
   done
 done
+if [[ "$(manifest_cells "$work/parent/manifest.json")" != \
+      "$(manifest_cells "$work/change/manifest.json")" ]]; then
+  echo "DIFFERS: manifest.json cells" >&2
+  exit 1
+fi
 check_goldens "$parent" "$work/parent"
 check_goldens "$change" "$work/change"
-echo "identical: 20 streams cmp-equal, WAF and blame tables match tools/golden/"
+echo "identical: 20 streams cmp-equal, manifest cells equal, WAF and" \
+  "blame tables match tools/golden/"

@@ -21,10 +21,13 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/build_info.h"
+#include "core/cli.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
 #include "core/ssd.h"
@@ -105,30 +108,7 @@ void usage(const char* argv0) {
       "  --sample-interval SECONDS     time-series sampling period in\n"
       "                                simulated seconds (default 0 = off)\n"
       "  --trace-capacity N            trace ring size (default 65536)\n"
-      "  --journal-out PATH            stream the causal-attribution journal\n"
-      "                                (JSONL; see docs/TELEMETRY.md); in\n"
-      "                                sweep mode each cell writes\n"
-      "                                PATH with its cell key spliced in\n"
-      "  --journal-max-events N        journal admission cap (0 = unlimited)\n"
-      "  --audit                       run the online invariant auditor;\n"
-      "                                violations abort with the offending\n"
-      "                                cause chain\n"
-      "  --health-out PATH             stream device-health snapshots (JSONL\n"
-      "                                per-block deltas + SMART attributes;\n"
-      "                                see docs/HEALTH.md); in sweep mode\n"
-      "                                each cell writes PATH with its cell\n"
-      "                                key spliced in\n"
-      "  --health-interval SECONDS     health epoch period in simulated\n"
-      "                                seconds (default 0 = endpoint epochs\n"
-      "                                only: attach baseline + run end)\n"
-      "  --health-rated-pe N           rated P/E endurance for media-wear %%\n"
-      "                                and the exhaustion horizon (3000)\n"
-      "  --forensics-out PATH          stream tail-latency forensics (JSONL\n"
-      "                                blame windows + slowest-N exemplars;\n"
-      "                                see docs/FORENSICS.md); in sweep mode\n"
-      "                                each cell writes PATH with its cell\n"
-      "                                key spliced in\n"
-      "  --forensics-top N             slowest-N exemplars retained (16)\n"
+      "%s"
       "  --snapshot-out PATH           write a deterministic whole-simulator\n"
       "                                snapshot during the run (see\n"
       "                                docs/LIFETIME.md; single runs only)\n"
@@ -142,7 +122,7 @@ void usage(const char* argv0) {
       "                                --seed it starts a fresh measurement\n"
       "                                leg over the restored device\n"
       "  --version                     print build provenance and exit\n",
-      argv0);
+      argv0, core::ObserveSpec::kHelp);
 }
 
 std::optional<core::FtlKind> parse_ftl(const std::string& name) {
@@ -195,8 +175,7 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> warmup;
   double capacity_gib = 1.0;
   bool capacity_set = false;
-  std::string geometry_profile;
-  std::uint32_t ov_channels = 0, ov_chips = 0, ov_blocks = 0, ov_pages = 0;
+  core::GeometryOverrides geo;
   workload::SyntheticParams manual;
   manual.r_small = 1.0;
   manual.r_synch = 1.0;
@@ -207,14 +186,7 @@ int main(int argc, char** argv) {
   std::string samples_out;
   double sample_interval_s = 0.0;
   std::size_t trace_capacity = 1 << 16;
-  std::string journal_out;
-  std::uint64_t journal_max_events = 0;
-  bool audit = false;
-  std::string health_out;
-  double health_interval_s = 0.0;
-  std::uint32_t health_rated_pe = 3000;
-  std::string forensics_out;
-  std::uint32_t forensics_top = 16;
+  core::ObserveSpec observe;
   std::string snapshot_in;
   std::string snapshot_out;
   std::uint64_t snapshot_after = 0;
@@ -227,195 +199,160 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> tenant_qds;
   std::vector<double> tenant_thinks;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--version") {
-      std::printf("%s\n", core::build_info_line().c_str());
-      return 0;
-    } else if (arg == "--ftl") {
-      for (const auto& name : split_list(next())) {
-        const auto kind = parse_ftl(name);
-        if (!kind) {
-          std::fprintf(stderr, "unknown --ftl value '%s'\n", name.c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&] { return core::flag_value(argc, argv, i); };
+      // The flag's value as the type of `out` (strict, see core/cli.h).
+      const auto number = [&](auto& out) {
+        out = core::number_flag<std::decay_t<decltype(out)>>(argc, argv, i);
+      };
+      // A comma list of numbers, each item as the list's element type.
+      const auto numbers = [&](auto& out) {
+        using T = typename std::decay_t<decltype(out)>::value_type;
+        for (const auto& item : split_list(next()))
+          out.push_back(core::parse_number<T>(arg, item));
+      };
+      if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else if (arg == "--version") {
+        std::printf("%s\n", core::build_info_line().c_str());
+        return 0;
+      } else if (arg == "--ftl") {
+        for (const auto& name : split_list(next())) {
+          const auto kind = parse_ftl(name);
+          if (!kind) {
+            std::fprintf(stderr, "unknown --ftl value '%s'\n", name.c_str());
+            return 2;
+          }
+          kinds.push_back(*kind);
+        }
+      } else if (arg == "--profile") {
+        for (const auto& name : split_list(next())) {
+          const auto bench = parse_profile(name);
+          if (!bench) {
+            std::fprintf(stderr, "unknown --profile value '%s'\n",
+                         name.c_str());
+            return 2;
+          }
+          profiles.push_back(*bench);
+        }
+      } else if (arg == "--jobs") {
+        number(jobs);
+      } else if (arg == "--manifest-out") {
+        manifest_out = next();
+      } else if (arg == "--requests") {
+        number(requests);
+      } else if (arg == "--warmup") {
+        warmup = core::number_flag<std::uint64_t>(argc, argv, i);
+      } else if (arg == "--r-small") {
+        number(manual.r_small);
+      } else if (arg == "--r-synch") {
+        number(manual.r_synch);
+      } else if (arg == "--reads") {
+        number(manual.read_fraction);
+      } else if (arg == "--small-footprint") {
+        number(manual.small_footprint_fraction);
+      } else if (arg == "--capacity-gib") {
+        number(capacity_gib);
+        capacity_set = true;
+      } else if (arg == "--maintenance") {
+        const std::string mode = next();
+        if (mode == "scan") {
+          spec.ssd.reference_scan_maintenance = true;
+        } else if (mode == "index") {
+          spec.ssd.reference_scan_maintenance = false;
+        } else {
+          std::fprintf(stderr, "--maintenance must be scan|index\n");
           return 2;
         }
-        kinds.push_back(*kind);
-      }
-    } else if (arg == "--profile") {
-      for (const auto& name : split_list(next())) {
-        const auto bench = parse_profile(name);
-        if (!bench) {
-          std::fprintf(stderr, "unknown --profile value '%s'\n", name.c_str());
+      } else if (arg == "--region") {
+        number(spec.ssd.subpage_region_fraction);
+      } else if (arg == "--queue-depth") {
+        number(spec.ssd.queue_depth);
+      } else if (arg == "--precondition") {
+        number(spec.precondition_fraction);
+      } else if (arg == "--seed") {
+        number(seed);
+      } else if (arg == "--no-verify") {
+        spec.verify = false;
+      } else if (arg == "--metrics-out") {
+        metrics_out = next();
+      } else if (arg == "--trace-out") {
+        trace_out = next();
+      } else if (arg == "--samples-out") {
+        samples_out = next();
+      } else if (arg == "--sample-interval") {
+        number(sample_interval_s);
+      } else if (arg == "--trace-capacity") {
+        number(trace_capacity);
+      } else if (arg == "--snapshot-in") {
+        snapshot_in = next();
+      } else if (arg == "--snapshot-out") {
+        snapshot_out = next();
+      } else if (arg == "--snapshot-after") {
+        number(snapshot_after);
+      } else if (arg == "--shards") {
+        number(shards);
+        if (shards == 0) {
+          std::fprintf(stderr, "--shards must be >= 1\n");
           return 2;
         }
-        profiles.push_back(*bench);
-      }
-    } else if (arg == "--jobs") {
-      jobs = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--manifest-out") {
-      manifest_out = next();
-    } else if (arg == "--requests") {
-      requests = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--warmup") {
-      warmup = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--r-small") {
-      manual.r_small = std::atof(next());
-    } else if (arg == "--r-synch") {
-      manual.r_synch = std::atof(next());
-    } else if (arg == "--reads") {
-      manual.read_fraction = std::atof(next());
-    } else if (arg == "--small-footprint") {
-      manual.small_footprint_fraction = std::atof(next());
-    } else if (arg == "--capacity-gib") {
-      capacity_gib = std::atof(next());
-      capacity_set = true;
-    } else if (arg == "--geometry") {
-      geometry_profile = next();
-      if (geometry_profile != "paper" && geometry_profile != "prod") {
-        std::fprintf(stderr, "--geometry must be paper|prod\n");
-        return 2;
-      }
-    } else if (arg == "--channels") {
-      ov_channels = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--chips-per-channel") {
-      ov_chips = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--blocks-per-chip") {
-      ov_blocks = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--pages-per-block") {
-      ov_pages = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--maintenance") {
-      const std::string mode = next();
-      if (mode == "scan") {
-        spec.ssd.reference_scan_maintenance = true;
-      } else if (mode == "index") {
-        spec.ssd.reference_scan_maintenance = false;
-      } else {
-        std::fprintf(stderr, "--maintenance must be scan|index\n");
-        return 2;
-      }
-    } else if (arg == "--region") {
-      spec.ssd.subpage_region_fraction = std::atof(next());
-    } else if (arg == "--queue-depth") {
-      spec.ssd.queue_depth =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--precondition") {
-      spec.precondition_fraction = std::atof(next());
-    } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--no-verify") {
-      spec.verify = false;
-    } else if (arg == "--metrics-out") {
-      metrics_out = next();
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--samples-out") {
-      samples_out = next();
-    } else if (arg == "--sample-interval") {
-      sample_interval_s = std::atof(next());
-    } else if (arg == "--trace-capacity") {
-      trace_capacity = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--journal-out") {
-      journal_out = next();
-    } else if (arg == "--journal-max-events") {
-      journal_max_events = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--audit") {
-      audit = true;
-    } else if (arg == "--health-out") {
-      health_out = next();
-    } else if (arg == "--health-interval") {
-      health_interval_s = std::atof(next());
-    } else if (arg == "--health-rated-pe") {
-      health_rated_pe =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--forensics-out") {
-      forensics_out = next();
-    } else if (arg == "--forensics-top") {
-      forensics_top =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--snapshot-in") {
-      snapshot_in = next();
-    } else if (arg == "--snapshot-out") {
-      snapshot_out = next();
-    } else if (arg == "--snapshot-after") {
-      snapshot_after = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--shards") {
-      shards = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-      if (shards == 0) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
-    } else if (arg == "--shard-stripe-pages") {
-      shard_stripe_pages =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--tenants") {
-      tenants = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--qos") {
-      const std::string name = next();
-      const auto policy = sim::parse_qos_policy(name);
-      if (!policy) {
-        std::fprintf(stderr, "--qos must be fifo|rr|wshare, got '%s'\n",
-                     name.c_str());
-        return 2;
-      }
-      qos = *policy;
-    } else if (arg == "--tenant-profile") {
-      for (const auto& name : split_list(next())) {
-        const auto bench = parse_profile(name);
-        if (!bench) {
-          std::fprintf(stderr, "unknown --tenant-profile value '%s'\n",
+      } else if (arg == "--shard-stripe-pages") {
+        number(shard_stripe_pages);
+      } else if (arg == "--tenants") {
+        number(tenants);
+      } else if (arg == "--qos") {
+        const std::string name = next();
+        const auto policy = sim::parse_qos_policy(name);
+        if (!policy) {
+          std::fprintf(stderr, "--qos must be fifo|rr|wshare, got '%s'\n",
                        name.c_str());
           return 2;
         }
-        tenant_profiles.push_back(*bench);
+        qos = *policy;
+      } else if (arg == "--tenant-profile") {
+        for (const auto& name : split_list(next())) {
+          const auto bench = parse_profile(name);
+          if (!bench) {
+            std::fprintf(stderr, "unknown --tenant-profile value '%s'\n",
+                         name.c_str());
+            return 2;
+          }
+          tenant_profiles.push_back(*bench);
+        }
+      } else if (arg == "--tenant-weights") {
+        numbers(tenant_weights);
+      } else if (arg == "--tenant-qd") {
+        numbers(tenant_qds);
+      } else if (arg == "--tenant-think") {
+        numbers(tenant_thinks);
+      } else if (!observe.parse_flag(argc, argv, i) &&
+                 !geo.parse_flag(argc, argv, i)) {
+        std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+        usage(argv[0]);
+        return 2;
       }
-    } else if (arg == "--tenant-weights") {
-      for (const auto& v : split_list(next()))
-        tenant_weights.push_back(std::atof(v.c_str()));
-    } else if (arg == "--tenant-qd") {
-      for (const auto& v : split_list(next()))
-        tenant_qds.push_back(
-            static_cast<std::uint32_t>(std::strtoul(v.c_str(), nullptr, 10)));
-    } else if (arg == "--tenant-think") {
-      for (const auto& v : split_list(next()))
-        tenant_thinks.push_back(std::atof(v.c_str()));
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   // Device shape. An explicit geometry (named profile and/or per-dimension
   // overrides) is taken literally and bypasses the capacity scaling; the
   // default path scales block count to the requested capacity (keeping the
   // paper's channel layout and page geometry).
-  const bool geometry_explicit = !geometry_profile.empty() || ov_channels ||
-                                 ov_chips || ov_blocks || ov_pages;
-  if (geometry_explicit) {
+  if (geo.any()) {
     if (capacity_set) {
       std::fprintf(stderr,
                    "--capacity-gib is incompatible with --geometry / "
                    "explicit device-shape overrides\n");
       return 2;
     }
-    if (!geometry_profile.empty())
-      spec.ssd.geometry = nand::geometry_profile(geometry_profile);
-    if (ov_channels) spec.ssd.geometry.channels = ov_channels;
-    if (ov_chips) spec.ssd.geometry.chips_per_channel = ov_chips;
-    if (ov_blocks) spec.ssd.geometry.blocks_per_chip = ov_blocks;
-    if (ov_pages) spec.ssd.geometry.pages_per_block = ov_pages;
     try {
-      spec.ssd.geometry.validate();
+      spec.ssd.geometry = geo.apply(spec.ssd.geometry);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "bad geometry: %s\n", e.what());
       return 2;
@@ -535,20 +472,7 @@ int main(int argc, char** argv) {
         cell.spec = spec;
         cell.spec.ssd.ftl = kind;
         cell.spec.workload = workload_for(bench);
-        if (!journal_out.empty())
-          cell.spec.journal_path =
-              core::cell_sidecar_path(journal_out, cell.key);
-        cell.spec.journal_max_events = journal_max_events;
-        cell.spec.audit = audit;
-        if (!health_out.empty())
-          cell.spec.health_path =
-              core::cell_sidecar_path(health_out, cell.key);
-        cell.spec.health_interval_us = health_interval_s * sim_time::kSecond;
-        cell.spec.health_rated_pe = health_rated_pe;
-        if (!forensics_out.empty())
-          cell.spec.forensics_path =
-              core::cell_sidecar_path(forensics_out, cell.key);
-        cell.spec.forensics_top = forensics_top;
+        cell.spec.observe = observe.for_cell(cell.key);
         cells.push_back(std::move(cell));
       }
     }
@@ -603,7 +527,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "failed to open %s\n", manifest_out.c_str());
         return 1;
       }
-      core::ParallelRunner::write_manifest_json(runner.manifest(), os);
+      core::ParallelRunner::write_manifest_json(runner.manifest(), results,
+                                                os);
       std::printf("\nmanifest : wrote %s\n", manifest_out.c_str());
     }
     return exit_code;
@@ -615,14 +540,7 @@ int main(int argc, char** argv) {
                  "note: --manifest-out only applies to sweeps; ignored\n");
   spec.ssd.ftl = kinds.front();
   spec.shard_jobs = jobs;  // single run: shards are the parallelism unit
-  spec.journal_path = journal_out;
-  spec.journal_max_events = journal_max_events;
-  spec.audit = audit;
-  spec.health_path = health_out;
-  spec.health_interval_us = health_interval_s * sim_time::kSecond;
-  spec.health_rated_pe = health_rated_pe;
-  spec.forensics_path = forensics_out;
-  spec.forensics_top = forensics_top;
+  spec.observe = observe;
   spec.snapshot_in = snapshot_in;
   spec.snapshot_out = snapshot_out;
   spec.snapshot_after_requests = snapshot_after;
@@ -679,21 +597,22 @@ int main(int argc, char** argv) {
     std::printf("snapshot : wrote %s (after %llu measured requests)\n",
                 snapshot_out.c_str(),
                 static_cast<unsigned long long>(snapshot_after));
-  if (!journal_out.empty())
+  const core::SidecarCounts& sc = result.sidecars;
+  if (!observe.journal_path.empty())
     std::printf("journal  : wrote %s (%llu events, %llu truncated)\n",
-                journal_out.c_str(),
-                static_cast<unsigned long long>(result.journal_events),
-                static_cast<unsigned long long>(result.journal_truncated));
-  if (!health_out.empty())
+                observe.journal_path.c_str(),
+                static_cast<unsigned long long>(sc.journal_events),
+                static_cast<unsigned long long>(sc.journal_truncated));
+  if (!observe.health_path.empty())
     std::printf("health   : wrote %s (%llu epochs, %llu lines)\n",
-                health_out.c_str(),
-                static_cast<unsigned long long>(result.health_epochs),
-                static_cast<unsigned long long>(result.health_lines));
-  if (!forensics_out.empty())
+                observe.health_path.c_str(),
+                static_cast<unsigned long long>(sc.health_epochs),
+                static_cast<unsigned long long>(sc.health_lines));
+  if (!observe.forensics_path.empty())
     std::printf("forensics: wrote %s (%llu requests, %llu exemplars)\n",
-                forensics_out.c_str(),
-                static_cast<unsigned long long>(result.forensics_requests),
-                static_cast<unsigned long long>(result.forensics_exemplars));
+                observe.forensics_path.c_str(),
+                static_cast<unsigned long long>(sc.forensics_requests),
+                static_cast<unsigned long long>(sc.forensics_exemplars));
 
   if (tel) {
     auto emit = [](const char* what, const std::string& path, bool ok) {
@@ -761,24 +680,20 @@ int main(int argc, char** argv) {
                  static_cast<double>(result.mapping_bytes) / 1024.0, 1) +
                  " KiB"});
   t.add_row({"verify failures", std::to_string(result.verify_failures)});
-  if (tel || !journal_out.empty() || audit)
-    t.add_row({"trace events dropped", std::to_string(result.trace_dropped)});
-  if (!journal_out.empty()) {
-    t.add_row({"journal events", std::to_string(result.journal_events)});
-    t.add_row({"journal truncated",
-               std::to_string(result.journal_truncated)});
+  if (tel || !observe.journal_path.empty() || observe.audit)
+    t.add_row({"trace events dropped", std::to_string(sc.trace_dropped)});
+  if (!observe.journal_path.empty()) {
+    t.add_row({"journal events", std::to_string(sc.journal_events)});
+    t.add_row({"journal truncated", std::to_string(sc.journal_truncated)});
   }
-  if (!health_out.empty()) {
-    t.add_row({"health epochs", std::to_string(result.health_epochs)});
-    t.add_row({"health lines", std::to_string(result.health_lines)});
+  if (!observe.health_path.empty()) {
+    t.add_row({"health epochs", std::to_string(sc.health_epochs)});
+    t.add_row({"health lines", std::to_string(sc.health_lines)});
   }
-  if (!forensics_out.empty()) {
-    t.add_row({"forensics requests",
-               std::to_string(result.forensics_requests)});
-    t.add_row({"forensics exemplars",
-               std::to_string(result.forensics_exemplars)});
-    t.add_row({"forensics truncated",
-               std::to_string(result.forensics_truncated)});
+  if (!observe.forensics_path.empty()) {
+    t.add_row({"forensics requests", std::to_string(sc.forensics_requests)});
+    t.add_row({"forensics exemplars", std::to_string(sc.forensics_exemplars)});
+    t.add_row({"forensics truncated", std::to_string(sc.forensics_truncated)});
   }
   t.print(std::cout);
 
@@ -815,7 +730,7 @@ int main(int argc, char** argv) {
   // each tenant spent their time in (multi-tenant forensics runs only).
   if (!result.tenant_blame.empty() && result.tenant_blame.size() > 1) {
     std::printf("\nper-tenant tail blame (slowest %u retained):\n",
-                forensics_top);
+                observe.forensics_top);
     std::vector<std::string> cols = {"tenant", "reqs", "tail", "worst us"};
     for (std::size_t p = 0; p < telemetry::kPhaseCount; ++p)
       cols.push_back(phase_name(static_cast<telemetry::Phase>(p)));
