@@ -12,6 +12,9 @@
 //   * gains are large for the sync-small-heavy Sysbench/Varmail/Postmark
 //     and modest (~10-20%) for YCSB/TPC-C;
 //   * subFTL's GC invocations drop dramatically vs fgmFTL.
+// The run exits 1 unless subFTL beats both baselines in IOPS and fgmFTL
+// out-collects subFTL on Sysbench, Varmail and Postmark; YCSB/TPC-C are
+// a known deviation (EXPERIMENTS.md) and stay ungated.
 //
 // The 15-cell grid runs on the parallel experiment runner (--jobs N); the
 // per-cell numbers are bit-identical for every job count (see
@@ -202,10 +205,48 @@ int main(int argc, char** argv) {
                       std::to_string(fgm.erases), std::to_string(sub.erases)});
   }
   gc_table.print(std::cout);
-  std::printf(
-      "\nExpected shape (paper): subFTL invokes GC far less than fgmFTL "
-      "(up to ~2.8x fewer),\nand erases (lifetime) follow the same "
-      "ordering.\n");
+
+  // The paper's claims this reproduction meets are gated: on the sync-
+  // small-heavy benchmarks subFTL out-runs both baselines (Fig. 8(a)) and
+  // invokes GC less often than fgmFTL (Fig. 8(b)). YCSB/TPC-C land near
+  // parity, not at the paper's +19.3%/+10.3% over cgmFTL, for the reasons
+  // EXPERIMENTS.md gives; they are reported, not gated.
+  std::printf("\nPaper claims (Fig. 8):\n");
+  bool claims_hold = true;
+  for (const auto bench : workload::all_benchmarks()) {
+    const std::string name = workload::benchmark_name(bench);
+    const auto& cgm = grid[{bench, core::FtlKind::kCgm}];
+    const auto& fgm = grid[{bench, core::FtlKind::kFgm}];
+    const auto& sub = grid[{bench, core::FtlKind::kSub}];
+    const double vs_cgm = sub.host_mb_per_sec / cgm.host_mb_per_sec;
+    const double vs_fgm = sub.host_mb_per_sec / fgm.host_mb_per_sec;
+    if (bench == workload::Benchmark::kYcsb ||
+        bench == workload::Benchmark::kTpcc) {
+      std::printf("  %-8s sub/cgm IOPS %.2f, sub/fgm %.2f: known deviation "
+                  "from the paper's gain, not gated (EXPERIMENTS.md)\n",
+                  name.c_str(), vs_cgm, vs_fgm);
+      continue;
+    }
+    const bool faster = vs_cgm > 1.0 && vs_fgm > 1.0;
+    const bool fewer_gc = fgm.gc_invocations > sub.gc_invocations;
+    std::printf("  %-8s sub/cgm IOPS %.2f, sub/fgm %.2f, GC fgm %llu > sub "
+                "%llu: %s\n",
+                name.c_str(), vs_cgm, vs_fgm,
+                static_cast<unsigned long long>(fgm.gc_invocations),
+                static_cast<unsigned long long>(sub.gc_invocations),
+                faster && fewer_gc ? "PASS" : "FAIL");
+    if (!faster)
+      std::fprintf(stderr,
+                   "FATAL: %s: subFTL IOPS does not beat both cgmFTL and "
+                   "fgmFTL (Fig. 8(a))\n",
+                   name.c_str());
+    if (!fewer_gc)
+      std::fprintf(stderr,
+                   "FATAL: %s: fgmFTL GC invocations do not exceed subFTL's "
+                   "(Fig. 8(b))\n",
+                   name.c_str());
+    claims_hold &= faster && fewer_gc;
+  }
 
   if (!json_out.empty()) {
     std::ofstream os(json_out);
@@ -266,5 +307,5 @@ int main(int argc, char** argv) {
     os << "\n";
     std::printf("wrote %s\n", json_out.c_str());
   }
-  return 0;
+  return claims_hold ? 0 : 1;
 }

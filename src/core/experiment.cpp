@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <chrono>
 #include <ctime>
 #include <fstream>
 #include <optional>
@@ -18,8 +17,8 @@
 
 namespace esp::core {
 
-// Each experiment cell runs single-threaded on its worker, so the thread
-// CPU clock is exactly the cell's compute cost, immune to preemption.
+// The thread CPU clock counts the calling thread's compute alone, immune to
+// preemption by other threads or tenants of the host.
 double thread_cpu_seconds() {
 #ifdef CLOCK_THREAD_CPUTIME_ID
   timespec ts{};
@@ -296,14 +295,12 @@ RunResult run_experiment(const ExperimentSpec& spec) {
         source_consumed += warm.requests;
       }
     }
-    // End-of-warmup health epoch lands before the wall clock starts.
+    // End-of-warmup health epoch lands before the measured window opens.
     ssd.driver().close_health_epoch();
   }
 
   // Measured-window-start checkpoint (snapshot_after_requests == 0): the
   // shared aged-state anchor independent lifetime legs restore from.
-  // Written outside the measured wall-clock window, like other teardown
-  // I/O.
   const auto write_checkpoint = [&] {
     SnapshotMeta m;
     m.workload_seed = spec.workload.seed;
@@ -329,8 +326,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
 
   sim::MuxRunMetrics mux_metrics;
   sim::RunMetrics metrics;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const double cpu_start = thread_cpu_seconds();
   if (mux) {
     // The mux reports per-tenant windows; reconstruct the aggregate
     // RunMetrics the same way Driver::run does -- snapshot/delta of the
@@ -371,13 +366,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   } else {
     metrics = ssd.driver().run(*source, spec.verify);
   }
-  const double cpu_seconds = thread_cpu_seconds() - cpu_start;
-  const auto wall_end = std::chrono::steady_clock::now();
-  const double wall_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  // The end-of-run snapshot is teardown I/O (one O(blocks) dump), not
-  // steady-state work -- cut it after the wall clock stops, like the
-  // journal/health trailers below.
+  // The end-of-run health epoch closes the measured window.
   ssd.driver().close_health_epoch();
   const ftl::FtlStats window = ftl::stats_delta(metrics.ftl_stats, before);
   metrics.ftl_stats = window;
@@ -398,12 +387,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   result.erases = metrics.erases_during_run;
   result.rmw_ops = window.rmw_ops;
   result.verify_failures = metrics.verify_failures;
-  result.measure_wall_seconds = wall_seconds;
-  result.measure_cpu_seconds = cpu_seconds;
-  result.measure_wall_start_s =
-      std::chrono::duration<double>(wall_start.time_since_epoch()).count();
-  result.measure_wall_end_s =
-      std::chrono::duration<double>(wall_end.time_since_epoch()).count();
   result.mapping_bytes = ssd.ftl().mapping_memory_bytes();
 
   // Device utilization over the measured window: busy-time delta divided

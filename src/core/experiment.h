@@ -145,16 +145,6 @@ struct RunResult {
   std::uint64_t rmw_ops = 0;
   std::uint64_t verify_failures = 0;
   std::uint64_t mapping_bytes = 0;
-  /// Host wall-clock seconds spent simulating the measured window (not
-  /// preconditioning or warmup). NOT deterministic -- feeds the replay
-  /// bench's host-ops/sec and maintenance-share numbers only; determinism
-  /// checks must never compare it.
-  double measure_wall_seconds = 0.0;
-  /// CPU seconds of the calling thread over the same window. Unlike wall
-  /// time this excludes involuntary descheduling, so overhead *ratios*
-  /// between two cells (e.g. the replay bench's health gate) stay readable
-  /// on a loaded machine. 0 when the platform lacks a thread CPU clock.
-  double measure_cpu_seconds = 0.0;
   /// Stream accounting: what each sidecar wrote or dropped.
   SidecarCounts sidecars;
   /// Per-tenant phase-blame summaries (empty without a forensics stream;
@@ -174,12 +164,6 @@ struct RunResult {
   double channel_util_min = 0.0;
   double channel_util_mean = 0.0;
   double channel_util_max = 0.0;
-  /// Host-side steady-clock stamps (seconds since the clock's epoch) of
-  /// the measured window; the shard orchestrator derives the merged
-  /// fork-to-join measure wall from them. Non-deterministic -- never
-  /// compared by determinism checks.
-  double measure_wall_start_s = 0.0;
-  double measure_wall_end_s = 0.0;
   sim::RunMetrics raw;
   /// Per-tenant metrics for the measured window (empty on single-tenant
   /// runs). Order matches ExperimentSpec::tenants.
@@ -298,9 +282,9 @@ workload::SyntheticParams with_default_footprint(
 /// Every per-cell and per-shard sidecar path is named this way.
 std::string splice_path_tag(const std::string& path, const std::string& tag);
 
-/// CPU seconds consumed by the calling thread (0.0 where unsupported).
-/// The clock behind RunResult::measure_cpu_seconds, exported for benches
-/// that time sub-run work (e.g. the replay bench's paired overhead duel).
+/// CPU seconds consumed by the calling thread (0.0 where unsupported), for
+/// benches that time sub-run work (e.g. the replay bench's paired overhead
+/// duel).
 double thread_cpu_seconds();
 
 }  // namespace esp::core

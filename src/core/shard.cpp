@@ -188,8 +188,6 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
   ftl::FtlStats stats;
   SimTime min_start_us = std::numeric_limits<double>::infinity();
   SimTime max_elapsed_us = 0.0;
-  double min_wall_start = std::numeric_limits<double>::infinity();
-  double max_wall_end = 0.0;
   double chip_mean_weighted = 0.0;
   double channel_mean_weighted = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -212,9 +210,6 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
     merged.verify_failures += r.verify_failures;
     merged.mapping_bytes += r.mapping_bytes;
     merged.sidecars += r.sidecars;
-    merged.measure_cpu_seconds += r.measure_cpu_seconds;
-    min_wall_start = std::min(min_wall_start, r.measure_wall_start_s);
-    max_wall_end = std::max(max_wall_end, r.measure_wall_end_s);
     chip_mean_weighted += r.chip_util_mean * r.chips;
     channel_mean_weighted += r.channel_util_mean * r.channels;
     merged.chip_util_min =
@@ -247,13 +242,6 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
   // construction the sum-of-shards reconciliation the invariance tests pin.
   merged.overall_waf = stats.overall_waf(geo.page_bytes, geo.subpage_bytes());
   merged.small_request_waf = stats.avg_small_request_waf();
-  // Fork-to-join wall of the measured phase: first shard entering its
-  // window to last shard leaving its own. With workers >= shards this is
-  // the parallel measure wall; serialized it degrades honestly toward the
-  // sum (plus any sibling setup interleaved between windows).
-  merged.measure_wall_seconds = max_wall_end - min_wall_start;
-  merged.measure_wall_start_s = min_wall_start;
-  merged.measure_wall_end_s = max_wall_end;
   if (merged.chips > 0) chip_mean_weighted /= merged.chips;
   if (merged.channels > 0) channel_mean_weighted /= merged.channels;
   merged.chip_util_mean = chip_mean_weighted;

@@ -160,6 +160,65 @@ TEST(SnapshotRoundtrip, RestoreRegeneratesSidecarsByteIdentical) {
   }
 }
 
+TEST(SnapshotRoundtrip, CheckpointChainMatchesStraightThrough) {
+  // A replay cut into segments, each restoring the checkpoint the previous
+  // one wrote, must leave the straight run's bytes. Unlike the single
+  // restore above, every middle segment is a resumed run that checkpoints
+  // again, so the cursors a restore carries forward are themselves saved
+  // and restored. The sidecars are appended in place: each restore
+  // truncates them to its checkpoint's offsets.
+  constexpr std::uint64_t kSegment = 1000;
+  constexpr std::uint64_t kWarmup = 500;
+  constexpr std::uint64_t kMeasured = 4500;  // 4 full segments + a tail
+  for (const auto kind : kKinds) {
+    auto straight = make_cell("chain-ref", kind).spec;
+    straight.warmup_requests = kWarmup;
+    straight.workload.request_count = kWarmup + kMeasured;
+    const core::RunResult ref = core::run_experiment(straight);
+
+    auto chained = make_cell("chain", kind).spec;
+    chained.warmup_requests = kWarmup;
+    core::RunResult last;
+    std::uint64_t done = 0;
+    unsigned restores = 0;
+    std::string snap;
+    while (true) {
+      core::ExperimentSpec seg = chained;
+      seg.snapshot_in = snap;
+      const bool final_segment = kMeasured - done <= kSegment;
+      if (final_segment) {
+        seg.workload.request_count = kWarmup + kMeasured;
+      } else {
+        // The stream ends exactly at the cut, so the checkpoint leg runs
+        // kSegment requests and the post-checkpoint leg finds none.
+        done += kSegment;
+        seg.workload.request_count = kWarmup + done;
+        seg.snapshot_out = ::testing::TempDir() + "snap-chain-" +
+                           core::ftl_kind_name(kind) + "-" +
+                           std::to_string(done) + ".snap";
+        seg.snapshot_after_requests = kSegment;
+      }
+      last = core::run_experiment(seg);
+      ASSERT_EQ(last.verify_failures, 0u);
+      restores += !snap.empty();
+      if (final_segment) break;
+      snap = seg.snapshot_out;
+    }
+    ASSERT_EQ(restores, 4u);
+
+    const std::string what = core::ftl_kind_name(kind);
+    const Sidecars a = paths_for("chain-ref", kind);
+    const Sidecars b = paths_for("chain", kind);
+    ASSERT_FALSE(slurp(a.journal).empty()) << what;
+    EXPECT_EQ(slurp(a.journal), slurp(b.journal)) << what;
+    EXPECT_EQ(slurp(a.health), slurp(b.health)) << what;
+    EXPECT_EQ(slurp(a.forensics), slurp(b.forensics)) << what;
+    EXPECT_EQ(last.raw.end_us, ref.raw.end_us) << what;
+    EXPECT_EQ(last.raw.device_erases, ref.raw.device_erases) << what;
+    EXPECT_EQ(ref.verify_failures, 0u) << what;
+  }
+}
+
 TEST(SnapshotRoundtrip, FreshSeedLegStartsFromAgedStateDeterministically) {
   // A restore with a DIFFERENT workload seed starts a fresh measurement
   // leg over the aged device (fan-out anchor semantics). Two identical

@@ -2,7 +2,7 @@
 // deterministic function of (spec, shards, stripe) -- never of the thread
 // schedule. Pins, over a seeded audited 4-FTL sweep:
 //   * per-shard journals byte-identical between --jobs 1 and --jobs N runs
-//     of the same sharded cell, at shards 2 and 8;
+//     of the same sharded cell, at shards 2, 4 and 8;
 //   * merged counters and merged latency/response histograms identical
 //     across job counts (bucket-by-bucket);
 //   * merged counters equal to the SUM over shard_results;
@@ -124,7 +124,7 @@ void expect_merged_is_sum(const RunResult& merged, unsigned shards,
 
 TEST(ShardInvariance, MergedResultsAndJournalsIdenticalAcrossJobCounts) {
   for (const auto kind : kKinds) {
-    for (const unsigned shards : {2u, 8u}) {
+    for (const unsigned shards : {2u, 4u, 8u}) {
       const std::string tag = std::to_string(shards);
       const auto spec1 = make_spec(kind, shards, 1, "j1-s" + tag);
       const auto specN = make_spec(kind, shards, 4, "jN-s" + tag);
