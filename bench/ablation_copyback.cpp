@@ -41,8 +41,8 @@ int main() {
        {core::FtlKind::kCgm, core::FtlKind::kSub, core::FtlKind::kSectorLog}) {
     const auto plain = run_one(kind, false);
     const auto fast = run_one(kind, true);
-    if (bench::lost_data(plain, plain.ftl_name) ||
-        bench::lost_data(fast, fast.ftl_name + " copyback"))
+    if (core::lost_data(plain, plain.ftl_name) ||
+        core::lost_data(fast, fast.ftl_name + " copyback"))
       return 1;
     t.add_row({core::ftl_kind_name(kind),
                util::TablePrinter::num(plain.host_mb_per_sec, 1),

@@ -34,7 +34,7 @@ int main() {
     spec.verify = false;
     const auto result = core::run_experiment(spec);
     // Verify is off here, so this catches read errors only.
-    if (bench::lost_data(result, result.ftl_name)) return 1;
+    if (core::lost_data(result, result.ftl_name)) return 1;
 
     const double logical_gb =
         static_cast<double>(spec.ssd.logical_sectors()) * 4096.0 /

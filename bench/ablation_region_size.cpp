@@ -33,7 +33,7 @@ int main() {
     params.request_count = spec.warmup_requests + 80000;
     spec.workload = params;
     const auto result = core::run_experiment(spec);
-    if (bench::lost_data(result,
+    if (core::lost_data(result,
                          "region " + util::TablePrinter::pct(fraction, 0)))
       return 1;
     const auto& stats = result.raw.ftl_stats;

@@ -19,17 +19,6 @@
 
 namespace esp::bench {
 
-/// True, after a FATAL line naming `what`, when a run returned wrong data
-/// (a read's tokens did not match the driver's shadow map) or a read
-/// reported an error. The benches exit 1 on it.
-inline bool lost_data(const core::RunResult& r, const std::string& what) {
-  if (r.verify_failures == 0 && r.raw.io_errors == 0) return false;
-  std::fprintf(stderr, "FATAL: %llu verify failures, %llu io errors (%s)\n",
-               static_cast<unsigned long long>(r.verify_failures),
-               static_cast<unsigned long long>(r.raw.io_errors), what.c_str());
-  return true;
-}
-
 /// Paper platform, capacity-scaled: 8ch x 4chip x 16blk x 128pg x 16KB
 /// = 1 GiB raw.
 inline nand::Geometry scaled_geometry() {

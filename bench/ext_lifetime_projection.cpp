@@ -26,8 +26,6 @@
 // across legs is the end-of-life performance claim.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -36,6 +34,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/cli.h"
 #include "core/lifetime.h"
 #include "core/parallel_runner.h"
 #include "telemetry/json.h"
@@ -46,6 +45,18 @@ namespace {
 using namespace esp;
 
 constexpr std::uint64_t kBaseSeed = 2017;
+
+constexpr const char* kUsage =
+    "[--json PATH] [--geometry paper|prod] [--quick]\n"
+    "          [--target-pe N] [--pe-step N] [--window N] [--warmup N]\n"
+    "          [--reference-windows N] [--validate-pe SPAN] [--legs N]\n"
+    "          [--snapshot-dir DIR]\n"
+    "Measured wear-out to --target-pe (0 = rated endurance) per FTL\n"
+    "with epoch-compressed aging; full-fidelity speedup baseline over\n"
+    "--reference-windows windows from the same snapshot anchor;\n"
+    "fast-forward validation against a dense full-fidelity reference\n"
+    "over --validate-pe cycles at paper geometry; --legs end-of-life\n"
+    "measurement legs fanned from each aged anchor (0 skips any stage).\n";
 
 /// Mixed write-heavy profile (same shape as macro_replay's): small hot
 /// sync updates, colder multi-page writes, reads and occasional trims, so
@@ -209,48 +220,39 @@ int main(int argc, char** argv) {
   std::uint32_t legs = 3;               // end-of-life legs per FTL; 0 skips
   bool quick = false;
   std::string snapshot_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--geometry" && i + 1 < argc) {
-      geometry_name = argv[++i];
-    } else if (arg == "--target-pe" && i + 1 < argc) {
-      target_pe = std::atof(argv[++i]);
-    } else if (arg == "--pe-step" && i + 1 < argc) {
-      pe_step = std::atof(argv[++i]);
-    } else if (arg == "--window" && i + 1 < argc) {
-      window_requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--warmup" && i + 1 < argc) {
-      warmup_requests = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--reference-windows" && i + 1 < argc) {
-      reference_windows =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--validate-pe" && i + 1 < argc) {
-      validate_pe = std::atof(argv[++i]);
-    } else if (arg == "--legs" && i + 1 < argc) {
-      legs = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--snapshot-dir" && i + 1 < argc) {
-      snapshot_dir = argv[++i];
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--json PATH] [--geometry paper|prod] [--quick]\n"
-          "          [--target-pe N] [--pe-step N] [--window N] [--warmup N]\n"
-          "          [--reference-windows N] [--validate-pe SPAN] [--legs N]\n"
-          "          [--snapshot-dir DIR]\n"
-          "Measured wear-out to --target-pe (0 = rated endurance) per FTL\n"
-          "with epoch-compressed aging; full-fidelity speedup baseline over\n"
-          "--reference-windows windows from the same snapshot anchor;\n"
-          "fast-forward validation against a dense full-fidelity reference\n"
-          "over --validate-pe cycles at paper geometry; --legs end-of-life\n"
-          "measurement legs fanned from each aged anchor (0 skips any "
-          "stage).\n",
-          argv[0]);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        json_out = core::flag_value(argc, argv, i);
+      } else if (arg == "--geometry") {
+        geometry_name = core::flag_value(argc, argv, i);
+      } else if (arg == "--target-pe") {
+        target_pe = core::number_flag<double>(argc, argv, i);
+      } else if (arg == "--pe-step") {
+        pe_step = core::number_flag<double>(argc, argv, i);
+      } else if (arg == "--window") {
+        window_requests = core::number_flag<std::uint64_t>(argc, argv, i);
+      } else if (arg == "--warmup") {
+        warmup_requests = core::number_flag<std::uint64_t>(argc, argv, i);
+      } else if (arg == "--reference-windows") {
+        reference_windows = core::number_flag<std::uint32_t>(argc, argv, i);
+      } else if (arg == "--validate-pe") {
+        validate_pe = core::number_flag<double>(argc, argv, i);
+      } else if (arg == "--legs") {
+        legs = core::number_flag<std::uint32_t>(argc, argv, i);
+      } else if (arg == "--snapshot-dir") {
+        snapshot_dir = core::flag_value(argc, argv, i);
+      } else if (arg == "--quick") {
+        quick = true;
+      } else {
+        std::fprintf(stderr, "usage: %s %s", argv[0], kUsage);
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   nand::Geometry geo = nand::geometry_profile(geometry_name);
@@ -289,10 +291,10 @@ int main(int argc, char** argv) {
     // One full-fidelity window from fresh precondition + warmup, saved as
     // the shared anchor both modes resume -- they are compared from the
     // IDENTICAL device state, and neither pays preconditioning twice.
-    prep.fast_forward = false;
     prep.max_windows = 1;
     prep.snapshot_out = base_anchor;
     const core::LifetimeResult prep_out = core::run_lifetime(prep);
+    if (core::lost_data(prep_out, name + " anchor")) return 1;
 
     FtlOut out;
     core::LifetimeSpec ff =
@@ -311,15 +313,16 @@ int main(int argc, char** argv) {
                  "_eol.snap";
     ff.snapshot_out = out.anchor;
     out.curve = core::run_lifetime(ff);
+    if (core::lost_data(out.curve, name + " wear-out")) return 1;
 
     if (reference_windows > 0) {
       core::LifetimeSpec ref =
           base_spec(geo, kind, window_requests, warmup_requests);
       ref.snapshot_in = base_anchor;
-      ref.fast_forward = false;
       ref.max_windows = reference_windows;
       ref.target_mean_pe = ff.target_mean_pe;
       out.reference = core::run_lifetime(ref);
+      if (core::lost_data(out.reference, name + " reference")) return 1;
       const double ref_rate = seconds_per_pe(out.reference);
       const double ff_rate = seconds_per_pe(out.curve);
       out.speedup = ff_rate > 0.0 ? ref_rate / ff_rate : 0.0;
@@ -330,13 +333,6 @@ int main(int argc, char** argv) {
         name.c_str(), out.curve.windows.size(), out.curve.start_mean_pe,
         out.curve.final_mean_pe, out.curve.host_tb_written,
         out.curve.wall_seconds, out.speedup);
-    if (out.curve.verify_failures || out.curve.io_errors) {
-      std::fprintf(stderr, "FATAL: %s wear-out saw %llu verify failures, "
-                   "%llu io errors\n", name.c_str(),
-                   static_cast<unsigned long long>(out.curve.verify_failures),
-                   static_cast<unsigned long long>(out.curve.io_errors));
-      return 1;
-    }
     outs[name] = std::move(out);
   }
 
@@ -388,10 +384,10 @@ int main(int argc, char** argv) {
           base_spec(vgeo, kind, window_requests, warmup_requests);
       const std::string anchor =
           snapshot_dir + "/lifetime_validate_" + name + "_base.snap";
-      prep.fast_forward = false;
       prep.max_windows = 1;
       prep.snapshot_out = anchor;
       const core::LifetimeResult prep_out = core::run_lifetime(prep);
+      if (core::lost_data(prep_out, name + " validation anchor")) return 1;
       const double vtarget = prep_out.final_mean_pe + validate_pe;
 
       core::LifetimeSpec ff =
@@ -403,12 +399,15 @@ int main(int argc, char** argv) {
       core::LifetimeSpec ref =
           base_spec(vgeo, kind, window_requests, warmup_requests);
       ref.snapshot_in = anchor;
-      ref.fast_forward = false;
       ref.target_mean_pe = vtarget;
 
+      const core::LifetimeResult ff_out = core::run_lifetime(ff);
+      if (core::lost_data(ff_out, name + " validation fast-forward")) return 1;
+      const core::LifetimeResult ref_out = core::run_lifetime(ref);
+      if (core::lost_data(ref_out, name + " validation reference")) return 1;
       Validation v;
-      v.ff = summarize(core::run_lifetime(ff));
-      v.ref = summarize(core::run_lifetime(ref));
+      v.ff = summarize(ff_out);
+      v.ref = summarize(ref_out);
       v.waf_dev = rel_dev(v.ff.waf, v.ref.waf);
       v.p99_dev = rel_dev(v.ff.p99_us, v.ref.p99_us);
       v.wear_rate_dev = rel_dev(v.ff.cycles_per_gb, v.ref.cycles_per_gb);
@@ -440,6 +439,7 @@ int main(int argc, char** argv) {
             base_spec(geo, kind, window_requests, warmup_requests);
         cell.spec.ssd = base.ssd;
         cell.spec.workload = base.workload;
+        cell.spec.workload.seed = core::stable_cell_seed(cell.key, kBaseSeed);
         cell.spec.snapshot_in = outs[name].anchor;
         cell.spec.warmup_requests = window_requests / 4;
         cell.spec.workload.request_count =
@@ -447,9 +447,7 @@ int main(int argc, char** argv) {
         cells.push_back(std::move(cell));
       }
     }
-    core::ParallelRunnerConfig runner_cfg;
-    runner_cfg.base_seed = kBaseSeed;  // legs seeded from their cell keys
-    core::ParallelRunner runner(runner_cfg);
+    core::ParallelRunner runner;
     const auto results = runner.run(cells);
     std::printf("\nend-of-life legs (%u per FTL, fresh seeds from the aged "
                 "anchor)\n\n", legs);
@@ -464,6 +462,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         const core::RunResult& r = results[i].result;
+        if (core::lost_data(r, results[i].key)) return 1;
         leg_results[name].push_back(r);
         lt.add_row({name, std::to_string(l),
                     util::TablePrinter::num(r.overall_waf, 2),

@@ -32,7 +32,7 @@ int main() {
     params.request_count = spec.warmup_requests + 60000;
     spec.workload = params;
     const auto result = core::run_experiment(spec);
-    if (bench::lost_data(result, "subpage tR " +
+    if (core::lost_data(result, "subpage tR " +
                                      util::TablePrinter::num(tr_us, 0) + " us"))
       return 1;
     if (baseline == 0.0) baseline = result.host_mb_per_sec;

@@ -53,7 +53,7 @@ Cell run_point(core::FtlKind kind, double r_small, double r_synch) {
   spec.workload.large_align_prob = 0.5;
   spec.workload.seed = 20170618;
   const auto result = core::run_experiment(spec);
-  if (bench::lost_data(result, result.ftl_name + " r_small=" +
+  if (core::lost_data(result, result.ftl_name + " r_small=" +
                                    util::TablePrinter::num(r_small, 1)))
     std::exit(1);
   return Cell{result.host_mb_per_sec, result.gc_invocations};

@@ -20,12 +20,13 @@
 // --json payload) are bit-identical for any --jobs value.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/parallel_runner.h"
 #include "ecc/ecc_model.h"
 #include "nand/cell_model.h"
@@ -45,19 +46,25 @@ int main(int argc, char** argv) {
   std::size_t wordlines = 1000;  // per Npp type
   unsigned jobs = 0;             // 0 = hardware concurrency
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--wordlines" && i + 1 < argc) {
-      wordlines = std::strtoul(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: %s [--wordlines N] [--jobs N] [--json PATH]\n",
-                   argv[0]);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        json_out = core::flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = core::number_flag<unsigned>(argc, argv, i);
+      } else if (arg == "--wordlines") {
+        wordlines = core::number_flag<std::size_t>(argc, argv, i);
+      } else {
+        std::fprintf(stderr,
+                     "usage: %s [--wordlines N] [--jobs N] [--json PATH]\n",
+                     argv[0]);
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   if (wordlines == 0) {
     std::fprintf(stderr, "--wordlines must be > 0\n");

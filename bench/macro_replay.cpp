@@ -130,7 +130,7 @@ double cell_seconds(const core::ExperimentSpec& spec, const std::string& what) {
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  return bench::lost_data(r, what) ? -1.0 : seconds;
+  return core::lost_data(r, what) ? -1.0 : seconds;
 }
 
 /// Result of one paired observer duel (run_duel).

@@ -272,11 +272,7 @@ int main(int argc, char** argv) {
   }
   for (auto& cell : cells) cell.spec.observe = observe.for_cell(cell.key);
 
-  core::ParallelRunnerConfig runner_cfg;
-  runner_cfg.jobs = jobs;
-  runner_cfg.base_seed = kBaseSeed;
-  runner_cfg.derive_seeds = false;  // tenant seeds fixed above
-  core::ParallelRunner runner(runner_cfg);
+  core::ParallelRunner runner(jobs);
   const auto results = runner.run(cells);
   std::printf("ran %zu cells on %u worker(s) in %.1fs\n\n", cells.size(),
               runner.manifest().jobs_used, runner.manifest().wall_seconds);
@@ -294,7 +290,7 @@ int main(int argc, char** argv) {
                        cell.key.c_str(), cell.error.c_str());
           return 1;
         }
-        if (bench::lost_data(cell.result, cell.key)) return 1;
+        if (core::lost_data(cell.result, cell.key)) return 1;
         grid[core::ftl_kind_name(kind)][mode] = cell.result;
       }
     }

@@ -56,7 +56,7 @@ int main() {
     std::map<core::FtlKind, double> mbps;
     for (const auto kind : kinds) {
       const core::RunResult r = run_one(bench, kind);
-      if (bench::lost_data(r, workload::benchmark_name(bench) + "/" +
+      if (core::lost_data(r, workload::benchmark_name(bench) + "/" +
                                   r.ftl_name))
         return 1;
       mbps[kind] = r.host_mb_per_sec;

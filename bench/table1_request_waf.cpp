@@ -109,11 +109,7 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(cell));
   }
 
-  core::ParallelRunnerConfig runner_cfg;
-  runner_cfg.jobs = jobs;
-  runner_cfg.base_seed = kBaseSeed;
-  runner_cfg.derive_seeds = false;  // seeds fixed per cell above
-  core::ParallelRunner runner(runner_cfg);
+  core::ParallelRunner runner(jobs);
   const auto results = runner.run(cells);
   std::printf("ran %zu cells on %u worker(s) in %.1fs\n", cells.size(),
               runner.manifest().jobs_used, runner.manifest().wall_seconds);
@@ -129,7 +125,7 @@ int main(int argc, char** argv) {
                    cell.error.c_str());
       return 1;
     }
-    if (bench::lost_data(cell.result, cell.key)) return 1;
+    if (core::lost_data(cell.result, cell.key)) return 1;
     pct_row.push_back(util::TablePrinter::pct(
         small_write_fraction(cell.result.raw.ftl_stats), 1));
     waf_row.push_back(

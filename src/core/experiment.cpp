@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <optional>
@@ -29,30 +30,14 @@ double thread_cpu_seconds() {
   return 0.0;
 }
 
-namespace {
-
-// Joins the two measured legs of a checkpointed run back into the metrics
-// the unsplit run would have reported: counters sum, histograms merge,
-// the window spans leg 1's start to leg 2's end, and cumulative end-of-run
-// snapshots (ftl_stats, device_erases) come from the later leg.
-sim::RunMetrics merge_legs(const sim::RunMetrics& a, const sim::RunMetrics& b) {
-  sim::RunMetrics m = b;
-  m.requests += a.requests;
-  m.write_requests += a.write_requests;
-  m.read_requests += a.read_requests;
-  m.start_us = a.start_us;
-  m.verify_failures += a.verify_failures;
-  m.io_errors += a.io_errors;
-  m.latency_hist = a.latency_hist;
-  m.latency_hist.merge(b.latency_hist);
-  m.response_hist = a.response_hist;
-  m.response_hist.merge(b.response_hist);
-  m.fill_percentiles();
-  m.erases_during_run += a.erases_during_run;
-  return m;
+bool lost_data(std::uint64_t verify_failures, std::uint64_t io_errors,
+               const std::string& what) {
+  if (verify_failures == 0 && io_errors == 0) return false;
+  std::fprintf(stderr, "FATAL: %llu verify failures, %llu io errors (%s)\n",
+               static_cast<unsigned long long>(verify_failures),
+               static_cast<unsigned long long>(io_errors), what.c_str());
+  return true;
 }
-
-}  // namespace
 
 workload::SyntheticParams with_default_footprint(
     workload::SyntheticParams params, double precondition_fraction,
@@ -205,7 +190,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   if (tel) observers.emplace(spec, *tel, resume_stream ? &snap_meta : nullptr);
   // Restoring attaches AFTER load_state below: a fresh attach baselines
   // sampling cursors and the health epoch-0 from the restored (not blank)
-  // state, and a resume attach only needs the facade pointer wired.
+  // state, and a resume attach re-bases a health monitor that has no epoch
+  // yet from the restored counters.
   if (tel && !restoring) ssd.attach_telemetry(tel);
 
   if (restoring) {
@@ -324,37 +310,18 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   for (std::uint32_t c = 0; c < geo.channels; ++c)
     channel_busy_before[c] = ssd.device().channel_busy_us(c);
 
-  sim::MuxRunMetrics mux_metrics;
-  sim::RunMetrics metrics;
+  RunResult result;
+  sim::RunMetrics& metrics = result.raw;
   if (mux) {
-    // The mux reports per-tenant windows; reconstruct the aggregate
-    // RunMetrics the same way Driver::run does -- snapshot/delta of the
-    // driver's cumulative state around the measured window.
-    const util::Histogram latency_before = ssd.driver().latency_histogram();
-    const util::Histogram response_before = ssd.driver().response_histogram();
-    const std::uint64_t failures_before = ssd.driver().verify_failures();
-    const std::uint64_t erases_before = ssd.device().counters().erases;
-    mux_metrics = mux->run(spec.verify);
-    metrics.requests = mux_metrics.requests;
-    for (const sim::TenantMetrics& t : mux_metrics.tenants) {
-      metrics.write_requests += t.write_requests;
-      metrics.read_requests += t.read_requests;
-    }
-    metrics.start_us = mux_metrics.start_us;
-    metrics.end_us = mux_metrics.end_us;
-    metrics.latency_hist =
-        ssd.driver().latency_histogram().delta_since(latency_before);
-    metrics.response_hist =
-        ssd.driver().response_histogram().delta_since(response_before);
-    metrics.fill_percentiles();
-    metrics.verify_failures = ssd.driver().verify_failures() - failures_before;
-    metrics.ftl_stats = ssd.ftl().stats();
-    metrics.device_erases = ssd.device().counters().erases;
-    metrics.erases_during_run = metrics.device_erases - erases_before;
+    sim::MuxRunMetrics mux_run = mux->run(spec.verify);
+    metrics = std::move(mux_run.window);
+    result.tenants = std::move(mux_run.tenants);
   } else if (checkpointing && spec.snapshot_after_requests > 0) {
     // Mid-window checkpoint: run up to the cut (leaving the sampling
     // window open, exactly as the uninterrupted run would), snapshot, then
-    // finish the stream. The merged metrics match the unsplit run's.
+    // finish the stream. One mark spans both legs, so the window closes
+    // as the unsplit run's does.
+    const sim::WindowMark mark = ssd.driver().mark_window();
     const sim::RunMetrics leg1 =
         ssd.driver().run(*source, spec.verify, spec.snapshot_after_requests,
                          /*final_sample=*/false);
@@ -362,7 +329,10 @@ RunResult run_experiment(const ExperimentSpec& spec) {
     measured_done += leg1.requests;
     write_checkpoint();
     const sim::RunMetrics leg2 = ssd.driver().run(*source, spec.verify);
-    metrics = merge_legs(leg1, leg2);
+    metrics.requests = leg1.requests + leg2.requests;
+    metrics.write_requests = leg1.write_requests + leg2.write_requests;
+    metrics.read_requests = leg1.read_requests + leg2.read_requests;
+    ssd.driver().close_window(mark, metrics);
   } else {
     metrics = ssd.driver().run(*source, spec.verify);
   }
@@ -371,7 +341,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   const ftl::FtlStats window = ftl::stats_delta(metrics.ftl_stats, before);
   metrics.ftl_stats = window;
 
-  RunResult result;
   result.ftl_name = ssd.ftl().name();
   result.iops = metrics.iops();
   const double host_bytes =
@@ -419,8 +388,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       result.channel_util_min, result.channel_util_mean,
       result.channel_util_max);
   if (observers) observers->finish(result);
-  result.raw = metrics;
-  if (mux) result.tenants = std::move(mux_metrics.tenants);
   return result;
 }
 

@@ -175,6 +175,15 @@ struct RunResult {
   std::vector<RunResult> shard_results;
 };
 
+/// True, after a FATAL line naming `what` on stderr, when a run returned
+/// wrong data (a read's tokens did not match the driver's shadow map) or a
+/// read reported an error. Every binary that reports runs exits 1 on it.
+bool lost_data(std::uint64_t verify_failures, std::uint64_t io_errors,
+               const std::string& what);
+inline bool lost_data(const RunResult& r, const std::string& what) {
+  return lost_data(r.verify_failures, r.raw.io_errors, what);
+}
+
 /// One tenant of a multi-tenant experiment: its own workload stream over
 /// its own namespace slice, plus its QoS parameters.
 struct TenantSpec {

@@ -4,12 +4,11 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
+#include "core/experiment.h"
 #include "core/parallel_runner.h"
 #include "core/snapshot.h"
 #include "ftl/types.h"
@@ -19,6 +18,12 @@
 namespace esp::core {
 
 namespace {
+
+/// Cap on one epoch's retention-clock advance. The analytic advance is
+/// S x the window's simulated span; the cap keeps a single jump below
+/// retention-scan cadences so no FTL's scan-before-expiry contract is
+/// broken by time passing "instantly".
+constexpr SimTime kEpochAdvanceCapUs = 4 * sim_time::kHour;
 
 /// Per-block P/E counts in (chip-major, block-minor) order.
 void snapshot_wear(const nand::NandDevice& dev, const nand::Geometry& geo,
@@ -43,6 +48,9 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
   Ssd ssd(spec.ssd);
   const nand::Geometry& geo = spec.ssd.geometry;
   const std::uint32_t subpage_bytes = geo.subpage_bytes();
+  const workload::SyntheticParams base = with_default_footprint(
+      spec.workload, spec.precondition_fraction, ssd.logical_sectors(),
+      geo.subpages_per_page);
 
   std::uint32_t windows_done = 0;
   if (!spec.snapshot_in.empty()) {
@@ -56,16 +64,9 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
   } else {
     ssd.precondition(spec.precondition_fraction);
     if (spec.warmup_requests > 0) {
-      workload::SyntheticParams p = spec.workload;
+      workload::SyntheticParams p = base;
       p.seed = stable_cell_seed("lifetime/warmup", spec.workload.seed);
       p.request_count = spec.warmup_requests;
-      if (p.footprint_sectors == 0) {
-        p.footprint_sectors =
-            static_cast<std::uint64_t>(
-                spec.precondition_fraction *
-                static_cast<double>(ssd.logical_sectors())) /
-            geo.subpages_per_page * geo.subpages_per_page;
-      }
       workload::SyntheticWorkload warm(p);
       ssd.driver().run(warm, /*verify=*/false);
     }
@@ -94,20 +95,13 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
       break;
 
     // --- Full-fidelity measurement window -----------------------------
-    workload::SyntheticParams p = spec.workload;
+    workload::SyntheticParams p = base;
     p.seed = stable_cell_seed("lifetime/window/" + std::to_string(windows_done),
                               spec.workload.seed);
     p.request_count = spec.window_requests;
-    if (p.footprint_sectors == 0) {
-      p.footprint_sectors =
-          static_cast<std::uint64_t>(
-              spec.precondition_fraction *
-              static_cast<double>(ssd.logical_sectors())) /
-          geo.subpages_per_page * geo.subpages_per_page;
-    }
     workload::SyntheticWorkload stream(p);
     const ftl::FtlStats s0 = ssd.ftl().stats();
-    const sim::RunMetrics m = ssd.driver().run(stream, spec.verify);
+    const sim::RunMetrics m = ssd.driver().run(stream);
     const ftl::FtlStats d = stats_delta(ssd.ftl().stats(), s0);
 
     LifetimeWindow win;
@@ -141,18 +135,7 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
     std::uint64_t window_cycles = 0;
     for (std::size_t i = 0; i < pe_after.size(); ++i)
       window_cycles += pe_after[i] - pe_before[i];
-    if (std::getenv("ESP_LIFETIME_DEBUG"))
-      std::fprintf(stderr,
-                   "[lifetime] win %u: reqs=%llu erases=%llu cycles=%llu "
-                   "mean_pe=%.2f max_pe=%llu io_err=%llu evict=%llu\n",
-                   windows_done, static_cast<unsigned long long>(m.requests),
-                   static_cast<unsigned long long>(m.erases_during_run),
-                   static_cast<unsigned long long>(window_cycles), mean_pe,
-                   static_cast<unsigned long long>(
-                       ssd.device().max_pe_cycles()),
-                   static_cast<unsigned long long>(m.io_errors),
-                   static_cast<unsigned long long>(d.retention_evictions));
-    if (spec.fast_forward) {
+    if (spec.pe_step > 0.0) {
       if (window_cycles == 0) {
         if (++stalled_windows >= 3)
           throw std::runtime_error(
@@ -161,11 +144,9 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
               "age the device");
       } else {
         stalled_windows = 0;
-        const double scale =
-            spec.pe_step > 0.0
-                ? spec.pe_step * static_cast<double>(pe_after.size()) /
-                      static_cast<double>(window_cycles)
-                : spec.compression;
+        const double scale = spec.pe_step *
+                             static_cast<double>(pe_after.size()) /
+                             static_cast<double>(window_cycles);
         // Scale each POOL's measured accrual and spread it uniformly over
         // the pool's blocks. One window's erase pattern is a sparse sample
         // of the rate distribution -- scaling it per block by S (often
@@ -199,12 +180,6 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
           for (std::size_t i = 0; i < pe_after.size(); ++i)
             pool_blocks[kFreePool][i] = static_cast<std::uint32_t>(i);
         }
-        if (std::getenv("ESP_LIFETIME_DEBUG"))
-          for (std::size_t pool = 0; pool < kPools; ++pool)
-            std::fprintf(stderr,
-                         "[lifetime]   pool %zu: blocks=%zu cycles=%llu\n",
-                         pool, pool_blocks[pool].size(),
-                         static_cast<unsigned long long>(pool_cycles[pool]));
         std::uint64_t applied = 0;
         for (std::size_t pool = 0; pool < kPools; ++pool) {
           if (pool_cycles[pool] == 0 || pool_blocks[pool].empty()) continue;
@@ -227,7 +202,7 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
         win.synthetic_cycles = applied;
         win.epoch_scale = scale;
         const SimTime advance = std::min<SimTime>(
-            scale * m.elapsed_us(), spec.epoch_advance_cap_us);
+            scale * m.elapsed_us(), kEpochAdvanceCapUs);
         ssd.driver().advance_to(ssd.driver().now() + advance);
         win.sim_hours_advanced = advance / sim_time::kHour;
         result.synthetic_cycles += applied;

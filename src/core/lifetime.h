@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/ssd.h"
 #include "workload/synthetic.h"
 
@@ -48,29 +49,18 @@ struct LifetimeSpec {
   /// Host requests per full-fidelity measurement window.
   std::uint64_t window_requests = 20000;
 
-  /// false = full-fidelity reference: windows only, no aging epochs. The
-  /// speedup and validation baselines in BENCH_lifetime.json run this way.
-  bool fast_forward = true;
   /// Mean device P/E cycles accrued per aging epoch. The epoch scale S is
   /// chosen per epoch so the window's per-block deltas sum to
-  /// pe_step * total_blocks. 0 falls back to the fixed `compression`.
+  /// pe_step * total_blocks. 0 = full-fidelity reference: windows only, no
+  /// aging epochs. The speedup and validation baselines in
+  /// BENCH_lifetime.json run this way.
   double pe_step = 0.0;
-  /// Fixed epoch scale when pe_step == 0: every block receives
-  /// compression x its measured window delta (epoch represents the
-  /// window's traffic repeated `compression` more times).
-  double compression = 49.0;
   /// Stop once mean P/E over all blocks reaches this. 0 = the retention
   /// model's rated_pe_cycles (the device's rated endurance).
   double target_mean_pe = 0.0;
   /// Hard bound on measurement windows run by THIS call (0 = unlimited);
   /// also the knob the reference-rate measurement uses to stay bounded.
   std::uint32_t max_windows = 0;
-  /// Cap on one epoch's retention-clock advance. The analytic advance is
-  /// S x the window's simulated span; the cap keeps a single jump below
-  /// retention-scan cadences so no FTL's scan-before-expiry contract is
-  /// broken by time passing "instantly".
-  SimTime epoch_advance_cap_us = 4 * sim_time::kHour;
-  bool verify = true;
 
   /// Resume a previous wear-out from its checkpoint (snapshot_out of an
   /// earlier call; SsdConfig fingerprint-checked). Precondition + warmup
@@ -123,6 +113,11 @@ struct LifetimeResult {
   std::uint64_t verify_failures = 0;
   std::uint64_t io_errors = 0;
 };
+
+/// lost_data (core/experiment.h) over a wear-out's windows.
+inline bool lost_data(const LifetimeResult& r, const std::string& what) {
+  return lost_data(r.verify_failures, r.io_errors, what);
+}
 
 /// Runs the wear-out loop to target_mean_pe (or max_windows). Throws
 /// std::runtime_error on snapshot/config mismatches and when fast-forward

@@ -119,22 +119,17 @@ unsigned run_tasks(unsigned jobs, std::size_t count,
   return jobs;
 }
 
-ParallelRunner::ParallelRunner(const ParallelRunnerConfig& config)
-    : config_(config) {}
-
 std::vector<CellResult> ParallelRunner::run(
     const std::vector<ExperimentCell>& cells) {
   using Clock = std::chrono::steady_clock;
 
   manifest_ = RunManifest{};
-  manifest_.jobs_requested = config_.jobs;
-  manifest_.base_seed = config_.base_seed;
-  manifest_.derive_seeds = config_.derive_seeds;
+  manifest_.jobs_requested = jobs_;
 
   std::vector<CellResult> results(cells.size());
   if (cells.empty()) return results;
 
-  unsigned jobs = config_.jobs;
+  unsigned jobs = jobs_;
   if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
   jobs = std::min<unsigned>(jobs, static_cast<unsigned>(cells.size()));
   manifest_.jobs_used = jobs;
@@ -144,15 +139,7 @@ std::vector<CellResult> ParallelRunner::run(
     CellResult& out = results[i];
     out.key = cells[i].key;
     out.worker = worker;
-    ExperimentSpec spec = cells[i].spec;
-    if (config_.derive_seeds) {
-      spec.workload.seed = stable_cell_seed(cells[i].key, config_.base_seed);
-      // Tenants get independent streams: seed each from the cell key plus
-      // the tenant index, so no two lanes replay the same sequence.
-      for (std::size_t t = 0; t < spec.tenants.size(); ++t)
-        spec.tenants[t].workload.seed = stable_cell_seed(
-            cells[i].key + "#tenant" + std::to_string(t), config_.base_seed);
-    }
+    const ExperimentSpec& spec = cells[i].spec;
     out.seed = spec.workload.seed;
     out.stream_seeds.emplace_back("workload", spec.workload.seed);
     for (std::size_t t = 0; t < spec.tenants.size(); ++t)
@@ -191,8 +178,6 @@ void ParallelRunner::write_manifest_json(const RunManifest& manifest,
   w.newline();
   w.kv("jobs_requested", static_cast<std::uint64_t>(manifest.jobs_requested));
   w.kv("jobs_used", static_cast<std::uint64_t>(manifest.jobs_used));
-  w.kv("base_seed", manifest.base_seed);
-  w.kv("derive_seeds", manifest.derive_seeds);
   w.kv("wall_seconds", manifest.wall_seconds);
   w.newline();
   w.key("cells");

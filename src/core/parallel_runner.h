@@ -5,8 +5,9 @@
 // runner executes a list of ExperimentCells on a work-stealing thread pool
 // while keeping every per-cell result BIT-IDENTICAL to a sequential run:
 //
-//   * determinism by construction -- each cell's workload seed is derived
-//     from the cell's stable key (never from schedule order, thread id, or
+//   * determinism by construction -- each cell runs with the seeds its
+//     spec carries, which a grid derives from the cell's stable key
+//     (stable_cell_seed; never from schedule order, thread id, or
 //     completion order), and a simulation shares no mutable state with its
 //     siblings (the one historical global, the logger's sim-time provider,
 //     is thread-local);
@@ -31,7 +32,8 @@ namespace esp::core {
 
 /// One unit of work: a stable key naming the cell plus the spec to run.
 /// Keys should be path-like and unique within a run ("fig8/varmail/subFTL");
-/// the key is the cell's identity for seeding and in the manifest.
+/// the key is the cell's identity in the manifest and the stable input a
+/// grid seeds the cell from (stable_cell_seed).
 struct ExperimentCell {
   std::string key;
   ExperimentSpec spec;
@@ -52,19 +54,6 @@ struct CellResult {
   /// engine state is derivable from its seed alone (SplitMix64 expansion).
   std::vector<std::pair<std::string, std::uint64_t>> stream_seeds;
   RunResult result;
-};
-
-struct ParallelRunnerConfig {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). The pool
-  /// never spawns more workers than cells.
-  unsigned jobs = 0;
-  /// Base seed mixed into every derived per-cell seed; change it to get an
-  /// independent but equally deterministic replication of the whole grid.
-  std::uint64_t base_seed = 2017;
-  /// When true (default), each cell's spec.workload.seed is overwritten
-  /// with stable_cell_seed(key, base_seed). When false, specs run with the
-  /// seeds they carry.
-  bool derive_seeds = true;
 };
 
 /// Deterministic seed for a cell: FNV-1a over the key, mixed with the base
@@ -96,18 +85,19 @@ unsigned run_tasks(unsigned jobs, std::size_t count,
 struct RunManifest {
   unsigned jobs_requested = 0;
   unsigned jobs_used = 0;
-  std::uint64_t base_seed = 0;
-  bool derive_seeds = true;
   double wall_seconds = 0.0;  ///< whole-grid wall time (fork to join)
 };
 
 class ParallelRunner {
  public:
-  explicit ParallelRunner(const ParallelRunnerConfig& config = {});
+  /// `jobs` worker threads; 0 = std::thread::hardware_concurrency(). The
+  /// pool never spawns more workers than cells.
+  explicit ParallelRunner(unsigned jobs = 0) : jobs_(jobs) {}
 
-  /// Runs every cell; returns results in input order. Cells that throw
-  /// come back with ok == false instead of aborting the grid. Callable
-  /// repeatedly; the manifest covers the LAST run only.
+  /// Runs every cell with the seeds its spec carries; returns results in
+  /// input order. Cells that throw come back with ok == false instead of
+  /// aborting the grid. Callable repeatedly; the manifest covers the LAST
+  /// run only.
   std::vector<CellResult> run(const std::vector<ExperimentCell>& cells);
 
   const RunManifest& manifest() const { return manifest_; }
@@ -122,7 +112,7 @@ class ParallelRunner {
                                   std::ostream& os);
 
  private:
-  ParallelRunnerConfig config_;
+  unsigned jobs_;
   RunManifest manifest_;
 };
 

@@ -110,12 +110,13 @@ void write_snapshot(std::ostream& os, const SnapshotMeta& meta,
 SnapshotMeta read_snapshot_meta(std::istream& is, const SsdConfig& config);
 
 /// Restores `ssd` and the non-null sinks from the stream positioned by
-/// read_snapshot_meta. Restore order contract: the Ssd must already have
-/// its telemetry attached in resume mode (attach_telemetry(tel, true))
-/// and the sinks constructed in resume mode and set on the facade before
-/// this call. Sections present in the file but without a consumer here
-/// are skipped; a consumer whose section is absent is left freshly
-/// constructed.
+/// read_snapshot_meta. Restore order contract: construct the sinks in
+/// resume mode and set them on the facade, call this, and only then
+/// attach the facade (Ssd::attach_telemetry(tel, /*resume=*/true)): a
+/// resume attach re-bases a health monitor that has no epoch yet from the
+/// counters, so they must already be restored. Sections present in the
+/// file but without a consumer here are skipped; a consumer whose section
+/// is absent is left freshly constructed.
 void read_snapshot_state(std::istream& is, const SnapshotMeta& meta, Ssd& ssd,
                          const SnapshotSinks& sinks);
 

@@ -115,13 +115,15 @@ class Ssd {
   ///
   /// With `resume` set, the driver attaches WITHOUT re-baselining its
   /// sampling cursors and without the epoch-0 health snapshot -- used when
-  /// restoring from a snapshot, where the cursors arrive via load_state.
+  /// restoring from a snapshot, AFTER load_state: the cursors arrive via
+  /// load_state, and a health monitor with no epoch yet is re-based from
+  /// the restored counters.
   void attach_telemetry(telemetry::Telemetry* telemetry, bool resume = false);
 
   /// Snapshot support (core/snapshot.h): archives device -> FTL -> driver
   /// under one "SSD0" section. Restore order: construct from the identical
-  /// SsdConfig, attach_telemetry(tel, /*resume=*/true) if telemetry is
-  /// wanted, then load_state. Must be called between host requests.
+  /// SsdConfig, load_state, then attach_telemetry(tel, /*resume=*/true) if
+  /// telemetry is wanted. Must be called between host requests.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 

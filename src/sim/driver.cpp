@@ -166,16 +166,8 @@ void Driver::flush() {
 
 RunMetrics Driver::run(workload::RequestSource& source, bool verify,
                        std::uint64_t max_requests, bool final_sample) {
+  const WindowMark mark = mark_window();
   RunMetrics metrics;
-  metrics.start_us = now_;
-  const std::uint64_t failures_before = verify_failures_;
-  const std::uint64_t io_errors_before = io_errors_;
-  const std::uint64_t erases_before = dev_.counters().erases;
-  // Snapshot the cumulative histograms: the reported percentiles must
-  // cover THIS run only, not preconditioning/warmup traffic.
-  const util::Histogram latency_before = latency_;
-  const util::Histogram response_before = response_;
-
   while (max_requests == 0 || metrics.requests < max_requests) {
     const auto request = source.next();
     if (!request) break;
@@ -196,16 +188,21 @@ RunMetrics Driver::run(workload::RequestSource& source, bool verify,
       now_ > tel_last_sample_us_)
     take_sample();
 
+  close_window(mark, metrics);
+  return metrics;
+}
+
+void Driver::close_window(const WindowMark& mark, RunMetrics& metrics) const {
+  metrics.start_us = mark.start_us;
   metrics.end_us = now_;
-  metrics.latency_hist = latency_.delta_since(latency_before);
-  metrics.response_hist = response_.delta_since(response_before);
+  metrics.latency_hist = latency_.delta_since(mark.latency_hist);
+  metrics.response_hist = response_.delta_since(mark.response_hist);
   metrics.fill_percentiles();
-  metrics.verify_failures = verify_failures_ - failures_before;
-  metrics.io_errors = io_errors_ - io_errors_before;
+  metrics.verify_failures = verify_failures_ - mark.verify_failures;
+  metrics.io_errors = io_errors_ - mark.io_errors;
   metrics.ftl_stats = ftl_.stats();
   metrics.device_erases = dev_.counters().erases;
-  metrics.erases_during_run = metrics.device_erases - erases_before;
-  return metrics;
+  metrics.erases_during_run = metrics.device_erases - mark.erases;
 }
 
 void Driver::set_telemetry(telemetry::Telemetry* telemetry, bool resume) {

@@ -92,6 +92,18 @@ struct RunMetrics {
   }
 };
 
+/// The driver's cumulative state where a measured window opens
+/// (Driver::mark_window), histograms copied whole; Driver::close_window
+/// reports the difference, so no window counts preconditioning or warmup.
+struct WindowMark {
+  SimTime start_us = 0.0;
+  std::uint64_t verify_failures = 0;
+  std::uint64_t io_errors = 0;
+  std::uint64_t erases = 0;
+  util::Histogram latency_hist = make_latency_histogram();
+  util::Histogram response_hist = make_latency_histogram();
+};
+
 /// Full timing of one request through the queue-depth pipeline.
 struct Completion {
   SimTime arrival = 0.0;  ///< host generated the request (think-time clock)
@@ -123,6 +135,20 @@ class Driver {
   ///                      it byte for byte.
   RunMetrics run(workload::RequestSource& source, bool verify = true,
                  std::uint64_t max_requests = 0, bool final_sample = true);
+
+  /// Opens a measured window at the current clock. Every measured window
+  /// closes through close_window: run(), the tenant mux's run and a run
+  /// split around a checkpoint (one mark spanning both legs).
+  WindowMark mark_window() const {
+    return {now_, verify_failures_, io_errors_, dev_.counters().erases,
+            latency_, response_};
+  }
+  /// Closes the window `mark` opened at the current clock: fills
+  /// `metrics` with its span, verify failures, io errors, erases and
+  /// latency histograms, plus the cumulative FTL stats and device erases.
+  /// The request counts are left alone: they belong to the loop that fed
+  /// the requests.
+  void close_window(const WindowMark& mark, RunMetrics& metrics) const;
 
   /// Issues one request; advances the internal clock to its completion.
   ftl::IoResult submit(const workload::Request& request, bool verify = true);
@@ -169,11 +195,6 @@ class Driver {
   /// submitted so far.
   const util::Histogram& latency_histogram() const { return latency_; }
 
-  /// Response-time distribution (arrival -> completion) of all requests
-  /// submitted so far. Under a saturated queue-depth window this includes
-  /// the host-side wait for a free slot that service time cannot see.
-  const util::Histogram& response_histogram() const { return response_; }
-
   /// Attaches the telemetry facade (nullptr detaches). The driver opens a
   /// span per host request and closes sampling windows on the facade's
   /// TimeSeriesSampler cadence; the final partial window is flushed at the
@@ -192,8 +213,8 @@ class Driver {
   /// Snapshot support (see core/snapshot.h). Must be called between
   /// requests: the in-flight window, shadow maps, cumulative histograms and
   /// telemetry sampling cursors are archived; a restored driver continues
-  /// bit-identically. Restore order: construct, set_telemetry(tel, true),
-  /// then load_state.
+  /// bit-identically. Restore order: construct, load_state, then
+  /// set_telemetry(tel, true), which reads the restored counters.
   void save_state(util::StateWriter& w) const;
   void load_state(util::StateReader& r);
 

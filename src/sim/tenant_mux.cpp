@@ -88,13 +88,13 @@ SimTime TenantMux::lane_ready(const LaneRt& lane) const {
 }
 
 MuxRunMetrics TenantMux::run(bool verify, std::uint64_t max_requests) {
+  const WindowMark mark = driver_.mark_window();
   MuxRunMetrics out;
-  out.start_us = driver_.now();
   out.tenants.resize(lanes_.size());
   for (std::size_t i = 0; i < lanes_.size(); ++i)
     out.tenants[i].name = lanes_[i].fixed.config.name;
 
-  while (max_requests == 0 || out.requests < max_requests) {
+  while (max_requests == 0 || out.window.requests < max_requests) {
     bool any_pending = false;
     for (LaneRt& lane : lanes_) {
       refill(lane);
@@ -140,24 +140,26 @@ MuxRunMetrics TenantMux::run(bool verify, std::uint64_t max_requests) {
     lane.has_pending = false;
     scheduler_.charge(idx, states_[idx]);
 
-    ++out.requests;
+    ++out.window.requests;
     ++tm.requests;
     tm.service_hist.add(c.done - c.issue);
     tm.response_hist.add(c.done - c.arrival);
     tm.wait_hist.add(c.issue - c.arrival);
     if (lane.c_requests) lane.c_requests->inc();
     if (request.type == workload::Request::Type::kWrite) {
+      ++out.window.write_requests;
       ++tm.write_requests;
       tm.host_write_sectors += request.count;
       if (lane.c_write_sectors) lane.c_write_sectors->inc(request.count);
     } else if (request.type == workload::Request::Type::kRead) {
+      ++out.window.read_requests;
       ++tm.read_requests;
       tm.host_read_sectors += request.count;
       if (lane.c_read_sectors) lane.c_read_sectors->inc(request.count);
     }
   }
 
-  out.end_us = driver_.now();
+  driver_.close_window(mark, out.window);
   for (TenantMetrics& tm : out.tenants) tm.fill_percentiles();
   return out;
 }

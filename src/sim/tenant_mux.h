@@ -101,14 +101,12 @@ struct TenantMetrics {
   }
 };
 
-/// Aggregate outcome of one mux run.
+/// Outcome of one mux run: the whole window, closed through the driver
+/// like Driver::run's, and each tenant's share of it.
 struct MuxRunMetrics {
-  std::uint64_t requests = 0;
-  SimTime start_us = 0.0;
-  SimTime end_us = 0.0;
+  RunMetrics window;
   std::vector<TenantMetrics> tenants;
 
-  SimTime elapsed_us() const { return end_us - start_us; }
   std::uint64_t total_host_write_sectors() const {
     std::uint64_t total = 0;
     for (const TenantMetrics& t : tenants) total += t.host_write_sectors;

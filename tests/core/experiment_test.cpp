@@ -74,5 +74,27 @@ TEST(Experiment, DifferentSeedsDiffer) {
   EXPECT_NE(a.iops, b.iops);
 }
 
+TEST(Experiment, OneTenantReportsTheIoErrorsOfTheSingleStream) {
+  // Small sync writes a day apart, half of them re-read later, on a device
+  // that never evicts by age: reads of data past its retention fail. A
+  // one-tenant run must report the io errors the single stream reports.
+  auto spec = base_spec();
+  spec.ssd.retention_evict_age = 1000 * sim_time::kDay;
+  spec.workload.request_count = 600;
+  spec.workload.read_fraction = 0.5;
+  spec.workload.reads_follow_small = true;
+  spec.workload.think_us = sim_time::kDay;
+  const RunResult single = run_experiment(spec);
+
+  TenantSpec tenant;
+  tenant.workload = spec.workload;
+  spec.tenants = {tenant};
+  const RunResult muxed = run_experiment(spec);
+  EXPECT_GT(single.raw.io_errors, 0u);
+  EXPECT_EQ(muxed.raw.io_errors, single.raw.io_errors);
+  EXPECT_EQ(muxed.raw.requests, single.raw.requests);
+  EXPECT_EQ(muxed.raw.read_requests, single.raw.read_requests);
+}
+
 }  // namespace
 }  // namespace esp::core

@@ -59,10 +59,7 @@ std::vector<core::ExperimentCell> make_cells(const std::string& tag) {
 
 std::vector<core::CellResult> run_with_jobs(
     unsigned jobs, const std::vector<core::ExperimentCell>& cells) {
-  core::ParallelRunnerConfig cfg;
-  cfg.jobs = jobs;
-  cfg.derive_seeds = false;  // seeds fixed in the specs above
-  core::ParallelRunner runner(cfg);
+  core::ParallelRunner runner(jobs);
   return runner.run(cells);
 }
 

@@ -15,6 +15,8 @@
 namespace esp::core {
 namespace {
 
+constexpr std::uint64_t kBaseSeed = 2017;
+
 workload::SyntheticParams quick_workload() {
   workload::SyntheticParams params;
   params.request_count = 1500;
@@ -31,6 +33,7 @@ ExperimentCell make_cell(const std::string& key, FtlKind kind) {
   cell.key = key;
   cell.spec.ssd = test::tiny_config(kind);
   cell.spec.workload = quick_workload();
+  cell.spec.workload.seed = stable_cell_seed(key, kBaseSeed);
   cell.spec.precondition_fraction = 0.5;
   cell.spec.warmup_requests = 200;
   return cell;
@@ -53,15 +56,11 @@ TEST(StableCellSeed, DependsOnlyOnKeyAndBase) {
 
 TEST(ParallelRunner, ResultsBitIdenticalAcrossJobCounts) {
   const auto cells = grid();
-  ParallelRunnerConfig seq_cfg;
-  seq_cfg.jobs = 1;
-  ParallelRunner seq(seq_cfg);
+  ParallelRunner seq(1);
   const auto baseline = seq.run(cells);
 
   for (const unsigned jobs : {2u, 4u}) {
-    ParallelRunnerConfig cfg;
-    cfg.jobs = jobs;
-    ParallelRunner par(cfg);
+    ParallelRunner par(jobs);
     const auto got = par.run(cells);
     ASSERT_EQ(got.size(), baseline.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -88,10 +87,10 @@ TEST(ParallelRunner, ResultsBitIdenticalAcrossJobCounts) {
 }
 
 TEST(ParallelRunner, DerivedSeedsComeFromKeysNotOrder) {
+  // The cells carry seeds derived from their keys; running them in the
+  // reverse order must give each the same seed and the same result.
   auto cells = grid();
-  ParallelRunnerConfig cfg;
-  cfg.jobs = 2;
-  ParallelRunner runner(cfg);
+  ParallelRunner runner(2);
   const auto forward = runner.run(cells);
 
   std::vector<ExperimentCell> reversed(cells.rbegin(), cells.rend());
@@ -100,6 +99,7 @@ TEST(ParallelRunner, DerivedSeedsComeFromKeysNotOrder) {
     const auto& fwd = forward[i];
     const auto& bwd = backward[cells.size() - 1 - i];
     ASSERT_EQ(fwd.key, bwd.key);
+    EXPECT_EQ(fwd.seed, stable_cell_seed(cells[i].key, kBaseSeed));
     EXPECT_EQ(fwd.seed, bwd.seed);
     EXPECT_EQ(fwd.result.iops, bwd.result.iops);
     EXPECT_EQ(fwd.result.erases, bwd.result.erases);
@@ -126,23 +126,21 @@ TEST(ParallelRunner, TenantCellsBitIdenticalAcrossJobCounts) {
     reader.workload.request_count = 600;
     reader.workload.read_fraction = 0.8;
     reader.workload.think_us = 50.0;
+    reader.workload.seed = stable_cell_seed(cell.key + "/reader", kBaseSeed);
     TenantSpec writer;
     writer.name = "writer";
     writer.workload = quick_workload();
     writer.workload.request_count = 600;
     writer.workload.r_small = 0.0;
+    writer.workload.seed = stable_cell_seed(cell.key + "/writer", kBaseSeed);
     cell.spec.tenants = {reader, writer};
     cells.push_back(std::move(cell));
   }
 
-  ParallelRunnerConfig seq_cfg;
-  seq_cfg.jobs = 1;
-  ParallelRunner seq(seq_cfg);
+  ParallelRunner seq(1);
   const auto baseline = seq.run(cells);
 
-  ParallelRunnerConfig par_cfg;
-  par_cfg.jobs = 3;
-  ParallelRunner par(par_cfg);
+  ParallelRunner par(3);
   const auto got = par.run(cells);
   ASSERT_EQ(got.size(), baseline.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -163,8 +161,8 @@ TEST(ParallelRunner, TenantCellsBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(a.response_p99_us, b.response_p99_us);
       EXPECT_EQ(a.response_hist.total(), b.response_hist.total());
     }
-    // The runner derives distinct per-tenant seeds from the cell key, so
-    // the two lanes never replay the same request sequence.
+    // Each lane carries its own seed, so the two never replay the same
+    // request sequence.
     EXPECT_NE(baseline[i].result.tenants[0].host_write_sectors,
               baseline[i].result.tenants[1].host_write_sectors);
   }
@@ -179,9 +177,7 @@ TEST(ParallelRunner, FailingCellIsIsolated) {
   bad.spec.workload = quick_workload();
   cells.insert(cells.begin() + 1, bad);
 
-  ParallelRunnerConfig cfg;
-  cfg.jobs = 3;
-  ParallelRunner runner(cfg);
+  ParallelRunner runner(3);
   const auto results = runner.run(cells);
   ASSERT_EQ(results.size(), 5u);
   EXPECT_FALSE(results[1].ok);
@@ -192,19 +188,15 @@ TEST(ParallelRunner, FailingCellIsIsolated) {
 
 TEST(ParallelRunner, ManifestRecordsCellsInInputOrder) {
   const auto cells = grid();
-  ParallelRunnerConfig cfg;
-  cfg.jobs = 2;
-  cfg.base_seed = 7;
-  ParallelRunner runner(cfg);
+  ParallelRunner runner(2);
   const auto results = runner.run(cells);
   const auto& m = runner.manifest();
   EXPECT_EQ(m.jobs_requested, 2u);
   EXPECT_EQ(m.jobs_used, 2u);
-  EXPECT_EQ(m.base_seed, 7u);
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(results[i].key, cells[i].key);
-    EXPECT_EQ(results[i].seed, stable_cell_seed(cells[i].key, 7));
+    EXPECT_EQ(results[i].seed, cells[i].spec.workload.seed);
     EXPECT_TRUE(results[i].ok);
   }
   std::ostringstream os;

@@ -83,12 +83,61 @@ core::ExperimentCell make_cell(const std::string& tag, FtlKind kind) {
   return cell;
 }
 
+/// Number of buckets in which two histograms differ, or -1 on a shape or
+/// total mismatch.
+long histogram_diff(const util::Histogram& a, const util::Histogram& b) {
+  if (a.bucket_count() != b.bucket_count() || a.total() != b.total() ||
+      a.underflow() != b.underflow() || a.overflow() != b.overflow())
+    return -1;
+  long differ = 0;
+  for (std::size_t i = 0; i < a.bucket_count(); ++i)
+    differ += a.bucket(i) != b.bucket(i);
+  return differ;
+}
+
+/// Every simulated field of a checkpointed run's result must equal the
+/// straight run's: the checkpoint is invisible in what the window reports.
+void expect_same_result(const core::RunResult& a, const core::RunResult& b,
+                        const std::string& what) {
+  const sim::RunMetrics& x = a.raw;
+  const sim::RunMetrics& y = b.raw;
+  EXPECT_EQ(x.requests, y.requests) << what;
+  EXPECT_EQ(x.write_requests, y.write_requests) << what;
+  EXPECT_EQ(x.read_requests, y.read_requests) << what;
+  EXPECT_EQ(x.start_us, y.start_us) << what;
+  EXPECT_EQ(x.end_us, y.end_us) << what;
+  EXPECT_EQ(x.verify_failures, y.verify_failures) << what;
+  EXPECT_EQ(x.io_errors, y.io_errors) << what;
+  EXPECT_EQ(histogram_diff(x.latency_hist, y.latency_hist), 0) << what;
+  EXPECT_EQ(histogram_diff(x.response_hist, y.response_hist), 0) << what;
+  EXPECT_EQ(x.latency_p50_us, y.latency_p50_us) << what;
+  EXPECT_EQ(x.latency_p99_us, y.latency_p99_us) << what;
+  EXPECT_EQ(x.latency_p999_us, y.latency_p999_us) << what;
+  EXPECT_EQ(x.response_p50_us, y.response_p50_us) << what;
+  EXPECT_EQ(x.response_p99_us, y.response_p99_us) << what;
+  EXPECT_EQ(x.response_p999_us, y.response_p999_us) << what;
+  EXPECT_TRUE(ftl::same_simulated_stats(x.ftl_stats, y.ftl_stats)) << what;
+  EXPECT_EQ(x.device_erases, y.device_erases) << what;
+  EXPECT_EQ(x.erases_during_run, y.erases_during_run) << what;
+  EXPECT_EQ(a.verify_failures, b.verify_failures) << what;
+  EXPECT_EQ(a.erases, b.erases) << what;
+  EXPECT_EQ(a.iops, b.iops) << what;
+  EXPECT_EQ(a.host_mb_per_sec, b.host_mb_per_sec) << what;
+  EXPECT_EQ(a.overall_waf, b.overall_waf) << what;
+  EXPECT_EQ(a.small_request_waf, b.small_request_waf) << what;
+  EXPECT_EQ(a.gc_invocations, b.gc_invocations) << what;
+  EXPECT_EQ(a.rmw_ops, b.rmw_ops) << what;
+  EXPECT_EQ(a.chip_util_min, b.chip_util_min) << what;
+  EXPECT_EQ(a.chip_util_mean, b.chip_util_mean) << what;
+  EXPECT_EQ(a.chip_util_max, b.chip_util_max) << what;
+  EXPECT_EQ(a.channel_util_min, b.channel_util_min) << what;
+  EXPECT_EQ(a.channel_util_mean, b.channel_util_mean) << what;
+  EXPECT_EQ(a.channel_util_max, b.channel_util_max) << what;
+}
+
 std::vector<core::CellResult> run_with_jobs(
     unsigned jobs, const std::vector<core::ExperimentCell>& cells) {
-  core::ParallelRunnerConfig cfg;
-  cfg.jobs = jobs;
-  cfg.derive_seeds = false;  // seeds fixed in the specs above
-  core::ParallelRunner runner(cfg);
+  core::ParallelRunner runner(jobs);
   return runner.run(cells);
 }
 
@@ -115,10 +164,12 @@ TEST(SnapshotRoundtrip, RestoreRegeneratesSidecarsByteIdentical) {
     const Sidecars a = paths_for("ref", kKinds[i]);
     const Sidecars b = paths_for("ck", kKinds[i]);
     ASSERT_FALSE(slurp(a.journal).empty()) << ref[i].key;
-    // Checkpoint transparency: writing the snapshot must not move a byte.
+    // Checkpoint transparency: writing the snapshot must not move a byte
+    // or a reported number.
     EXPECT_EQ(slurp(a.journal), slurp(b.journal)) << ref[i].key;
     EXPECT_EQ(slurp(a.health), slurp(b.health)) << ref[i].key;
     EXPECT_EQ(slurp(a.forensics), slurp(b.forensics)) << ref[i].key;
+    expect_same_result(ck[i].result, ref[i].result, ref[i].key);
   }
 
   // Resume grid, --jobs 2: restore each checkpoint against copies of the

@@ -84,10 +84,7 @@ std::vector<core::ExperimentCell> make_cells(const std::string& tag,
 TEST(MaintenanceDifferential, JournalsByteIdenticalScanVsIndex) {
   const auto scan_cells = make_cells("scan", true);
   const auto index_cells = make_cells("index", false);
-  core::ParallelRunnerConfig cfg;
-  cfg.jobs = 1;
-  cfg.derive_seeds = false;  // seeds fixed in the specs above
-  core::ParallelRunner runner(cfg);
+  core::ParallelRunner runner(1);
   const auto scan = runner.run(scan_cells);
   const auto index = runner.run(index_cells);
   ASSERT_EQ(scan.size(), index.size());

@@ -210,7 +210,7 @@ TEST(TenantMux, RebasesTenantLocalSectorsIntoSlices) {
                 {fx.make_lane("a", ns[0], &src_a),
                  fx.make_lane("b", ns[1], &src_b)});
   const auto out = mux.run(/*verify=*/true);
-  EXPECT_EQ(out.requests, 2u);
+  EXPECT_EQ(out.window.requests, 2u);
   EXPECT_NE(fx.driver->expected_token(0), 0u);
   EXPECT_NE(fx.driver->expected_token(ns[1].base), 0u);
   EXPECT_EQ(fx.driver->verify_failures(), 0u);
@@ -262,6 +262,13 @@ TEST(TenantMux, PerTenantMetricsSeparateReadsAndWrites) {
   EXPECT_GE(point.response_p99_us, point.service_p99_us);
   EXPECT_DOUBLE_EQ(bulk.write_share(out.total_host_write_sectors()),
                    32.0 / 40.0);
+  // The whole window sums the tenants'.
+  EXPECT_EQ(out.window.requests, 24u);
+  EXPECT_EQ(out.window.write_requests, 16u);
+  EXPECT_EQ(out.window.read_requests, 8u);
+  EXPECT_EQ(out.window.latency_hist.total(), 24u);
+  EXPECT_EQ(out.window.verify_failures, 0u);
+  EXPECT_EQ(out.window.io_errors, 0u);
 }
 
 TEST(TenantMux, WarmupThenMeasureReportSeparateWindows) {
@@ -275,12 +282,14 @@ TEST(TenantMux, WarmupThenMeasureReportSeparateWindows) {
                 {fx.make_lane("only", ns[0], &src)});
   const auto warm = mux.run(false, 12);
   const auto meas = mux.run(false);
-  EXPECT_EQ(warm.requests, 12u);
-  EXPECT_EQ(meas.requests, 8u);
+  EXPECT_EQ(warm.window.requests, 12u);
+  EXPECT_EQ(meas.window.requests, 8u);
   // Each window's histograms hold exactly that window's requests.
   EXPECT_EQ(warm.tenants[0].service_hist.total(), 12u);
   EXPECT_EQ(meas.tenants[0].service_hist.total(), 8u);
-  EXPECT_GE(meas.start_us, warm.end_us);
+  EXPECT_EQ(warm.window.latency_hist.total(), 12u);
+  EXPECT_EQ(meas.window.response_hist.total(), 8u);
+  EXPECT_GE(meas.window.start_us, warm.window.end_us);
 }
 
 }  // namespace

@@ -3,17 +3,28 @@
 #
 #   tools/compare_builds.sh PARENT_BUILD CHANGE_BUILD
 #
-# Each argument is a cmake build directory holding tools/espsim and
-# tools/espreport. The script runs the seed-7 audited 4-FTL Varmail sweep
-# (journal, health and forensics streams) with both builds, plus the same
-# sweep with the health stream alone and with the forensics stream alone
-# (the lean facade: no journal, auditor or per-op latency detail), cmp's
-# the 20 streams pairwise, compares the audited sweep's run-manifest cells
-# (seeds, RNG state and sidecar counts; wall time and worker dropped), and
-# diffs each build's per-cause WAF table and p99 blame table against the
-# committed goldens in tools/golden/. It exits non-zero on the first difference and names
-# the file that differs. A change that claims simulation byte-identity
-# must pass it.
+# Each argument is a cmake build directory holding tools/espsim,
+# tools/espreport, bench/qos_isolation, bench/fig8_ftl_comparison,
+# bench/table1_request_waf and bench/ext_lifetime_projection. The script
+# runs, with both builds:
+#   * the seed-7 audited 4-FTL Varmail sweep (journal, health and
+#     forensics streams), plus the same sweep with the health stream alone
+#     and with the forensics stream alone (the lean facade: no journal,
+#     auditor or per-op latency detail); it cmp's the 20 streams pairwise,
+#     compares the audited sweep's run-manifest cells (seeds, RNG state and
+#     sidecar counts; wall time and worker dropped), and diffs each build's
+#     per-cause WAF table and p99 blame table against the committed
+#     goldens in tools/golden/;
+#   * one espsim run straight through and one checkpointed mid-window
+#     (--snapshot-after): all four print the same summary;
+#   * qos_isolation --quick --jobs 1 (`cells`), fig8_ftl_comparison
+#     (`benchmarks`, `summary`), table1_request_waf (`benchmarks`, `pass`) and
+#     ext_lifetime_projection --quick --geometry paper (`curves`,
+#     `validation`, `end_of_life_legs`, with the wall-clock keys dropped):
+#     those JSON payloads must be equal.
+# It exits non-zero on the first difference and names the file that
+# differs. A change that claims simulation byte-identity must pass it.
+# Cost: about 15 s per build and 0.5 GB of temporary snapshots.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -25,6 +36,18 @@ parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
+
+bins=(tools/espsim tools/espreport bench/qos_isolation
+      bench/fig8_ftl_comparison bench/table1_request_waf
+      bench/ext_lifetime_projection)
+for build in "$parent" "$change"; do
+  for bin in "${bins[@]}"; do
+    if [[ ! -x "$build/$bin" ]]; then
+      echo "MISSING: $build/$bin (build the targets ${bins[*]##*/})" >&2
+      exit 2
+    fi
+  done
+done
 
 ftls=(cgmFTL fgmFTL subFTL sectorLogFTL)
 
@@ -43,12 +66,48 @@ run_sweep() {  # build-dir output-dir
     --forensics-out "$2/l.jsonl" > "$2/espsim-l.log"
 }
 
-manifest_cells() {  # manifest.json -> its cells minus host-side fields
-  python3 -c 'import json, sys
-cells = json.load(open(sys.argv[1]))["cells"]
-for cell in cells:
-    del cell["wall_seconds"], cell["worker"]
-print(json.dumps(cells))' "$1"
+run_summaries() {  # build-dir output-dir: straight and checkpointed runs
+  local args=(--ftl sub --profile varmail --requests 20000 --warmup 5000
+              --capacity-gib 0.5 --seed 7)
+  "$1/tools/espsim" "${args[@]}" | grep -v '^snapshot :' \
+    > "$2/summary.txt"
+  "$1/tools/espsim" "${args[@]}" --snapshot-out "$2/mid.snap" \
+    --snapshot-after 10000 | grep -v '^snapshot :' > "$2/summary-ck.txt"
+}
+
+run_benches() {  # build-dir output-dir
+  "$1/bench/qos_isolation" --quick --jobs 1 --json "$2/qos.json" \
+    > "$2/qos.log"
+  "$1/bench/fig8_ftl_comparison" --json "$2/fig8.json" > "$2/fig8.log"
+  "$1/bench/table1_request_waf" --json "$2/table1.json" > "$2/table1.log"
+  "$1/bench/ext_lifetime_projection" --quick --geometry paper \
+    --snapshot-dir "$2" --json "$2/lifetime.json" > "$2/lifetime.log"
+}
+
+payload() {  # json-file dropped-keys key... -> the keys' subtrees as JSON
+  python3 - "$@" <<'EOF'
+import json, sys
+path, drop, keys = sys.argv[1], set(sys.argv[2].split(",")), sys.argv[3:]
+def strip(v):
+    if isinstance(v, dict):
+        return {k: strip(x) for k, x in v.items() if k not in drop}
+    if isinstance(v, list):
+        return [strip(x) for x in v]
+    return v
+doc = json.load(open(path))
+print(json.dumps({k: strip(doc[k]) for k in keys}, sort_keys=True))
+EOF
+}
+
+same_payload() {  # file dropped-keys key...
+  local file="$1" a b
+  shift
+  a="$(payload "$work/parent/$file" "$@")"
+  b="$(payload "$work/change/$file" "$@")"
+  if [[ "$a" != "$b" ]]; then
+    echo "DIFFERS: $file (${*:2})" >&2
+    exit 1
+  fi
 }
 
 check_goldens() {  # build-dir output-dir
@@ -69,8 +128,13 @@ check_goldens() {  # build-dir output-dir
   done
 }
 
-run_sweep "$parent" "$work/parent"
-run_sweep "$change" "$work/change"
+for side in parent change; do
+  build="$parent"
+  [[ "$side" == change ]] && build="$change"
+  run_sweep "$build" "$work/$side"
+  run_summaries "$build" "$work/$side"
+  run_benches "$build" "$work/$side"
+done
 for kind in j h f o l; do
   for ftl in "${ftls[@]}"; do
     name="$kind.espsim-Varmail-$ftl.jsonl"
@@ -80,12 +144,20 @@ for kind in j h f o l; do
     fi
   done
 done
-if [[ "$(manifest_cells "$work/parent/manifest.json")" != \
-      "$(manifest_cells "$work/change/manifest.json")" ]]; then
-  echo "DIFFERS: manifest.json cells" >&2
-  exit 1
-fi
+same_payload manifest.json wall_seconds,worker cells
+for summary in parent/summary-ck change/summary change/summary-ck; do
+  if ! cmp "$work/parent/summary.txt" "$work/$summary.txt"; then
+    echo "DIFFERS: $summary.txt (espsim summary)" >&2
+    exit 1
+  fi
+done
+same_payload qos.json "" cells
+same_payload fig8.json "" benchmarks summary
+same_payload table1.json "" benchmarks pass
+same_payload lifetime.json wall_seconds,seconds_per_pe,speedup,projected_full_fidelity_hours,min_speedup,speedup_pass \
+  curves validation end_of_life_legs
 check_goldens "$parent" "$work/parent"
 check_goldens "$change" "$work/change"
-echo "identical: 20 streams cmp-equal, manifest cells equal, WAF and" \
-  "blame tables match tools/golden/"
+echo "identical: 20 streams cmp-equal, manifest cells equal, espsim" \
+  "summaries equal with and without a checkpoint, qos/fig8/table1/lifetime" \
+  "payloads equal, WAF and blame tables match tools/golden/"

@@ -32,9 +32,11 @@
 #include <fstream>
 #include <iostream>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/cli.h"
 #include "jsonl_fields.h"
 
 namespace {
@@ -457,8 +459,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--bins" && i + 1 < argc) {
-      bins = std::strtoull(argv[++i], nullptr, 10);
-      if (!bins) bins = 1;
+      try {
+        bins = std::max<std::size_t>(
+            1, esp::core::parse_number<std::size_t>(arg, argv[++i]));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
     } else if (arg == "--order" && i + 1 < argc) {
       const std::string o = argv[++i];
       if (o == "device") order_by_pool = false;

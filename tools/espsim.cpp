@@ -402,6 +402,14 @@ int main(int argc, char** argv) {
         return params;
       };
 
+  // Names a run: its sweep cell key and the run in a FATAL line.
+  const auto run_key = [](const std::optional<workload::Benchmark>& bench,
+                          core::FtlKind kind) {
+    return "espsim/" +
+           (bench ? workload::benchmark_name(*bench) : std::string("manual")) +
+           "/" + core::ftl_kind_name(kind);
+  };
+
   // Multi-tenant mode: replace the single stream with N tenant lanes. The
   // request budget is split evenly; per-tenant seeds derive from the run
   // seed so no two lanes replay the same sequence. List-valued flags cycle
@@ -465,10 +473,7 @@ int main(int argc, char** argv) {
     for (const auto& bench : sweep_profiles) {
       for (const auto kind : kinds) {
         core::ExperimentCell cell;
-        cell.key = "espsim/" +
-                   (bench ? workload::benchmark_name(*bench)
-                          : std::string("manual")) +
-                   "/" + core::ftl_kind_name(kind);
+        cell.key = run_key(bench, kind);
         cell.spec = spec;
         cell.spec.ssd.ftl = kind;
         cell.spec.workload = workload_for(bench);
@@ -483,11 +488,7 @@ int main(int argc, char** argv) {
                 cells.size(), sweep_profiles.size(), kinds.size(),
                 static_cast<unsigned long long>(seed));
 
-    core::ParallelRunnerConfig runner_cfg;
-    runner_cfg.jobs = jobs;
-    runner_cfg.base_seed = seed;
-    runner_cfg.derive_seeds = false;  // seeds fixed per cell above
-    core::ParallelRunner runner(runner_cfg);
+    core::ParallelRunner runner(jobs);
     const auto results = runner.run(cells);
     std::printf("ran %zu cells on %u worker(s) in %.1fs\n\n", cells.size(),
                 runner.manifest().jobs_used, runner.manifest().wall_seconds);
@@ -517,7 +518,7 @@ int main(int argc, char** argv) {
                      util::TablePrinter::num(r.channel_util_mean * 100.0, 1) +
                      "%",
                  std::to_string(r.verify_failures)});
-      if (r.verify_failures != 0) exit_code = 1;
+      if (core::lost_data(r, cell.key)) exit_code = 1;
     }
     t.print(std::cout);
 
@@ -752,5 +753,5 @@ int main(int argc, char** argv) {
     }
     bt.print(std::cout);
   }
-  return result.verify_failures == 0 ? 0 : 1;
+  return core::lost_data(result, run_key(profile, spec.ssd.ftl)) ? 1 : 0;
 }

@@ -8,8 +8,10 @@
 // portable trace files so runs can be reproduced outside this tool.
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
+#include "core/cli.h"
 #include "workload/profiles.h"
 #include "workload/trace.h"
 #include "workload/trace_stats.h"
@@ -45,12 +47,17 @@ int generate(int argc, char** argv) {
     return 2;
   }
   const char* out = argv[1];
-  const std::uint64_t count =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100000;
-  const std::uint64_t footprint =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1 << 18;
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 42;
+  std::uint64_t count = 100000, footprint = 1 << 18, seed = 42;
+  try {
+    using core::parse_number;
+    if (argc > 2) count = parse_number<std::uint64_t>("requests", argv[2]);
+    if (argc > 3)
+      footprint = parse_number<std::uint64_t>("footprint-sectors", argv[3]);
+    if (argc > 4) seed = parse_number<std::uint64_t>("seed", argv[4]);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 
   auto params = workload::benchmark_profile(bench, footprint, count, 4, seed);
   workload::SyntheticWorkload stream(params);
