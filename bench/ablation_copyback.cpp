@@ -44,11 +44,12 @@ int main() {
     if (core::lost_data(plain, plain.ftl_name) ||
         core::lost_data(fast, fast.ftl_name + " copyback"))
       return 1;
+    const double plain_mbps = plain.raw.host_mb_per_sec;
+    const double fast_mbps = fast.raw.host_mb_per_sec;
     t.add_row({core::ftl_kind_name(kind),
-               util::TablePrinter::num(plain.host_mb_per_sec, 1),
-               util::TablePrinter::num(fast.host_mb_per_sec, 1),
-               util::TablePrinter::pct(
-                   fast.host_mb_per_sec / plain.host_mb_per_sec - 1.0, 1),
+               util::TablePrinter::num(plain_mbps, 1),
+               util::TablePrinter::num(fast_mbps, 1),
+               util::TablePrinter::pct(fast_mbps / plain_mbps - 1.0, 1),
                std::to_string(fast.raw.ftl_stats.gc_copy_sectors)});
   }
   t.print(std::cout);

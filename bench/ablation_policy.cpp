@@ -60,21 +60,11 @@ Outcome run_one(double advance_fraction, std::uint32_t gc_free_target) {
 
   workload::SyntheticWorkload stream(params);
   driver.run(stream, false, 200000);  // warmup
-  const auto before = ftl.stats();
-  const auto erases_before = dev.counters().erases;
-  const SimTime t0 = driver.now();
   const auto metrics = driver.run(stream, false);
-  const auto window = ftl::stats_delta(metrics.ftl_stats, before);
-
-  Outcome outcome;
-  const double host_bytes = static_cast<double>(
-      (window.host_write_sectors + window.host_read_sectors) * 4096);
-  outcome.mbps = host_bytes / (1024.0 * 1024.0) /
-                 sim_time::to_seconds(metrics.end_us - t0);
-  outcome.forwards = window.forward_migrations;
-  outcome.erases = dev.counters().erases - erases_before;
-  outcome.evictions = window.cold_evictions + window.retention_evictions;
-  return outcome;
+  const auto& window = metrics.ftl_stats;
+  return {metrics.host_mb_per_sec, window.forward_migrations,
+          metrics.erases_during_run,
+          window.cold_evictions + window.retention_evictions};
 }
 
 }  // namespace

@@ -36,12 +36,13 @@ int main() {
     if (core::lost_data(result,
                          "region " + util::TablePrinter::pct(fraction, 0)))
       return 1;
-    const auto& stats = result.raw.ftl_stats;
+    const sim::RunMetrics& m = result.raw;
+    const auto& stats = m.ftl_stats;
     t.add_row({util::TablePrinter::pct(fraction, 0),
-               util::TablePrinter::num(result.host_mb_per_sec, 1),
-               util::TablePrinter::num(result.small_request_waf, 3),
-               std::to_string(result.gc_invocations),
-               std::to_string(result.erases),
+               util::TablePrinter::num(m.host_mb_per_sec, 1),
+               util::TablePrinter::num(m.small_request_waf, 3),
+               std::to_string(stats.gc_invocations),
+               std::to_string(m.erases_during_run),
                std::to_string(stats.forward_migrations),
                std::to_string(stats.cold_evictions +
                               stats.retention_evictions),

@@ -48,6 +48,24 @@ inline core::SsdConfig scaled_config(core::FtlKind kind) {
 /// benchmark runs burn through them before the reported numbers matter).
 inline constexpr std::uint64_t kWarmupRequests = 100000;
 
+/// Requests of `params`' stream that write about `write_sectors` host
+/// sectors, from its mean write size and read share. The paper benches size
+/// warmup and measurement this way, so every benchmark/FTL cell writes the
+/// same host volume and GC counts compare one-to-one.
+inline std::uint64_t requests_writing(const workload::SyntheticParams& params,
+                                      double write_sectors) {
+  const double write_fraction = 1.0 - params.read_fraction;
+  const double avg_large =
+      0.5 * (params.large_pages_min + params.large_pages_max) *
+      params.sectors_per_page;
+  const double avg_small =
+      0.5 * (params.small_sectors_min + params.small_sectors_max);
+  const double avg_write =
+      params.r_small * avg_small + (1.0 - params.r_small) * avg_large;
+  return static_cast<std::uint64_t>(write_sectors /
+                                    (write_fraction * avg_write));
+}
+
 inline void print_header(const char* what,
                          const nand::Geometry& geo = scaled_geometry()) {
   std::printf("==============================================================\n");

@@ -38,23 +38,16 @@ int main() {
     params.small_footprint_fraction = 0.018;
     params.seed = 99;
     workload::SyntheticWorkload stream(params);
-    // Warmup into GC steady state, then measure the distribution of the
-    // last window only (driver histogram accumulates; reset via fresh run
-    // percentile deltas is overkill -- report the full-run profile, which
-    // is warmup-diluted identically for every FTL).
+    // The profile covers this run's requests only: the window histogram
+    // excludes the preconditioning fill.
     const auto metrics = ssd.driver().run(stream, /*verify=*/false);
-    const auto& hist = ssd.driver().latency_histogram();
-    const double host_mb =
-        static_cast<double>(metrics.ftl_stats.host_write_sectors +
-                            metrics.ftl_stats.host_read_sectors) *
-        4096.0 / (1024.0 * 1024.0);
+    const auto& hist = metrics.latency_hist;
     t.add_row({core::ftl_kind_name(kind),
                util::TablePrinter::num(hist.percentile(0.50), 0),
                util::TablePrinter::num(hist.percentile(0.95), 0),
                util::TablePrinter::num(hist.percentile(0.99), 0),
                util::TablePrinter::num(hist.percentile(0.9999), 0),
-               util::TablePrinter::num(
-                   host_mb / sim_time::to_seconds(metrics.elapsed_us()), 1)});
+               util::TablePrinter::num(metrics.host_mb_per_sec, 1)});
   }
   t.print(std::cout);
   std::printf(

@@ -465,8 +465,8 @@ int main(int argc, char** argv) {
         if (core::lost_data(r, results[i].key)) return 1;
         leg_results[name].push_back(r);
         lt.add_row({name, std::to_string(l),
-                    util::TablePrinter::num(r.overall_waf, 2),
-                    util::TablePrinter::num(r.iops, 0),
+                    util::TablePrinter::num(r.raw.overall_waf, 2),
+                    util::TablePrinter::num(r.raw.iops(), 0),
                     util::TablePrinter::num(r.raw.latency_p99_us, 0)});
       }
     }
@@ -558,11 +558,11 @@ int main(int argc, char** argv) {
         w.begin_array();
         for (const core::RunResult& r : rs) {
           w.begin_object();
-          w.kv("waf", r.overall_waf);
-          w.kv("iops", r.iops);
+          w.kv("waf", r.raw.overall_waf);
+          w.kv("iops", r.raw.iops());
           w.kv("latency_p99_us", r.raw.latency_p99_us);
-          w.kv("erases", r.erases);
-          w.kv("verify_failures", r.verify_failures);
+          w.kv("erases", r.raw.erases_during_run);
+          w.kv("verify_failures", r.raw.verify_failures);
           w.end_object();
         }
         w.end_array();

@@ -35,11 +35,11 @@ int main() {
     if (core::lost_data(result, "subpage tR " +
                                      util::TablePrinter::num(tr_us, 0) + " us"))
       return 1;
-    if (baseline == 0.0) baseline = result.host_mb_per_sec;
+    const double mbps = result.raw.host_mb_per_sec;
+    if (baseline == 0.0) baseline = mbps;
     t.add_row({util::TablePrinter::num(tr_us, 0) + " us",
-               util::TablePrinter::num(result.host_mb_per_sec, 1),
-               util::TablePrinter::num(result.host_mb_per_sec / baseline, 2) +
-                   "x"});
+               util::TablePrinter::num(mbps, 1),
+               util::TablePrinter::num(mbps / baseline, 2) + "x"});
   }
   t.print(std::cout);
   std::printf(

@@ -56,7 +56,8 @@ Cell run_point(core::FtlKind kind, double r_small, double r_synch) {
   if (core::lost_data(result, result.ftl_name + " r_small=" +
                                    util::TablePrinter::num(r_small, 1)))
     std::exit(1);
-  return Cell{result.host_mb_per_sec, result.gc_invocations};
+  return Cell{result.raw.host_mb_per_sec,
+              result.raw.ftl_stats.gc_invocations};
 }
 
 }  // namespace

@@ -57,26 +57,9 @@ core::ExperimentCell make_cell(workload::Benchmark bench, core::FtlKind kind,
       cell.spec.ssd.geometry.subpages_per_page,
       core::stable_cell_seed("fig8/" + workload::benchmark_name(bench),
                              kBaseSeed));
-  // Budget-based sizing: every benchmark/FTL cell writes the same host
-  // volume (~warmup then ~measure), so GC counts compare one-to-one.
-  const double write_fraction = 1.0 - params.read_fraction;
-  const double avg_large_sectors =
-      0.5 * (params.large_pages_min + params.large_pages_max) *
-      params.sectors_per_page;
-  const double avg_small_sectors =
-      0.5 * (params.small_sectors_min + params.small_sectors_max);
-  const double avg_write_sectors =
-      params.r_small * avg_small_sectors +
-      (1.0 - params.r_small) * avg_large_sectors;
-  constexpr double kWarmupWriteSectors = 120000;
-  constexpr double kMeasureWriteSectors = 60000;
-  const auto reqs_for = [&](double budget) {
-    return static_cast<std::uint64_t>(budget /
-                                      (write_fraction * avg_write_sectors));
-  };
-  cell.spec.warmup_requests = reqs_for(kWarmupWriteSectors);
+  cell.spec.warmup_requests = bench::requests_writing(params, 120000);
   params.request_count =
-      cell.spec.warmup_requests + reqs_for(kMeasureWriteSectors);
+      cell.spec.warmup_requests + bench::requests_writing(params, 60000);
   cell.spec.workload = params;
   return cell;
 }
@@ -160,9 +143,9 @@ int main(int argc, char** argv) {
   double sum_vs_cgm = 0.0, sum_vs_fgm = 0.0;
   double max_vs_cgm = 0.0, max_vs_fgm = 0.0;
   for (const auto bench : workload::all_benchmarks()) {
-    const double cgm = grid[{bench, core::FtlKind::kCgm}].host_mb_per_sec;
-    const double fgm = grid[{bench, core::FtlKind::kFgm}].host_mb_per_sec;
-    const double sub = grid[{bench, core::FtlKind::kSub}].host_mb_per_sec;
+    const double cgm = grid[{bench, core::FtlKind::kCgm}].raw.host_mb_per_sec;
+    const double fgm = grid[{bench, core::FtlKind::kFgm}].raw.host_mb_per_sec;
+    const double sub = grid[{bench, core::FtlKind::kSub}].raw.host_mb_per_sec;
     iops_table.add_row({workload::benchmark_name(bench),
                         util::TablePrinter::num(1.0, 2),
                         util::TablePrinter::num(fgm / cgm, 2),
@@ -188,17 +171,18 @@ int main(int argc, char** argv) {
   util::TablePrinter gc_table({"benchmark", "fgmFTL", "subFTL",
                                "fgm/sub ratio", "erases fgm", "erases sub"});
   for (const auto bench : workload::all_benchmarks()) {
-    const auto& fgm = grid[{bench, core::FtlKind::kFgm}];
-    const auto& sub = grid[{bench, core::FtlKind::kSub}];
-    const double ratio =
-        sub.gc_invocations ? static_cast<double>(fgm.gc_invocations) /
-                                 static_cast<double>(sub.gc_invocations)
-                           : 0.0;
+    const auto& fgm = grid[{bench, core::FtlKind::kFgm}].raw;
+    const auto& sub = grid[{bench, core::FtlKind::kSub}].raw;
+    const std::uint64_t fgm_gc = fgm.ftl_stats.gc_invocations;
+    const std::uint64_t sub_gc = sub.ftl_stats.gc_invocations;
+    const double ratio = sub_gc ? static_cast<double>(fgm_gc) /
+                                      static_cast<double>(sub_gc)
+                                : 0.0;
     gc_table.add_row({workload::benchmark_name(bench),
-                      std::to_string(fgm.gc_invocations),
-                      std::to_string(sub.gc_invocations),
+                      std::to_string(fgm_gc), std::to_string(sub_gc),
                       util::TablePrinter::num(ratio, 2),
-                      std::to_string(fgm.erases), std::to_string(sub.erases)});
+                      std::to_string(fgm.erases_during_run),
+                      std::to_string(sub.erases_during_run)});
   }
   gc_table.print(std::cout);
 
@@ -211,9 +195,9 @@ int main(int argc, char** argv) {
   bool claims_hold = true;
   for (const auto bench : workload::all_benchmarks()) {
     const std::string name = workload::benchmark_name(bench);
-    const auto& cgm = grid[{bench, core::FtlKind::kCgm}];
-    const auto& fgm = grid[{bench, core::FtlKind::kFgm}];
-    const auto& sub = grid[{bench, core::FtlKind::kSub}];
+    const auto& cgm = grid[{bench, core::FtlKind::kCgm}].raw;
+    const auto& fgm = grid[{bench, core::FtlKind::kFgm}].raw;
+    const auto& sub = grid[{bench, core::FtlKind::kSub}].raw;
     const double vs_cgm = sub.host_mb_per_sec / cgm.host_mb_per_sec;
     const double vs_fgm = sub.host_mb_per_sec / fgm.host_mb_per_sec;
     if (bench == workload::Benchmark::kYcsb ||
@@ -224,12 +208,13 @@ int main(int argc, char** argv) {
       continue;
     }
     const bool faster = vs_cgm > 1.0 && vs_fgm > 1.0;
-    const bool fewer_gc = fgm.gc_invocations > sub.gc_invocations;
+    const bool fewer_gc =
+        fgm.ftl_stats.gc_invocations > sub.ftl_stats.gc_invocations;
     std::printf("  %-8s sub/cgm IOPS %.2f, sub/fgm %.2f, GC fgm %llu > sub "
                 "%llu: %s\n",
                 name.c_str(), vs_cgm, vs_fgm,
-                static_cast<unsigned long long>(fgm.gc_invocations),
-                static_cast<unsigned long long>(sub.gc_invocations),
+                static_cast<unsigned long long>(fgm.ftl_stats.gc_invocations),
+                static_cast<unsigned long long>(sub.ftl_stats.gc_invocations),
                 faster && fewer_gc ? "PASS" : "FAIL");
     if (!faster)
       std::fprintf(stderr,
@@ -270,22 +255,23 @@ int main(int argc, char** argv) {
       w.newline();
       w.key(workload::benchmark_name(bench));
       w.begin_object();
-      const double cgm = grid[{bench, core::FtlKind::kCgm}].host_mb_per_sec;
+      const double cgm =
+          grid[{bench, core::FtlKind::kCgm}].raw.host_mb_per_sec;
       for (const auto kind : kinds) {
         const core::RunResult& r = grid[{bench, kind}];
         w.key(core::ftl_kind_name(kind));
         w.begin_object();
-        w.kv("host_mb_per_sec", r.host_mb_per_sec);
-        w.kv("normalized_iops", cgm > 0.0 ? r.host_mb_per_sec / cgm : 0.0);
-        w.kv("gc_invocations", r.gc_invocations);
-        w.kv("erases", r.erases);
+        w.kv("host_mb_per_sec", r.raw.host_mb_per_sec);
+        w.kv("normalized_iops", cgm > 0.0 ? r.raw.host_mb_per_sec / cgm : 0.0);
+        w.kv("gc_invocations", r.raw.ftl_stats.gc_invocations);
+        w.kv("erases", r.raw.erases_during_run);
         // Observability health of the measurement itself: nonzero drops or
         // truncation mean the trace/journal under-reports this cell.
         w.kv("trace_dropped", r.sidecars.trace_dropped);
         w.kv("journal_events", r.sidecars.journal_events);
         w.kv("journal_truncated", r.sidecars.journal_truncated);
-        w.kv("chip_util", r.chip_util_mean);
-        w.kv("channel_util", r.channel_util_mean);
+        w.kv("chip_util", r.raw.chip_util_mean);
+        w.kv("channel_util", r.raw.channel_util_mean);
         w.end_object();
       }
       w.end_object();

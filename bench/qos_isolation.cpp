@@ -412,9 +412,9 @@ int main(int argc, char** argv) {
         w.begin_object();
         w.kv("requests", r.raw.requests);
         w.kv("elapsed_us", r.raw.elapsed_us());
-        w.kv("overall_waf", r.overall_waf);
-        w.kv("gc_invocations", r.gc_invocations);
-        w.kv("erases", r.erases);
+        w.kv("overall_waf", r.raw.overall_waf);
+        w.kv("gc_invocations", r.raw.ftl_stats.gc_invocations);
+        w.kv("erases", r.raw.erases_during_run);
         for (const auto& tm : r.tenants) {
           w.key(tm.name);
           w.begin_object();

@@ -23,19 +23,9 @@ core::RunResult run_one(workload::Benchmark bench, core::FtlKind kind) {
   spec.ssd = bench::scaled_config(kind);
   auto params = workload::benchmark_profile(
       bench, 0, 0, spec.ssd.geometry.subpages_per_page, 2017);
-  const double write_fraction = 1.0 - params.read_fraction;
-  const double avg_large =
-      0.5 * (params.large_pages_min + params.large_pages_max) *
-      params.sectors_per_page;
-  const double avg_small =
-      0.5 * (params.small_sectors_min + params.small_sectors_max);
-  const double avg_write =
-      params.r_small * avg_small + (1.0 - params.r_small) * avg_large;
-  const auto reqs = [&](double budget) {
-    return static_cast<std::uint64_t>(budget / (write_fraction * avg_write));
-  };
-  spec.warmup_requests = reqs(120000);
-  params.request_count = spec.warmup_requests + reqs(60000);
+  spec.warmup_requests = bench::requests_writing(params, 120000);
+  params.request_count =
+      spec.warmup_requests + bench::requests_writing(params, 60000);
   spec.workload = params;
   return core::run_experiment(spec);
 }
@@ -59,7 +49,7 @@ int main() {
       if (core::lost_data(r, workload::benchmark_name(bench) + "/" +
                                   r.ftl_name))
         return 1;
-      mbps[kind] = r.host_mb_per_sec;
+      mbps[kind] = r.raw.host_mb_per_sec;
     }
     const double base = mbps[core::FtlKind::kCgm];
     t.add_row({workload::benchmark_name(bench),

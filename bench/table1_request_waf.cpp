@@ -47,19 +47,9 @@ core::ExperimentCell make_cell(workload::Benchmark bench,
   auto params = workload::benchmark_profile(
       bench, 0, 0, cell.spec.ssd.geometry.subpages_per_page,
       core::stable_cell_seed(cell.key, kBaseSeed));
-  const double write_fraction = 1.0 - params.read_fraction;
-  const double avg_large =
-      0.5 * (params.large_pages_min + params.large_pages_max) *
-      params.sectors_per_page;
-  const double avg_small =
-      0.5 * (params.small_sectors_min + params.small_sectors_max);
-  const double avg_write =
-      params.r_small * avg_small + (1.0 - params.r_small) * avg_large;
-  const auto reqs = [&](double budget) {
-    return static_cast<std::uint64_t>(budget / (write_fraction * avg_write));
-  };
-  cell.spec.warmup_requests = reqs(120000);
-  params.request_count = cell.spec.warmup_requests + reqs(60000);
+  cell.spec.warmup_requests = bench::requests_writing(params, 120000);
+  params.request_count =
+      cell.spec.warmup_requests + bench::requests_writing(params, 60000);
   cell.spec.workload = params;
   return cell;
 }
@@ -129,8 +119,8 @@ int main(int argc, char** argv) {
     pct_row.push_back(util::TablePrinter::pct(
         small_write_fraction(cell.result.raw.ftl_stats), 1));
     waf_row.push_back(
-        util::TablePrinter::num(cell.result.small_request_waf, 3));
-    all_near_one &= cell.result.small_request_waf < 1.25;
+        util::TablePrinter::num(cell.result.raw.small_request_waf, 3));
+    all_near_one &= cell.result.raw.small_request_waf < 1.25;
   }
   t.add_row(pct_row);
   t.add_row(waf_row);
@@ -165,8 +155,8 @@ int main(int argc, char** argv) {
       w.key(workload::benchmark_name(bench));
       w.begin_object();
       w.kv("small_write_fraction", small_write_fraction(r.raw.ftl_stats));
-      w.kv("request_waf", r.small_request_waf);
-      w.kv("verify_failures", r.verify_failures);
+      w.kv("request_waf", r.raw.small_request_waf);
+      w.kv("verify_failures", r.raw.verify_failures);
       // Observability health of the measurement itself: nonzero drops or
       // truncation mean the trace/journal under-reports this cell.
       w.kv("trace_dropped", r.sidecars.trace_dropped);

@@ -49,8 +49,8 @@ int main() {
       spec.workload.small_footprint_fraction = 0.018;
       spec.workload.seed = 2017;
       const auto result = core::run_experiment(spec);
-      mbps[idx] = result.host_mb_per_sec;
-      gc[idx] = result.gc_invocations;
+      mbps[idx] = result.raw.host_mb_per_sec;
+      gc[idx] = result.raw.ftl_stats.gc_invocations;
       ++idx;
     }
     t.add_row({util::TablePrinter::num(scale * 1.0, 2) + " GiB",

@@ -51,18 +51,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "verify failures on %s!\n",
                    ssd.ftl().name().c_str());
 
-    const double host_mb =
-        static_cast<double>(metrics.ftl_stats.host_write_sectors +
-                            metrics.ftl_stats.host_read_sectors) *
-        4096.0 / (1024 * 1024);
-    const double mbps = host_mb / sim_time::to_seconds(metrics.elapsed_us());
     if (kind == core::FtlKind::kCgm)
       cgm_erases = static_cast<double>(metrics.erases_during_run);
     const double lifetime =
         metrics.erases_during_run
             ? cgm_erases / static_cast<double>(metrics.erases_during_run)
             : 0.0;
-    t.add_row({ssd.ftl().name(), util::TablePrinter::num(mbps, 1),
+    t.add_row({ssd.ftl().name(),
+               util::TablePrinter::num(metrics.host_mb_per_sec, 1),
                util::TablePrinter::num(metrics.latency_p50_us, 0),
                util::TablePrinter::num(metrics.latency_p99_us, 0),
                std::to_string(metrics.erases_during_run),

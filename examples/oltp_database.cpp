@@ -51,19 +51,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "verify failures on %s!\n",
                    ssd.ftl().name().c_str());
 
-    const double host_mb =
-        static_cast<double>(metrics.ftl_stats.host_write_sectors +
-                            metrics.ftl_stats.host_read_sectors) *
-        4096.0 / (1024 * 1024);
-    t.add_row(
-        {ssd.ftl().name(),
-         util::TablePrinter::num(
-             host_mb / sim_time::to_seconds(metrics.elapsed_us()), 1),
-         util::TablePrinter::num(metrics.latency_p50_us, 0),
-         util::TablePrinter::num(metrics.latency_p99_us, 0),
-         std::to_string(metrics.ftl_stats.gc_invocations),
-         util::TablePrinter::num(
-             metrics.ftl_stats.avg_small_request_waf(), 3)});
+    t.add_row({ssd.ftl().name(),
+               util::TablePrinter::num(metrics.host_mb_per_sec, 1),
+               util::TablePrinter::num(metrics.latency_p50_us, 0),
+               util::TablePrinter::num(metrics.latency_p99_us, 0),
+               std::to_string(metrics.ftl_stats.gc_invocations),
+               util::TablePrinter::num(metrics.small_request_waf, 3)});
   }
   t.print(std::cout);
   std::printf(

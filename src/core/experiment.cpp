@@ -300,16 +300,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   };
   if (checkpointing && spec.snapshot_after_requests == 0) write_checkpoint();
 
-  // Measure only the steady-state window: diff against a post-warmup
-  // snapshot so preconditioning/warmup traffic is excluded.
-  const ftl::FtlStats before = ssd.ftl().stats();
-  std::vector<SimTime> chip_busy_before(geo.total_chips());
-  for (std::uint32_t c = 0; c < geo.total_chips(); ++c)
-    chip_busy_before[c] = ssd.device().chip_busy_us(c);
-  std::vector<SimTime> channel_busy_before(geo.channels);
-  for (std::uint32_t c = 0; c < geo.channels; ++c)
-    channel_busy_before[c] = ssd.device().channel_busy_us(c);
-
   RunResult result;
   sim::RunMetrics& metrics = result.raw;
   if (mux) {
@@ -338,55 +328,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   }
   // The end-of-run health epoch closes the measured window.
   ssd.driver().close_health_epoch();
-  const ftl::FtlStats window = ftl::stats_delta(metrics.ftl_stats, before);
-  metrics.ftl_stats = window;
-
   result.ftl_name = ssd.ftl().name();
-  result.iops = metrics.iops();
-  const double host_bytes =
-      static_cast<double>((window.host_write_sectors +
-                           window.host_read_sectors) *
-                          geo.subpage_bytes());
-  const double secs = sim_time::to_seconds(metrics.elapsed_us());
-  result.host_mb_per_sec = secs > 0.0 ? host_bytes / (1024.0 * 1024.0) / secs
-                                      : 0.0;
-  result.overall_waf = window.overall_waf(geo.page_bytes, geo.subpage_bytes());
-  result.small_request_waf = window.avg_small_request_waf();
-  result.gc_invocations = window.gc_invocations;
-  result.erases = metrics.erases_during_run;
-  result.rmw_ops = window.rmw_ops;
-  result.verify_failures = metrics.verify_failures;
   result.mapping_bytes = ssd.ftl().mapping_memory_bytes();
-
-  // Device utilization over the measured window: busy-time delta divided
-  // by the window's simulated duration.
-  const SimTime elapsed_us = metrics.elapsed_us();
-  const auto util_stats = [elapsed_us](const std::vector<SimTime>& before_v,
-                                       const auto& busy_of, double& lo,
-                                       double& mean, double& hi) {
-    if (elapsed_us <= 0.0 || before_v.empty()) return;
-    double sum = 0.0;
-    lo = 0.0;
-    hi = 0.0;
-    for (std::uint32_t c = 0; c < before_v.size(); ++c) {
-      const double u = (busy_of(c) - before_v[c]) / elapsed_us;
-      sum += u;
-      if (c == 0 || u < lo) lo = u;
-      if (c == 0 || u > hi) hi = u;
-    }
-    mean = sum / static_cast<double>(before_v.size());
-  };
-  result.chips = geo.total_chips();
-  result.channels = geo.channels;
-  util_stats(
-      chip_busy_before,
-      [&ssd](std::uint32_t c) { return ssd.device().chip_busy_us(c); },
-      result.chip_util_min, result.chip_util_mean, result.chip_util_max);
-  util_stats(
-      channel_busy_before,
-      [&ssd](std::uint32_t c) { return ssd.device().channel_busy_us(c); },
-      result.channel_util_min, result.channel_util_mean,
-      result.channel_util_max);
   if (observers) observers->finish(result);
   return result;
 }

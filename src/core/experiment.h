@@ -131,19 +131,10 @@ struct SidecarCounts {
   void write_json(telemetry::JsonWriter& w) const;
 };
 
+/// One experiment's outcome: its measured window (`raw`) plus what the run
+/// adds to it.
 struct RunResult {
   std::string ftl_name;
-  double iops = 0.0;
-  /// Host data rate (reads + writes) over the measured window, MB/s. The
-  /// paper's "normalized IOPS" compares runs of equal host data volume, so
-  /// this is the quantity its Figs. 2(a)/8(a) normalize.
-  double host_mb_per_sec = 0.0;
-  double overall_waf = 1.0;
-  double small_request_waf = 1.0;
-  std::uint64_t gc_invocations = 0;
-  std::uint64_t erases = 0;  ///< during the measured run (lifetime proxy)
-  std::uint64_t rmw_ops = 0;
-  std::uint64_t verify_failures = 0;
   std::uint64_t mapping_bytes = 0;
   /// Stream accounting: what each sidecar wrote or dropped.
   SidecarCounts sidecars;
@@ -151,25 +142,14 @@ struct RunResult {
   /// one entry for tenant 0 on single-tenant runs). Sharded runs keep the
   /// per-shard summaries inside shard_results.
   std::vector<telemetry::TenantBlame> tenant_blame;
-  /// Device busy-time utilization over the measured window: per-chip
-  /// (array + transfer occupancy) and per-channel (transfer occupancy)
-  /// busy time divided by elapsed simulated time. Shows shard balance and
-  /// device idle headroom without a journal pass. Sharded runs aggregate
-  /// across every shard's chips/channels in shard-index order.
-  std::uint32_t chips = 0;
-  std::uint32_t channels = 0;
-  double chip_util_min = 0.0;
-  double chip_util_mean = 0.0;
-  double chip_util_max = 0.0;
-  double channel_util_min = 0.0;
-  double channel_util_mean = 0.0;
-  double channel_util_max = 0.0;
+  /// The measured window: counts, FTL stats, rates, utilization and
+  /// latency distributions. A sharded run's is the merge of its shards'.
   sim::RunMetrics raw;
   /// Per-tenant metrics for the measured window (empty on single-tenant
   /// runs). Order matches ExperimentSpec::tenants.
   std::vector<sim::TenantMetrics> tenants;
   /// Per-shard standalone results of a sharded run, in shard-index order
-  /// (empty when shards == 1). The merged top-level counters equal the
+  /// (empty when shards == 1). The merged window's counters equal the
   /// sums over this vector -- the shard-invariance reconciliation tests
   /// pin that.
   std::vector<RunResult> shard_results;
@@ -181,7 +161,7 @@ struct RunResult {
 bool lost_data(std::uint64_t verify_failures, std::uint64_t io_errors,
                const std::string& what);
 inline bool lost_data(const RunResult& r, const std::string& what) {
-  return lost_data(r.verify_failures, r.raw.io_errors, what);
+  return lost_data(r.raw.verify_failures, r.raw.io_errors, what);
 }
 
 /// One tenant of a multi-tenant experiment: its own workload stream over

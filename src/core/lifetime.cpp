@@ -100,15 +100,14 @@ LifetimeResult run_lifetime(const LifetimeSpec& spec) {
                               spec.workload.seed);
     p.request_count = spec.window_requests;
     workload::SyntheticWorkload stream(p);
-    const ftl::FtlStats s0 = ssd.ftl().stats();
     const sim::RunMetrics m = ssd.driver().run(stream);
-    const ftl::FtlStats d = stats_delta(ssd.ftl().stats(), s0);
+    const ftl::FtlStats& d = m.ftl_stats;
 
     LifetimeWindow win;
     win.index = windows_done;
     win.mean_pe_start = mean_pe;
     win.max_pe_start = static_cast<double>(ssd.device().max_pe_cycles());
-    win.waf = d.overall_waf(geo.page_bytes, subpage_bytes);
+    win.waf = m.overall_waf;
     win.iops = m.iops();
     const double elapsed_s = sim_time::to_seconds(m.elapsed_us());
     win.host_mb_per_sec =

@@ -182,70 +182,52 @@ RunResult run_sharded_experiment(const ExperimentSpec& spec) {
     if (!(spec.observe.*path).empty())
       concat_sidecars(spec.observe.*path, leaves, path);
 
+  // The merged window sums the shard windows; its rates and WAFs derive
+  // from the SUMMED counters, so they are by construction the
+  // sum-of-shards reconciliation the invariance tests pin.
   RunResult merged;
   merged.ftl_name = shard_results.front().ftl_name;
   sim::RunMetrics& m = merged.raw;
-  ftl::FtlStats stats;
   SimTime min_start_us = std::numeric_limits<double>::infinity();
   SimTime max_elapsed_us = 0.0;
-  double chip_mean_weighted = 0.0;
-  double channel_mean_weighted = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
     const RunResult& r = shard_results[i];
-    m.requests += r.raw.requests;
-    m.write_requests += r.raw.write_requests;
-    m.read_requests += r.raw.read_requests;
-    m.verify_failures += r.raw.verify_failures;
-    m.io_errors += r.raw.io_errors;
-    m.latency_hist.merge(r.raw.latency_hist);
-    m.response_hist.merge(r.raw.response_hist);
-    m.device_erases += r.raw.device_erases;
-    m.erases_during_run += r.raw.erases_during_run;
-    stats = ftl::stats_sum(stats, r.raw.ftl_stats);
-    min_start_us = std::min(min_start_us, r.raw.start_us);
-    max_elapsed_us = std::max(max_elapsed_us, r.raw.elapsed_us());
-    merged.gc_invocations += r.gc_invocations;
-    merged.erases += r.erases;
-    merged.rmw_ops += r.rmw_ops;
-    merged.verify_failures += r.verify_failures;
+    const sim::RunMetrics& w = r.raw;
+    m.requests += w.requests;
+    m.write_requests += w.write_requests;
+    m.read_requests += w.read_requests;
+    m.verify_failures += w.verify_failures;
+    m.io_errors += w.io_errors;
+    m.latency_hist.merge(w.latency_hist);
+    m.response_hist.merge(w.response_hist);
+    m.ftl_stats = ftl::stats_sum(m.ftl_stats, w.ftl_stats);
+    m.device_erases += w.device_erases;
+    m.erases_during_run += w.erases_during_run;
+    min_start_us = std::min(min_start_us, w.start_us);
+    max_elapsed_us = std::max(max_elapsed_us, w.elapsed_us());
+    m.chips += w.chips;
+    m.channels += w.channels;
+    m.chip_util_mean += w.chip_util_mean * w.chips;
+    m.channel_util_mean += w.channel_util_mean * w.channels;
+    m.chip_util_min =
+        i == 0 ? w.chip_util_min : std::min(m.chip_util_min, w.chip_util_min);
+    m.chip_util_max = std::max(m.chip_util_max, w.chip_util_max);
+    m.channel_util_min = i == 0 ? w.channel_util_min
+                                : std::min(m.channel_util_min,
+                                           w.channel_util_min);
+    m.channel_util_max = std::max(m.channel_util_max, w.channel_util_max);
     merged.mapping_bytes += r.mapping_bytes;
     merged.sidecars += r.sidecars;
-    chip_mean_weighted += r.chip_util_mean * r.chips;
-    channel_mean_weighted += r.channel_util_mean * r.channels;
-    merged.chip_util_min =
-        i == 0 ? r.chip_util_min
-               : std::min(merged.chip_util_min, r.chip_util_min);
-    merged.chip_util_max = std::max(merged.chip_util_max, r.chip_util_max);
-    merged.channel_util_min =
-        i == 0 ? r.channel_util_min
-               : std::min(merged.channel_util_min, r.channel_util_min);
-    merged.channel_util_max =
-        std::max(merged.channel_util_max, r.channel_util_max);
-    merged.chips += r.chips;
-    merged.channels += r.channels;
   }
-  m.ftl_stats = stats;
+  // Means weighted by each shard's chip (channel) count.
+  if (m.chips > 0) m.chip_util_mean /= m.chips;
+  if (m.channels > 0) m.channel_util_mean /= m.channels;
   // The merged window models N channel groups running concurrently: it
   // spans the slowest shard's measured window.
   m.start_us = min_start_us;
   m.end_us = min_start_us + max_elapsed_us;
   m.fill_percentiles();
-
-  merged.iops = m.iops();
-  const double secs = sim_time::to_seconds(max_elapsed_us);
-  const double host_bytes = static_cast<double>(
-      (stats.host_write_sectors + stats.host_read_sectors) *
-      geo.subpage_bytes());
-  merged.host_mb_per_sec =
-      secs > 0.0 ? host_bytes / (1024.0 * 1024.0) / secs : 0.0;
-  // Merged WAFs recompute from the SUMMED window counters, so they are by
-  // construction the sum-of-shards reconciliation the invariance tests pin.
-  merged.overall_waf = stats.overall_waf(geo.page_bytes, geo.subpage_bytes());
-  merged.small_request_waf = stats.avg_small_request_waf();
-  if (merged.chips > 0) chip_mean_weighted /= merged.chips;
-  if (merged.channels > 0) channel_mean_weighted /= merged.channels;
-  merged.chip_util_mean = chip_mean_weighted;
-  merged.channel_util_mean = channel_mean_weighted;
+  m.fill_rates(geo);
   merged.shard_results = std::move(shard_results);
   return merged;
 }

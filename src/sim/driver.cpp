@@ -192,7 +192,20 @@ RunMetrics Driver::run(workload::RequestSource& source, bool verify,
   return metrics;
 }
 
+WindowMark Driver::mark_window() const {
+  const nand::Geometry& geo = dev_.geometry();
+  WindowMark mark{now_, verify_failures_, io_errors_, dev_.counters().erases,
+                  ftl_.stats(), std::vector<SimTime>(geo.total_chips()),
+                  std::vector<SimTime>(geo.channels), latency_, response_};
+  for (std::uint32_t c = 0; c < geo.total_chips(); ++c)
+    mark.chip_busy_us[c] = dev_.chip_busy_us(c);
+  for (std::uint32_t c = 0; c < geo.channels; ++c)
+    mark.channel_busy_us[c] = dev_.channel_busy_us(c);
+  return mark;
+}
+
 void Driver::close_window(const WindowMark& mark, RunMetrics& metrics) const {
+  const nand::Geometry& geo = dev_.geometry();
   metrics.start_us = mark.start_us;
   metrics.end_us = now_;
   metrics.latency_hist = latency_.delta_since(mark.latency_hist);
@@ -200,9 +213,45 @@ void Driver::close_window(const WindowMark& mark, RunMetrics& metrics) const {
   metrics.fill_percentiles();
   metrics.verify_failures = verify_failures_ - mark.verify_failures;
   metrics.io_errors = io_errors_ - mark.io_errors;
-  metrics.ftl_stats = ftl_.stats();
+  metrics.ftl_stats = ftl::stats_delta(ftl_.stats(), mark.ftl_stats);
   metrics.device_erases = dev_.counters().erases;
   metrics.erases_during_run = metrics.device_erases - mark.erases;
+  metrics.fill_rates(geo);
+
+  // Utilization: each unit's busy-time delta over the window's span.
+  const SimTime elapsed_us = metrics.elapsed_us();
+  const auto util = [&](const std::vector<SimTime>& before,
+                        SimTime (nand::NandDevice::*busy)(std::uint32_t)
+                            const,
+                        double& lo, double& mean, double& hi) {
+    lo = mean = hi = 0.0;
+    if (elapsed_us <= 0.0) return;
+    double sum = 0.0;
+    for (std::uint32_t c = 0; c < before.size(); ++c) {
+      const double u = ((dev_.*busy)(c) - before[c]) / elapsed_us;
+      sum += u;
+      if (c == 0 || u < lo) lo = u;
+      if (c == 0 || u > hi) hi = u;
+    }
+    mean = sum / static_cast<double>(before.size());
+  };
+  metrics.chips = geo.total_chips();
+  metrics.channels = geo.channels;
+  util(mark.chip_busy_us, &nand::NandDevice::chip_busy_us,
+       metrics.chip_util_min, metrics.chip_util_mean, metrics.chip_util_max);
+  util(mark.channel_busy_us, &nand::NandDevice::channel_busy_us,
+       metrics.channel_util_min, metrics.channel_util_mean,
+       metrics.channel_util_max);
+}
+
+void RunMetrics::fill_rates(const nand::Geometry& geo) {
+  const double host_bytes = static_cast<double>(
+      (ftl_stats.host_write_sectors + ftl_stats.host_read_sectors) *
+      geo.subpage_bytes());
+  const double secs = sim_time::to_seconds(elapsed_us());
+  host_mb_per_sec = secs > 0.0 ? host_bytes / (1024.0 * 1024.0) / secs : 0.0;
+  overall_waf = ftl_stats.overall_waf(geo.page_bytes, geo.subpage_bytes());
+  small_request_waf = ftl_stats.avg_small_request_waf();
 }
 
 void Driver::set_telemetry(telemetry::Telemetry* telemetry, bool resume) {

@@ -41,12 +41,12 @@ inline void set_percentiles(const util::Histogram& h, double& p50, double& p99,
   p999 = h.percentile(0.999);
 }
 
-/// Outcome of one driven run.
+/// Outcome of one measured window (Driver::mark_window ..
+/// Driver::close_window): every count, rate and distribution covers THIS
+/// window only, so preconditioning and warmup traffic never pollute it.
+/// `device_erases` and `end_us` are the only point-in-time values.
 ///
-/// Two latency definitions, both covering THIS run's requests only (the
-/// driver snapshots its cumulative histograms at run start and reports the
-/// delta, so warmup/preconditioning traffic never pollutes a measured
-/// window):
+/// Two latency definitions:
 ///   * service time  = issue -> completion (the device's work);
 ///   * response time = arrival -> completion (what the host experiences,
 ///     including the wait for a free queue-depth slot).
@@ -73,9 +73,28 @@ struct RunMetrics {
   util::Histogram latency_hist = make_latency_histogram();
   /// Response-time (arrival -> completion) distribution of this run.
   util::Histogram response_hist = make_latency_histogram();
-  ftl::FtlStats ftl_stats;              ///< snapshot at end of run
-  std::uint64_t device_erases = 0;      ///< snapshot of device counter
-  std::uint64_t erases_during_run = 0;  ///< erases attributable to this run
+  ftl::FtlStats ftl_stats;              ///< the window's FTL counters
+  std::uint64_t device_erases = 0;      ///< device erase counter at close
+  std::uint64_t erases_during_run = 0;  ///< erases in the window
+  /// Host data rate (reads + writes) over the window, MB/s. The paper's
+  /// "normalized IOPS" compares runs of equal host data volume, so this is
+  /// the quantity its Figs. 2(a)/8(a) normalize.
+  double host_mb_per_sec = 0.0;
+  double overall_waf = 1.0;        ///< flash program bytes / host bytes
+  double small_request_waf = 1.0;  ///< paper Table 1's request WAF
+  /// Device busy-time utilization over the window: per-chip (array +
+  /// transfer occupancy) and per-channel (transfer occupancy) busy time
+  /// divided by elapsed simulated time. Shows shard balance and device
+  /// idle headroom without a journal pass. Sharded runs aggregate across
+  /// every shard's chips/channels in shard-index order.
+  std::uint32_t chips = 0;
+  std::uint32_t channels = 0;
+  double chip_util_min = 0.0;
+  double chip_util_mean = 0.0;
+  double chip_util_max = 0.0;
+  double channel_util_min = 0.0;
+  double channel_util_mean = 0.0;
+  double channel_util_max = 0.0;
 
   /// Sets the six percentile fields from the two histograms.
   void fill_percentiles() {
@@ -84,6 +103,8 @@ struct RunMetrics {
     set_percentiles(response_hist, response_p50_us, response_p99_us,
                     response_p999_us);
   }
+  /// Sets host_mb_per_sec and both WAFs from ftl_stats and the span.
+  void fill_rates(const nand::Geometry& geo);
 
   SimTime elapsed_us() const { return end_us - start_us; }
   double iops() const {
@@ -92,14 +113,18 @@ struct RunMetrics {
   }
 };
 
-/// The driver's cumulative state where a measured window opens
-/// (Driver::mark_window), histograms copied whole; Driver::close_window
-/// reports the difference, so no window counts preconditioning or warmup.
+/// The driver's and device's cumulative state where a measured window
+/// opens (Driver::mark_window), histograms copied whole;
+/// Driver::close_window reports the difference, so no window counts
+/// preconditioning or warmup.
 struct WindowMark {
   SimTime start_us = 0.0;
   std::uint64_t verify_failures = 0;
   std::uint64_t io_errors = 0;
   std::uint64_t erases = 0;
+  ftl::FtlStats ftl_stats;
+  std::vector<SimTime> chip_busy_us;
+  std::vector<SimTime> channel_busy_us;
   util::Histogram latency_hist = make_latency_histogram();
   util::Histogram response_hist = make_latency_histogram();
 };
@@ -123,7 +148,7 @@ class Driver {
   Driver(ftl::Ftl& ftl, nand::NandDevice& dev, std::uint32_t queue_depth = 32);
 
   /// Runs the stream starting at the current clock; returns metrics for
-  /// this run only (FTL stats are cumulative snapshots).
+  /// this run only.
   /// @param verify        check every read's tokens against the shadow map
   /// @param max_requests  stop after this many requests (0 = to exhaustion);
   ///                      lets callers split one stream into warmup+measure
@@ -139,15 +164,12 @@ class Driver {
   /// Opens a measured window at the current clock. Every measured window
   /// closes through close_window: run(), the tenant mux's run and a run
   /// split around a checkpoint (one mark spanning both legs).
-  WindowMark mark_window() const {
-    return {now_, verify_failures_, io_errors_, dev_.counters().erases,
-            latency_, response_};
-  }
+  WindowMark mark_window() const;
   /// Closes the window `mark` opened at the current clock: fills
-  /// `metrics` with its span, verify failures, io errors, erases and
-  /// latency histograms, plus the cumulative FTL stats and device erases.
-  /// The request counts are left alone: they belong to the loop that fed
-  /// the requests.
+  /// `metrics` with its span, verify failures, io errors, erases, latency
+  /// histograms, FTL stats, rates and utilization, plus the device's
+  /// cumulative erase count. The request counts are left alone: they
+  /// belong to the loop that fed the requests.
   void close_window(const WindowMark& mark, RunMetrics& metrics) const;
 
   /// Issues one request; advances the internal clock to its completion.

@@ -56,8 +56,6 @@ class QosScheduler {
  public:
   QosScheduler(QosPolicy policy, std::size_t lanes);
 
-  QosPolicy policy() const { return policy_; }
-
   /// Picks the lane to serve next. `horizon` is the earliest time the
   /// device can accept work; lanes ready at or before it are *eligible*
   /// (their requests have arrived by the time a slot frees). When no lane

@@ -138,12 +138,6 @@ class TenantMux {
   /// a warmup call then a measure call, each reporting its own window.
   MuxRunMetrics run(bool verify = true, std::uint64_t max_requests = 0);
 
-  QosPolicy policy() const { return scheduler_.policy(); }
-  std::size_t lane_count() const { return lanes_.size(); }
-  const TenantNamespace& lane_namespace(std::size_t i) const {
-    return lanes_[i].fixed.ns;
-  }
-
  private:
   struct LaneRt {
     Lane fixed;

@@ -103,8 +103,6 @@ class MetricsRegistry {
   std::size_t counter_count() const {
     return counters_.size() + bound_.size();
   }
-  std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t histogram_count() const { return histograms_.size(); }
 
   /// Converts every bound counter and provider gauge into an owned
   /// snapshot, severing all references into external components. Safe to

@@ -25,9 +25,9 @@ TEST(Experiment, FootprintDefaultsToPreconditionedRange) {
   auto spec = base_spec();
   ASSERT_EQ(spec.workload.footprint_sectors, 0u);
   const auto result = run_experiment(spec);
-  EXPECT_EQ(result.verify_failures, 0u);
-  EXPECT_GT(result.iops, 0.0);
-  EXPECT_GT(result.host_mb_per_sec, 0.0);
+  EXPECT_EQ(result.raw.verify_failures, 0u);
+  EXPECT_GT(result.raw.iops(), 0.0);
+  EXPECT_GT(result.raw.host_mb_per_sec, 0.0);
 }
 
 TEST(Experiment, WarmupExcludedFromWindow) {
@@ -48,8 +48,8 @@ TEST(Experiment, WindowStatsConsistentWithBudget) {
   const auto result = run_experiment(spec);
   // All-write small workload: window host sectors == request count.
   EXPECT_EQ(result.raw.ftl_stats.host_write_sectors, 3000u);
-  EXPECT_GE(result.small_request_waf, 0.9);
-  EXPECT_GE(result.overall_waf, 0.9);
+  EXPECT_GE(result.raw.small_request_waf, 0.9);
+  EXPECT_GE(result.raw.overall_waf, 0.9);
 }
 
 TEST(Experiment, MappingBytesReported) {
@@ -61,9 +61,9 @@ TEST(Experiment, MappingBytesReported) {
 TEST(Experiment, DeterministicForSameSpec) {
   const auto a = run_experiment(base_spec());
   const auto b = run_experiment(base_spec());
-  EXPECT_DOUBLE_EQ(a.iops, b.iops);
-  EXPECT_EQ(a.gc_invocations, b.gc_invocations);
-  EXPECT_EQ(a.erases, b.erases);
+  EXPECT_DOUBLE_EQ(a.raw.iops(), b.raw.iops());
+  EXPECT_EQ(a.raw.ftl_stats.gc_invocations, b.raw.ftl_stats.gc_invocations);
+  EXPECT_EQ(a.raw.erases_during_run, b.raw.erases_during_run);
 }
 
 TEST(Experiment, DifferentSeedsDiffer) {
@@ -71,7 +71,7 @@ TEST(Experiment, DifferentSeedsDiffer) {
   spec.workload.seed = 12;
   const auto a = run_experiment(base_spec());
   const auto b = run_experiment(spec);
-  EXPECT_NE(a.iops, b.iops);
+  EXPECT_NE(a.raw.iops(), b.raw.iops());
 }
 
 TEST(Experiment, OneTenantReportsTheIoErrorsOfTheSingleStream) {

@@ -70,14 +70,16 @@ TEST(ParallelRunner, ResultsBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(got[i].key, baseline[i].key);
       EXPECT_EQ(got[i].seed, baseline[i].seed);
       // Bit-identical, not approximately equal: the whole point.
-      EXPECT_EQ(got[i].result.iops, baseline[i].result.iops);
-      EXPECT_EQ(got[i].result.host_mb_per_sec,
-                baseline[i].result.host_mb_per_sec);
-      EXPECT_EQ(got[i].result.overall_waf, baseline[i].result.overall_waf);
-      EXPECT_EQ(got[i].result.gc_invocations,
-                baseline[i].result.gc_invocations);
-      EXPECT_EQ(got[i].result.erases, baseline[i].result.erases);
-      EXPECT_EQ(got[i].result.verify_failures, 0u);
+      EXPECT_EQ(got[i].result.raw.iops(), baseline[i].result.raw.iops());
+      EXPECT_EQ(got[i].result.raw.host_mb_per_sec,
+                baseline[i].result.raw.host_mb_per_sec);
+      EXPECT_EQ(got[i].result.raw.overall_waf,
+                baseline[i].result.raw.overall_waf);
+      EXPECT_EQ(got[i].result.raw.ftl_stats.gc_invocations,
+                baseline[i].result.raw.ftl_stats.gc_invocations);
+      EXPECT_EQ(got[i].result.raw.erases_during_run,
+                baseline[i].result.raw.erases_during_run);
+      EXPECT_EQ(got[i].result.raw.verify_failures, 0u);
       EXPECT_EQ(got[i].result.raw.latency_hist.total(),
                 baseline[i].result.raw.latency_hist.total());
       EXPECT_EQ(got[i].result.raw.latency_hist.percentile(0.99),
@@ -101,8 +103,9 @@ TEST(ParallelRunner, DerivedSeedsComeFromKeysNotOrder) {
     ASSERT_EQ(fwd.key, bwd.key);
     EXPECT_EQ(fwd.seed, stable_cell_seed(cells[i].key, kBaseSeed));
     EXPECT_EQ(fwd.seed, bwd.seed);
-    EXPECT_EQ(fwd.result.iops, bwd.result.iops);
-    EXPECT_EQ(fwd.result.erases, bwd.result.erases);
+    EXPECT_EQ(fwd.result.raw.iops(), bwd.result.raw.iops());
+    EXPECT_EQ(fwd.result.raw.erases_during_run,
+              bwd.result.raw.erases_during_run);
   }
 }
 

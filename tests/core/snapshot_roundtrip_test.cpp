@@ -119,20 +119,18 @@ void expect_same_result(const core::RunResult& a, const core::RunResult& b,
   EXPECT_TRUE(ftl::same_simulated_stats(x.ftl_stats, y.ftl_stats)) << what;
   EXPECT_EQ(x.device_erases, y.device_erases) << what;
   EXPECT_EQ(x.erases_during_run, y.erases_during_run) << what;
-  EXPECT_EQ(a.verify_failures, b.verify_failures) << what;
-  EXPECT_EQ(a.erases, b.erases) << what;
-  EXPECT_EQ(a.iops, b.iops) << what;
-  EXPECT_EQ(a.host_mb_per_sec, b.host_mb_per_sec) << what;
-  EXPECT_EQ(a.overall_waf, b.overall_waf) << what;
-  EXPECT_EQ(a.small_request_waf, b.small_request_waf) << what;
-  EXPECT_EQ(a.gc_invocations, b.gc_invocations) << what;
-  EXPECT_EQ(a.rmw_ops, b.rmw_ops) << what;
-  EXPECT_EQ(a.chip_util_min, b.chip_util_min) << what;
-  EXPECT_EQ(a.chip_util_mean, b.chip_util_mean) << what;
-  EXPECT_EQ(a.chip_util_max, b.chip_util_max) << what;
-  EXPECT_EQ(a.channel_util_min, b.channel_util_min) << what;
-  EXPECT_EQ(a.channel_util_mean, b.channel_util_mean) << what;
-  EXPECT_EQ(a.channel_util_max, b.channel_util_max) << what;
+  EXPECT_EQ(x.iops(), y.iops()) << what;
+  EXPECT_EQ(x.host_mb_per_sec, y.host_mb_per_sec) << what;
+  EXPECT_EQ(x.overall_waf, y.overall_waf) << what;
+  EXPECT_EQ(x.small_request_waf, y.small_request_waf) << what;
+  EXPECT_EQ(x.ftl_stats.gc_invocations, y.ftl_stats.gc_invocations) << what;
+  EXPECT_EQ(x.ftl_stats.rmw_ops, y.ftl_stats.rmw_ops) << what;
+  EXPECT_EQ(x.chip_util_min, y.chip_util_min) << what;
+  EXPECT_EQ(x.chip_util_mean, y.chip_util_mean) << what;
+  EXPECT_EQ(x.chip_util_max, y.chip_util_max) << what;
+  EXPECT_EQ(x.channel_util_min, y.channel_util_min) << what;
+  EXPECT_EQ(x.channel_util_mean, y.channel_util_mean) << what;
+  EXPECT_EQ(x.channel_util_max, y.channel_util_max) << what;
 }
 
 std::vector<core::CellResult> run_with_jobs(
@@ -207,7 +205,7 @@ TEST(SnapshotRoundtrip, RestoreRegeneratesSidecarsByteIdentical) {
         << rs[i].key;
     EXPECT_EQ(rs[i].result.raw.device_erases, ref[i].result.raw.device_erases)
         << rs[i].key;
-    EXPECT_EQ(rs[i].result.verify_failures, 0u) << rs[i].key;
+    EXPECT_EQ(rs[i].result.raw.verify_failures, 0u) << rs[i].key;
   }
 }
 
@@ -250,7 +248,7 @@ TEST(SnapshotRoundtrip, CheckpointChainMatchesStraightThrough) {
         seg.snapshot_after_requests = kSegment;
       }
       last = core::run_experiment(seg);
-      ASSERT_EQ(last.verify_failures, 0u);
+      ASSERT_EQ(last.raw.verify_failures, 0u);
       restores += !snap.empty();
       if (final_segment) break;
       snap = seg.snapshot_out;
@@ -266,7 +264,7 @@ TEST(SnapshotRoundtrip, CheckpointChainMatchesStraightThrough) {
     EXPECT_EQ(slurp(a.forensics), slurp(b.forensics)) << what;
     EXPECT_EQ(last.raw.end_us, ref.raw.end_us) << what;
     EXPECT_EQ(last.raw.device_erases, ref.raw.device_erases) << what;
-    EXPECT_EQ(ref.verify_failures, 0u) << what;
+    EXPECT_EQ(ref.raw.verify_failures, 0u) << what;
   }
 }
 
@@ -299,7 +297,7 @@ TEST(SnapshotRoundtrip, FreshSeedLegStartsFromAgedStateDeterministically) {
   ASSERT_TRUE(r[1].ok) << r[1].error;
   EXPECT_EQ(r[0].result.raw.end_us, r[1].result.raw.end_us);
   EXPECT_EQ(r[0].result.raw.device_erases, r[1].result.raw.device_erases);
-  EXPECT_EQ(r[0].result.overall_waf, r[1].result.overall_waf);
+  EXPECT_EQ(r[0].result.raw.overall_waf, r[1].result.raw.overall_waf);
   // And a fresh leg is not a resume: it runs on the aged clock, starting
   // at (or after) the instant the anchor snapshot was saved. The default
   // checkpoint lands at the anchor's measured-window START, so compare

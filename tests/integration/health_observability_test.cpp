@@ -94,7 +94,7 @@ TEST(HealthObservability, SmartWearAgreesWithJournalRecomputation) {
   spec.observe.health_interval_us = 0.0;
   const auto result = core::run_experiment(spec);
   ASSERT_GE(result.sidecars.health_epochs, 2u);
-  ASSERT_GT(result.erases, 0u)
+  ASSERT_GT(result.raw.erases_during_run, 0u)
       << "workload too light to wear blocks; cross-check is vacuous";
 
   // --- reconstruct per-block wear from the HEALTH stream --------------

@@ -107,8 +107,8 @@ TEST(MaintenanceDifferential, JournalsByteIdenticalScanVsIndex) {
     EXPECT_EQ(a.raw.ftl_stats.flash_erases, b.raw.ftl_stats.flash_erases)
         << scan[i].key;
     EXPECT_EQ(a.raw.end_us, b.raw.end_us) << scan[i].key;
-    EXPECT_EQ(a.verify_failures, 0u) << scan[i].key;
-    EXPECT_EQ(b.verify_failures, 0u) << index[i].key;
+    EXPECT_EQ(a.raw.verify_failures, 0u) << scan[i].key;
+    EXPECT_EQ(b.raw.verify_failures, 0u) << index[i].key;
 
     const std::string ja = slurp(scan_cells[i].spec.observe.journal_path);
     const std::string jb = slurp(index_cells[i].spec.observe.journal_path);

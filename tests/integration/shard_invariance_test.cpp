@@ -5,12 +5,16 @@
 //     of the same sharded cell, at shards 2, 4 and 8;
 //   * merged counters and merged latency/response histograms identical
 //     across job counts (bucket-by-bucket);
-//   * merged counters equal to the SUM over shard_results;
+//   * merged counters equal to the SUM over shard_results, merged
+//     utilization to the shards' extremes and unit-weighted means, and
+//     merged host MB/s to the summed host bytes over the slowest span;
 //   * a shard re-run ALONE (make_shard_spec + partition_stream) writes a
 //     journal byte-identical to the same shard inside the full run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,23 +82,25 @@ ExperimentSpec make_spec(FtlKind kind, unsigned shards, unsigned jobs,
 
 void expect_same_merged(const RunResult& a, const RunResult& b,
                         const std::string& what) {
-  EXPECT_EQ(a.raw.requests, b.raw.requests) << what;
-  EXPECT_EQ(a.raw.write_requests, b.raw.write_requests) << what;
-  EXPECT_EQ(a.raw.read_requests, b.raw.read_requests) << what;
-  EXPECT_EQ(a.erases, b.erases) << what;
-  EXPECT_EQ(a.gc_invocations, b.gc_invocations) << what;
-  EXPECT_EQ(a.rmw_ops, b.rmw_ops) << what;
+  const sim::RunMetrics& x = a.raw;
+  const sim::RunMetrics& y = b.raw;
+  EXPECT_EQ(x.requests, y.requests) << what;
+  EXPECT_EQ(x.write_requests, y.write_requests) << what;
+  EXPECT_EQ(x.read_requests, y.read_requests) << what;
+  EXPECT_EQ(x.erases_during_run, y.erases_during_run) << what;
+  EXPECT_EQ(x.ftl_stats.gc_invocations, y.ftl_stats.gc_invocations) << what;
+  EXPECT_EQ(x.ftl_stats.rmw_ops, y.ftl_stats.rmw_ops) << what;
   EXPECT_EQ(a.sidecars.journal_events, b.sidecars.journal_events) << what;
-  EXPECT_DOUBLE_EQ(a.overall_waf, b.overall_waf) << what;
-  EXPECT_DOUBLE_EQ(a.small_request_waf, b.small_request_waf) << what;
-  EXPECT_DOUBLE_EQ(a.raw.latency_p99_us, b.raw.latency_p99_us) << what;
-  EXPECT_DOUBLE_EQ(a.raw.response_p999_us, b.raw.response_p999_us) << what;
-  ASSERT_EQ(a.raw.latency_hist.bucket_count(), b.raw.latency_hist.bucket_count())
+  EXPECT_DOUBLE_EQ(x.overall_waf, y.overall_waf) << what;
+  EXPECT_DOUBLE_EQ(x.small_request_waf, y.small_request_waf) << what;
+  EXPECT_DOUBLE_EQ(x.latency_p99_us, y.latency_p99_us) << what;
+  EXPECT_DOUBLE_EQ(x.response_p999_us, y.response_p999_us) << what;
+  ASSERT_EQ(x.latency_hist.bucket_count(), y.latency_hist.bucket_count())
       << what;
-  for (std::size_t i = 0; i < a.raw.latency_hist.bucket_count(); ++i) {
-    ASSERT_EQ(a.raw.latency_hist.bucket(i), b.raw.latency_hist.bucket(i))
+  for (std::size_t i = 0; i < x.latency_hist.bucket_count(); ++i) {
+    ASSERT_EQ(x.latency_hist.bucket(i), y.latency_hist.bucket(i))
         << what << ": latency bucket " << i;
-    ASSERT_EQ(a.raw.response_hist.bucket(i), b.raw.response_hist.bucket(i))
+    ASSERT_EQ(x.response_hist.bucket(i), y.response_hist.bucket(i))
         << what << ": response bucket " << i;
   }
 }
@@ -102,24 +108,63 @@ void expect_same_merged(const RunResult& a, const RunResult& b,
 void expect_merged_is_sum(const RunResult& merged, unsigned shards,
                           const std::string& what) {
   ASSERT_EQ(merged.shard_results.size(), shards) << what;
+  const sim::RunMetrics& m = merged.raw;
   std::uint64_t requests = 0, erases = 0, gc = 0, rmw = 0, journal = 0;
-  std::uint64_t host_writes = 0, flash_writes = 0;
+  std::uint64_t host_writes = 0, flash_writes = 0, host_sectors = 0;
+  std::uint32_t chips = 0, channels = 0;
+  double chip_min = std::numeric_limits<double>::infinity(), chip_max = 0.0;
+  double channel_min = chip_min, channel_max = 0.0;
+  double chip_weighted = 0.0, channel_weighted = 0.0;
+  SimTime slowest_span_us = 0.0;
   for (const RunResult& r : merged.shard_results) {
-    requests += r.raw.requests;
-    erases += r.erases;
-    gc += r.gc_invocations;
-    rmw += r.rmw_ops;
+    const sim::RunMetrics& s = r.raw;
+    requests += s.requests;
+    erases += s.erases_during_run;
+    gc += s.ftl_stats.gc_invocations;
+    rmw += s.ftl_stats.rmw_ops;
     journal += r.sidecars.journal_events;
-    host_writes += r.raw.ftl_stats.host_write_sectors;
-    flash_writes += r.raw.ftl_stats.flash_prog_sub;
+    host_writes += s.ftl_stats.host_write_sectors;
+    flash_writes += s.ftl_stats.flash_prog_sub;
+    host_sectors +=
+        s.ftl_stats.host_write_sectors + s.ftl_stats.host_read_sectors;
+    chips += s.chips;
+    channels += s.channels;
+    chip_min = std::min(chip_min, s.chip_util_min);
+    chip_max = std::max(chip_max, s.chip_util_max);
+    channel_min = std::min(channel_min, s.channel_util_min);
+    channel_max = std::max(channel_max, s.channel_util_max);
+    chip_weighted += s.chip_util_mean * s.chips;
+    channel_weighted += s.channel_util_mean * s.channels;
+    slowest_span_us = std::max(slowest_span_us, s.elapsed_us());
   }
-  EXPECT_EQ(merged.raw.requests, requests) << what;
-  EXPECT_EQ(merged.erases, erases) << what;
-  EXPECT_EQ(merged.gc_invocations, gc) << what;
-  EXPECT_EQ(merged.rmw_ops, rmw) << what;
+  EXPECT_EQ(m.requests, requests) << what;
+  EXPECT_EQ(m.erases_during_run, erases) << what;
+  EXPECT_EQ(m.ftl_stats.gc_invocations, gc) << what;
+  EXPECT_EQ(m.ftl_stats.rmw_ops, rmw) << what;
   EXPECT_EQ(merged.sidecars.journal_events, journal) << what;
-  EXPECT_EQ(merged.raw.ftl_stats.host_write_sectors, host_writes) << what;
-  EXPECT_EQ(merged.raw.ftl_stats.flash_prog_sub, flash_writes) << what;
+  EXPECT_EQ(m.ftl_stats.host_write_sectors, host_writes) << what;
+  EXPECT_EQ(m.ftl_stats.flash_prog_sub, flash_writes) << what;
+
+  // Utilization: units add up, extremes are the shards' extremes, and the
+  // means are weighted by each shard's chip (channel) count.
+  EXPECT_EQ(m.chips, chips) << what;
+  EXPECT_EQ(m.channels, channels) << what;
+  EXPECT_EQ(m.chip_util_min, chip_min) << what;
+  EXPECT_EQ(m.chip_util_max, chip_max) << what;
+  EXPECT_EQ(m.channel_util_min, channel_min) << what;
+  EXPECT_EQ(m.channel_util_max, channel_max) << what;
+  EXPECT_GT(chip_max, 0.0) << what << ": no chip was busy";
+  EXPECT_DOUBLE_EQ(m.chip_util_mean, chip_weighted / chips) << what;
+  EXPECT_DOUBLE_EQ(m.channel_util_mean, channel_weighted / channels) << what;
+
+  // Host MB/s: every shard's host bytes over the slowest shard's span.
+  ASSERT_GT(slowest_span_us, 0.0) << what;
+  const double host_bytes = static_cast<double>(
+      host_sectors * shard_geometry().subpage_bytes());
+  EXPECT_DOUBLE_EQ(m.host_mb_per_sec,
+                   host_bytes / (1024.0 * 1024.0) /
+                       sim_time::to_seconds(slowest_span_us))
+      << what;
 }
 
 TEST(ShardInvariance, MergedResultsAndJournalsIdenticalAcrossJobCounts) {
@@ -193,8 +238,10 @@ TEST(ShardInvariance, ShardAloneMatchesShardAmongSiblings) {
   EXPECT_EQ(alone_journal, joint_journal)
       << "shard 0 journal differs between standalone and joint runs";
   EXPECT_EQ(alone.raw.requests, joint.shard_results[0].raw.requests);
-  EXPECT_EQ(alone.erases, joint.shard_results[0].erases);
-  EXPECT_DOUBLE_EQ(alone.overall_waf, joint.shard_results[0].overall_waf);
+  EXPECT_EQ(alone.raw.erases_during_run,
+            joint.shard_results[0].raw.erases_during_run);
+  EXPECT_DOUBLE_EQ(alone.raw.overall_waf,
+                   joint.shard_results[0].raw.overall_waf);
 }
 
 TEST(ShardInvariance, ShardingRequiresDivisibleChannels) {

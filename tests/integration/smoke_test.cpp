@@ -107,9 +107,9 @@ TEST(ExperimentRunner, ProducesConsistentResult) {
 
   const auto result = core::run_experiment(spec);
   EXPECT_EQ(result.ftl_name, "subFTL");
-  EXPECT_EQ(result.verify_failures, 0u);
-  EXPECT_GT(result.iops, 0.0);
-  EXPECT_GE(result.small_request_waf, 1.0);
+  EXPECT_EQ(result.raw.verify_failures, 0u);
+  EXPECT_GT(result.raw.iops(), 0.0);
+  EXPECT_GE(result.raw.small_request_waf, 1.0);
 }
 
 }  // namespace

@@ -206,6 +206,62 @@ TEST(Driver, WarmupDoesNotPolluteMeasurePercentiles) {
   EXPECT_LT(measure.latency_p50_us, 200.0);
 }
 
+TEST(Driver, RunReportsOnlyItsWindow) {
+  // Regression: a window's FTL stats were the FTL's cumulative snapshot,
+  // so a run after preconditioning counted the fill as its own traffic.
+  DriverFixture fx;
+  const nand::Geometry geo = tiny_geo();
+  const std::uint32_t subs = geo.subpages_per_page;
+  const std::uint64_t pages = fx.ftl->logical_sectors() / subs;
+  // Fill the logical space five times over: more pages than the device
+  // holds, so the fill itself erases blocks.
+  for (int pass = 0; pass < 5; ++pass)
+    for (std::uint64_t p = 0; p < pages; ++p)
+      fx.driver->submit({Request::Type::kWrite, p * subs, subs, false, 0.0},
+                        false);
+  ASSERT_GT(fx.dev.counters().erases, 0u);
+
+  const auto run_writes = [&](std::uint64_t writes) {
+    std::vector<Request> reqs;
+    for (std::uint64_t i = 0; i < writes; ++i)
+      reqs.push_back(
+          {Request::Type::kWrite, (i * 7 % pages) * subs, subs, false, 0.0});
+    FixedSource src(std::move(reqs));
+    return fx.driver->run(src, false);
+  };
+  const auto expect_window = [&](const RunMetrics& m, std::uint64_t writes) {
+    EXPECT_EQ(m.ftl_stats.host_write_requests, writes);
+    EXPECT_EQ(m.ftl_stats.host_write_sectors, writes * subs);
+    EXPECT_EQ(m.erases_during_run, m.ftl_stats.flash_erases);
+    EXPECT_LT(m.erases_during_run, m.device_erases);
+    ASSERT_GT(m.elapsed_us(), 0.0);
+    const double bytes =
+        static_cast<double>(writes * subs * geo.subpage_bytes());
+    const double secs = sim_time::to_seconds(m.elapsed_us());
+    EXPECT_DOUBLE_EQ(m.host_mb_per_sec, bytes / (1024.0 * 1024.0) / secs);
+    EXPECT_DOUBLE_EQ(m.overall_waf, m.ftl_stats.overall_waf(
+                                        geo.page_bytes, geo.subpage_bytes()));
+    EXPECT_EQ(m.chips, geo.total_chips());
+    EXPECT_EQ(m.channels, geo.channels);
+    EXPECT_GE(m.chip_util_min, 0.0);
+    EXPECT_LE(m.chip_util_min, m.chip_util_mean);
+    EXPECT_LE(m.chip_util_mean, m.chip_util_max);
+    EXPECT_GT(m.chip_util_max, 0.0);
+    EXPECT_GE(m.channel_util_min, 0.0);
+    EXPECT_LE(m.channel_util_min, m.channel_util_mean);
+    EXPECT_LE(m.channel_util_mean, m.channel_util_max);
+    EXPECT_GT(m.channel_util_max, 0.0);
+  };
+
+  const RunMetrics first = run_writes(1500);
+  EXPECT_GT(first.erases_during_run, 0u) << "window erased nothing";
+  expect_window(first, 1500);
+  // A second run reports only its own traffic, from where the first ended.
+  const RunMetrics second = run_writes(500);
+  expect_window(second, 500);
+  EXPECT_EQ(second.start_us, first.end_us);
+}
+
 TEST(Driver, ResponseIncludesQueueingDelayUnderSaturation) {
   // Open-loop arrivals every 10 us against a ~1.6 ms full-page program on
   // a QD-1 window: the backlog grows linearly, so response time (arrival

@@ -5,7 +5,8 @@
 #
 # Each argument is a cmake build directory holding tools/espsim,
 # tools/espreport, bench/qos_isolation, bench/fig8_ftl_comparison,
-# bench/table1_request_waf and bench/ext_lifetime_projection. The script
+# bench/table1_request_waf, bench/ext_lifetime_projection,
+# bench/ablation_policy and bench/related_work_comparison. The script
 # runs, with both builds:
 #   * the seed-7 audited 4-FTL Varmail sweep (journal, health and
 #     forensics streams), plus the same sweep with the health stream alone
@@ -18,13 +19,16 @@
 #   * one espsim run straight through and one checkpointed mid-window
 #     (--snapshot-after): all four print the same summary;
 #   * qos_isolation --quick --jobs 1 (`cells`), fig8_ftl_comparison
-#     (`benchmarks`, `summary`), table1_request_waf (`benchmarks`, `pass`) and
-#     ext_lifetime_projection --quick --geometry paper (`curves`,
-#     `validation`, `end_of_life_legs`, with the wall-clock keys dropped):
-#     those JSON payloads must be equal.
+#     unsharded and at --shards 2 --jobs 1 (`benchmarks`, `summary`; the
+#     sharded run covers the shard join), table1_request_waf (`benchmarks`,
+#     `pass`) and ext_lifetime_projection --quick --geometry paper
+#     (`curves`, `validation`, `end_of_life_legs`, with the wall-clock keys
+#     dropped): those JSON payloads must be equal;
+#   * ablation_policy (windows read straight off Driver::run) and
+#     related_work_comparison: their stdout must be equal.
 # It exits non-zero on the first difference and names the file that
 # differs. A change that claims simulation byte-identity must pass it.
-# Cost: about 15 s per build and 0.5 GB of temporary snapshots.
+# Cost: about 20 s per build and 0.5 GB of temporary snapshots.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -39,7 +43,8 @@ trap 'rm -rf "$work"' EXIT
 
 bins=(tools/espsim tools/espreport bench/qos_isolation
       bench/fig8_ftl_comparison bench/table1_request_waf
-      bench/ext_lifetime_projection)
+      bench/ext_lifetime_projection bench/ablation_policy
+      bench/related_work_comparison)
 for build in "$parent" "$change"; do
   for bin in "${bins[@]}"; do
     if [[ ! -x "$build/$bin" ]]; then
@@ -79,9 +84,13 @@ run_benches() {  # build-dir output-dir
   "$1/bench/qos_isolation" --quick --jobs 1 --json "$2/qos.json" \
     > "$2/qos.log"
   "$1/bench/fig8_ftl_comparison" --json "$2/fig8.json" > "$2/fig8.log"
+  "$1/bench/fig8_ftl_comparison" --shards 2 --jobs 1 \
+    --json "$2/fig8-s2.json" > "$2/fig8-s2.log"
   "$1/bench/table1_request_waf" --json "$2/table1.json" > "$2/table1.log"
   "$1/bench/ext_lifetime_projection" --quick --geometry paper \
     --snapshot-dir "$2" --json "$2/lifetime.json" > "$2/lifetime.log"
+  "$1/bench/ablation_policy" > "$2/ablation_policy.txt"
+  "$1/bench/related_work_comparison" > "$2/related_work.txt"
 }
 
 payload() {  # json-file dropped-keys key... -> the keys' subtrees as JSON
@@ -153,11 +162,20 @@ for summary in parent/summary-ck change/summary change/summary-ck; do
 done
 same_payload qos.json "" cells
 same_payload fig8.json "" benchmarks summary
+same_payload fig8-s2.json "" benchmarks summary
+for out in ablation_policy related_work; do
+  if ! cmp "$work/parent/$out.txt" "$work/change/$out.txt"; then
+    echo "DIFFERS: $out.txt (stdout)" >&2
+    exit 1
+  fi
+done
 same_payload table1.json "" benchmarks pass
 same_payload lifetime.json wall_seconds,seconds_per_pe,speedup,projected_full_fidelity_hours,min_speedup,speedup_pass \
   curves validation end_of_life_legs
 check_goldens "$parent" "$work/parent"
 check_goldens "$change" "$work/change"
 echo "identical: 20 streams cmp-equal, manifest cells equal, espsim" \
-  "summaries equal with and without a checkpoint, qos/fig8/table1/lifetime" \
-  "payloads equal, WAF and blame tables match tools/golden/"
+  "summaries equal with and without a checkpoint," \
+  "qos/fig8/fig8-shards2/table1/lifetime payloads equal," \
+  "ablation_policy and related_work stdout equal," \
+  "WAF and blame tables match tools/golden/"

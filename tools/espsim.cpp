@@ -504,21 +504,22 @@ int main(int argc, char** argv) {
         exit_code = 1;
         continue;
       }
-      const auto& r = cell.result;
+      const sim::RunMetrics& r = cell.result.raw;
       t.add_row({cell.key, util::TablePrinter::num(r.host_mb_per_sec, 1),
-                 util::TablePrinter::num(r.iops, 0),
-                 util::TablePrinter::num(r.raw.latency_p50_us, 0) + "/" +
-                     util::TablePrinter::num(r.raw.latency_p99_us, 0),
-                 util::TablePrinter::num(r.raw.response_p50_us, 0) + "/" +
-                     util::TablePrinter::num(r.raw.response_p99_us, 0),
+                 util::TablePrinter::num(r.iops(), 0),
+                 util::TablePrinter::num(r.latency_p50_us, 0) + "/" +
+                     util::TablePrinter::num(r.latency_p99_us, 0),
+                 util::TablePrinter::num(r.response_p50_us, 0) + "/" +
+                     util::TablePrinter::num(r.response_p99_us, 0),
                  util::TablePrinter::num(r.overall_waf, 3),
                  util::TablePrinter::num(r.small_request_waf, 3),
-                 std::to_string(r.gc_invocations), std::to_string(r.erases),
+                 std::to_string(r.ftl_stats.gc_invocations),
+                 std::to_string(r.erases_during_run),
                  util::TablePrinter::num(r.chip_util_mean * 100.0, 1) + "/" +
                      util::TablePrinter::num(r.channel_util_mean * 100.0, 1) +
                      "%",
                  std::to_string(r.verify_failures)});
-      if (core::lost_data(r, cell.key)) exit_code = 1;
+      if (core::lost_data(cell.result, cell.key)) exit_code = 1;
     }
     t.print(std::cout);
 
@@ -590,7 +591,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "run failed: %s\n", e.what());
     return 1;
   }
-  const auto& stats = result.raw.ftl_stats;
+  const sim::RunMetrics& m = result.raw;
+  const auto& stats = m.ftl_stats;
 
   if (!snapshot_in.empty())
     std::printf("snapshot : restored %s\n", snapshot_in.c_str());
@@ -638,49 +640,42 @@ int main(int argc, char** argv) {
   }
 
   util::TablePrinter t({"metric", "value"});
-  t.add_row({"host throughput", util::TablePrinter::num(
-                                    result.host_mb_per_sec, 1) + " MB/s"});
-  t.add_row({"IOPS", util::TablePrinter::num(result.iops, 0)});
+  t.add_row({"host throughput",
+             util::TablePrinter::num(m.host_mb_per_sec, 1) + " MB/s"});
+  t.add_row({"IOPS", util::TablePrinter::num(m.iops(), 0)});
   t.add_row({"latency p50 / p99 / p999",
-             util::TablePrinter::num(result.raw.latency_p50_us, 0) + " / " +
-                 util::TablePrinter::num(result.raw.latency_p99_us, 0) +
-                 " / " +
-                 util::TablePrinter::num(result.raw.latency_p999_us, 0) +
-                 " us"});
+             util::TablePrinter::num(m.latency_p50_us, 0) + " / " +
+                 util::TablePrinter::num(m.latency_p99_us, 0) + " / " +
+                 util::TablePrinter::num(m.latency_p999_us, 0) + " us"});
   t.add_row({"response p50 / p99 / p999",
-             util::TablePrinter::num(result.raw.response_p50_us, 0) + " / " +
-                 util::TablePrinter::num(result.raw.response_p99_us, 0) +
-                 " / " +
-                 util::TablePrinter::num(result.raw.response_p999_us, 0) +
-                 " us"});
-  t.add_row({"overall WAF", util::TablePrinter::num(result.overall_waf, 3)});
+             util::TablePrinter::num(m.response_p50_us, 0) + " / " +
+                 util::TablePrinter::num(m.response_p99_us, 0) + " / " +
+                 util::TablePrinter::num(m.response_p999_us, 0) + " us"});
+  t.add_row({"overall WAF", util::TablePrinter::num(m.overall_waf, 3)});
   t.add_row({"small-write request WAF",
-             util::TablePrinter::num(result.small_request_waf, 3)});
-  t.add_row({"GC invocations", std::to_string(result.gc_invocations)});
-  t.add_row({"erases (window)", std::to_string(result.erases)});
-  t.add_row({"RMW operations", std::to_string(result.rmw_ops)});
+             util::TablePrinter::num(m.small_request_waf, 3)});
+  t.add_row({"GC invocations", std::to_string(stats.gc_invocations)});
+  t.add_row({"erases (window)", std::to_string(m.erases_during_run)});
+  t.add_row({"RMW operations", std::to_string(stats.rmw_ops)});
   t.add_row({"forward migrations", std::to_string(stats.forward_migrations)});
   t.add_row({"evictions (cold+retention)",
              std::to_string(stats.cold_evictions +
                             stats.retention_evictions)});
   t.add_row({"chip util min/mean/max",
-             util::TablePrinter::num(result.chip_util_min * 100.0, 1) + " / " +
-                 util::TablePrinter::num(result.chip_util_mean * 100.0, 1) +
-                 " / " +
-                 util::TablePrinter::num(result.chip_util_max * 100.0, 1) +
-                 " %"});
+             util::TablePrinter::num(m.chip_util_min * 100.0, 1) + " / " +
+                 util::TablePrinter::num(m.chip_util_mean * 100.0, 1) + " / " +
+                 util::TablePrinter::num(m.chip_util_max * 100.0, 1) + " %"});
   t.add_row({"channel util min/mean/max",
-             util::TablePrinter::num(result.channel_util_min * 100.0, 1) +
+             util::TablePrinter::num(m.channel_util_min * 100.0, 1) + " / " +
+                 util::TablePrinter::num(m.channel_util_mean * 100.0, 1) +
                  " / " +
-                 util::TablePrinter::num(result.channel_util_mean * 100.0, 1) +
-                 " / " +
-                 util::TablePrinter::num(result.channel_util_max * 100.0, 1) +
+                 util::TablePrinter::num(m.channel_util_max * 100.0, 1) +
                  " %"});
   t.add_row({"mapping memory",
              util::TablePrinter::num(
                  static_cast<double>(result.mapping_bytes) / 1024.0, 1) +
                  " KiB"});
-  t.add_row({"verify failures", std::to_string(result.verify_failures)});
+  t.add_row({"verify failures", std::to_string(m.verify_failures)});
   if (tel || !observe.journal_path.empty() || observe.audit)
     t.add_row({"trace events dropped", std::to_string(sc.trace_dropped)});
   if (!observe.journal_path.empty()) {
@@ -699,7 +694,7 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   if (!result.tenants.empty()) {
-    const double secs = sim_time::to_seconds(result.raw.elapsed_us());
+    const double secs = sim_time::to_seconds(m.elapsed_us());
     const std::uint64_t total_writes = [&] {
       std::uint64_t sum = 0;
       for (const auto& tm : result.tenants) sum += tm.host_write_sectors;
